@@ -18,9 +18,8 @@ import (
 
 // cmdServe runs the live quantile service: a registry of per-tenant
 // engines ingesting int64 keys over HTTP — JSON or binary frames,
-// content-negotiated on the same route — plus an optional
-// persistent-connection binary TCP listener (-ingest-addr), answering
-// quantile / selectivity / stats queries from epoch-cached snapshots. Summaries move
+// content-negotiated on the same route — and answering quantile /
+// selectivity / stats queries from epoch-cached snapshots. Summaries move
 // through the epoch lifecycle (-epoch* seal triggers, -window / -retain-age
 // retention), tenants checkpoint to separate files in -checkpoint-dir and
 // restore from it on boot, and SIGINT/SIGTERM drain in-flight queries
@@ -28,7 +27,6 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	ingestAddr := fs.String("ingest-addr", "", "additional listen address for persistent-connection binary TCP ingest (empty = HTTP only)")
 	m := fs.Int("m", 1<<16, "run length (elements per run)")
 	s := fs.Int("s", 1<<10, "samples per run (must divide m)")
 	stripes := fs.Int("stripes", 0, "ingest stripes per tenant (0 = GOMAXPROCS)")
@@ -180,23 +178,6 @@ func cmdServe(args []string) error {
 	srv := &http.Server{Handler: handler}
 	fmt.Printf("opaq: serving tenants %v on http://%s\n", reg.Names(), ln.Addr())
 
-	// The binary TCP ingest listener shares the registry (and the same
-	// pending-bytes bound) with the HTTP API; frames route to tenants by
-	// their tenant field.
-	var tcpSrv *opaq.EngineTCPServer[int64]
-	tcpErrCh := make(chan error, 1)
-	if *ingestAddr != "" {
-		tcpLn, err := net.Listen("tcp", *ingestAddr)
-		if err != nil {
-			return fmt.Errorf("ingest listener: %w", err)
-		}
-		tcpSrv = opaq.NewEngineRegistryTCPServer(reg, opaq.Int64Codec{}, opaq.EngineTCPOptions{
-			MaxPendingBytes: *maxPending,
-		})
-		fmt.Printf("opaq: binary ingest on tcp://%s\n", tcpLn.Addr())
-		go func() { tcpErrCh <- tcpSrv.Serve(tcpLn) }()
-	}
-
 	// The signal handler is installed before the server accepts its first
 	// request, so a shutdown signal can never hit the default handler once
 	// the service is reachable.
@@ -208,23 +189,12 @@ func cmdServe(args []string) error {
 	select {
 	case err := <-errCh:
 		return err
-	case err := <-tcpErrCh:
-		return fmt.Errorf("binary ingest: %w", err)
 	case sig := <-sigCh:
 		fmt.Printf("opaq: %v — draining in-flight queries\n", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			return fmt.Errorf("graceful shutdown: %w", err)
-		}
-		// HTTP first, then TCP: both stop accepting new batches before the
-		// final checkpoints below capture the state, so an acked batch is
-		// never left out of the checkpoint.
-		if tcpSrv != nil {
-			if err := tcpSrv.Shutdown(ctx); err != nil {
-				return fmt.Errorf("binary ingest shutdown: %w", err)
-			}
-			<-tcpErrCh // Serve has returned net.ErrClosed
 		}
 		if *checkpointDir != "" {
 			if err := reg.CheckpointAll(); err != nil {

@@ -209,16 +209,15 @@ func TestCmdServeCompact(t *testing.T) {
 }
 
 // TestCmdServeBinaryIngest drives the wire-speed ingest path end to end:
-// one serve process accepts binary frames on both transports — content-
-// negotiated on the HTTP ingest route and on the -ingest-addr TCP
-// listener — from the opaqclient batching client, routes TCP frames to a
-// named tenant, and drains both listeners cleanly on SIGTERM.
+// one serve process accepts binary frames, content-negotiated on the HTTP
+// ingest route, from the opaqclient batching client, routes them to the
+// default and to a named tenant, and drains cleanly on SIGTERM.
 func TestCmdServeBinaryIngest(t *testing.T) {
-	addr, tcpAddr := freePort(t), freePort(t)
+	addr := freePort(t)
 	done := make(chan error, 1)
 	go func() {
 		done <- cmdServe([]string{
-			"-addr", addr, "-ingest-addr", tcpAddr,
+			"-addr", addr,
 			"-m", "512", "-s", "64", "-stripes", "1",
 			"-tenants", "latency",
 		})
@@ -253,25 +252,22 @@ func TestCmdServeBinaryIngest(t *testing.T) {
 		t.Fatalf("http client: server acked n=%d, want 1000", n)
 	}
 
-	// Binary frames over TCP into the "latency" tenant.
-	tc, err := opaqclient.DialTCP(tcpAddr, opaq.Int64Codec{},
+	// Binary frames over HTTP into the "latency" tenant.
+	tc := opaqclient.NewHTTP(base, opaq.Int64Codec{},
 		opaqclient.Options{Tenant: "latency", MaxBatch: 256})
-	if err != nil {
-		t.Fatalf("tcp dial: %v", err)
-	}
 	for i := int64(0); i < 2000; i++ {
 		if err := tc.Add(i); err != nil {
-			t.Fatalf("tcp add: %v", err)
+			t.Fatalf("tenant add: %v", err)
 		}
 	}
 	if err := tc.Close(); err != nil {
-		t.Fatalf("tcp close: %v", err)
+		t.Fatalf("tenant close: %v", err)
 	}
 	if n := tc.N(); n != 2000 {
-		t.Fatalf("tcp client: server acked n=%d, want 2000", n)
+		t.Fatalf("tenant client: server acked n=%d, want 2000", n)
 	}
 
-	// Each transport's elements landed in its own tenant.
+	// Each client's elements landed in its own tenant.
 	statsN := func(path string) float64 {
 		t.Helper()
 		resp, err := client.Get(base + path)

@@ -118,27 +118,6 @@ func NewEngineHandlerCodec[T cmp.Ordered](e *Engine[T], parse func(string) (T, e
 	return engine.NewHandlerCodec(e, parse, codec, opts)
 }
 
-// EngineTCPOptions tunes a binary TCP ingest server (frame size bound,
-// pending-bytes backpressure, Retry-After hint); see engine.TCPOptions.
-type EngineTCPOptions = engine.TCPOptions
-
-// EngineTCPServer serves the persistent-connection binary ingest
-// protocol: clients stream CRC-checked element frames and receive one
-// ack or nack per batch; see engine.TCPServer. The opaqclient package is
-// the matching client.
-type EngineTCPServer[T cmp.Ordered] = engine.TCPServer[T]
-
-// NewEngineTCPServer returns a TCP ingest server feeding one engine.
-func NewEngineTCPServer[T cmp.Ordered](e *Engine[T], codec Codec[T], opts EngineTCPOptions) *EngineTCPServer[T] {
-	return engine.NewTCPServer(e, codec, opts)
-}
-
-// NewEngineRegistryTCPServer returns a TCP ingest server routing frames
-// to registry tenants by the frame's tenant field.
-func NewEngineRegistryTCPServer[T cmp.Ordered](r *EngineRegistry[T], codec Codec[T], opts EngineTCPOptions) *EngineTCPServer[T] {
-	return engine.NewRegistryTCPServer(r, codec, opts)
-}
-
 // ParseInt64Key parses a decimal int64 HTTP request key.
 func ParseInt64Key(s string) (int64, error) { return engine.Int64Key(s) }
 

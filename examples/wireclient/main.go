@@ -1,13 +1,11 @@
 // Wireclient: push elements into a running `opaq serve` over the binary
-// ingest path — HTTP (application/octet-stream frames on POST /ingest)
-// and/or the persistent-connection TCP listener (-ingest-addr) — using
-// the opaqclient batching client. CI's serve smoke uses it to prove both
-// transports end to end; it doubles as the opaqclient usage example.
+// ingest path — application/octet-stream frames on POST /ingest — using
+// the opaqclient batching client. CI's serve smoke uses it to prove the
+// path end to end; it doubles as the opaqclient usage example.
 //
 // Run with:
 //
-//	go run ./examples/wireclient -http http://localhost:8080 -n 10000
-//	go run ./examples/wireclient -tcp localhost:9090 -tenant latency -n 10000
+//	go run ./examples/wireclient -http http://localhost:8080 -tenant latency -n 10000
 package main
 
 import (
@@ -24,36 +22,23 @@ import (
 
 func main() {
 	var (
-		httpBase = flag.String("http", "", "base URL of an opaq serve HTTP API (e.g. http://localhost:8080); empty skips HTTP")
-		tcpAddr  = flag.String("tcp", "", "address of an opaq serve -ingest-addr TCP listener; empty skips TCP")
+		httpBase = flag.String("http", "", "base URL of an opaq serve HTTP API (e.g. http://localhost:8080)")
 		tenant   = flag.String("tenant", "", "tenant to ingest into (empty = default tenant)")
-		n        = flag.Int("n", 10_000, "elements to push per transport")
+		n        = flag.Int("n", 10_000, "elements to push")
 		batch    = flag.Int("batch", 4096, "client batch size (flush trigger)")
 		seed     = flag.Int64("seed", 42, "RNG seed for the pushed elements")
 	)
 	flag.Parse()
-	if *httpBase == "" && *tcpAddr == "" {
-		log.Fatal("nothing to do: pass -http and/or -tcp")
+	if *httpBase == "" {
+		log.Fatal("nothing to do: pass -http")
 	}
-	opts := opaqclient.Options{Tenant: *tenant, MaxBatch: *batch}
-	codec := opaq.Int64Codec{}
-
-	if *httpBase != "" {
-		c := opaqclient.NewHTTP(*httpBase, codec, opts)
-		push(c, "http", *n, *seed)
-	}
-	if *tcpAddr != "" {
-		c, err := opaqclient.DialTCP(*tcpAddr, codec, opts)
-		if err != nil {
-			log.Fatalf("tcp: dial %s: %v", *tcpAddr, err)
-		}
-		push(c, "tcp", *n, *seed)
-	}
+	c := opaqclient.NewHTTP(*httpBase, opaq.Int64Codec{}, opaqclient.Options{Tenant: *tenant, MaxBatch: *batch})
+	push(c, *n, *seed)
 }
 
 // push streams n pseudo-latencies through one client, retrying on server
 // backpressure with the server's own hint.
-func push(c *opaqclient.Client[int64], label string, n int, seed int64) {
+func push(c *opaqclient.Client[int64], n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	start := time.Now()
 	for i := 0; i < n; i++ {
@@ -65,19 +50,19 @@ func push(c *opaqclient.Client[int64], label string, n int, seed int64) {
 			}
 			var bp *opaqclient.Backpressure
 			if errors.As(err, &bp) {
-				log.Printf("%s: backpressure, retrying in %v", label, bp.RetryAfter)
+				log.Printf("backpressure, retrying in %v", bp.RetryAfter)
 				time.Sleep(bp.RetryAfter)
 				continue
 			}
-			log.Fatalf("%s: add: %v", label, err)
+			log.Fatalf("add: %v", err)
 		}
 	}
 	if err := c.Close(); err != nil {
 		var bp *opaqclient.Backpressure
 		if errors.As(err, &bp) {
-			log.Fatalf("%s: final flush shed by server: %v", label, err)
+			log.Fatalf("final flush shed by server: %v", err)
 		}
-		log.Fatalf("%s: close: %v", label, err)
+		log.Fatalf("close: %v", err)
 	}
-	fmt.Printf("%s: pushed %d elements in %v; server n=%d\n", label, n, time.Since(start).Round(time.Millisecond), c.N())
+	fmt.Printf("pushed %d elements in %v; server n=%d\n", n, time.Since(start).Round(time.Millisecond), c.N())
 }

@@ -1,7 +1,7 @@
 // Binary ingest over HTTP: POST /ingest (and /t/{tenant}/ingest) with
 // Content-Type application/octet-stream carries runio ingest frames
 // instead of the JSON body — the same length-prefixed, CRC-checked
-// encoding the TCP listener (tcp.go) and the checkpoint format speak, so
+// encoding the checkpoint format and the coordinator's journal speak, so
 // an element is encoded exactly once end to end.
 //
 // A request body holds one or more data frames; the response body is

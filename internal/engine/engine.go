@@ -56,6 +56,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -164,9 +165,10 @@ type Stats struct {
 	// Merges is the number of snapshot rebuilds performed. PrefixHits
 	// counts the rebuilds that reused the cached frozen-prefix summary
 	// (tail-only merges — the steady state under sustained ingest);
-	// PrefixRebuilds counts cold frozen-prefix merges, provoked only by
-	// ring changes (rotation, compaction swap, eviction, restore, bulk
-	// load). Merges − PrefixHits − PrefixRebuilds is the count of
+	// PrefixRebuilds counts frozen-prefix merges (cold, or folding in
+	// just-appended epochs), provoked only by ring changes (rotation,
+	// compaction swap, eviction, restore, bulk load). Merges −
+	// PrefixHits − PrefixRebuilds is the count of
 	// full-remerge rebuilds (DisableFrozenPrefix engines only).
 	Merges         int64
 	PrefixHits     int64
@@ -408,12 +410,16 @@ func (e *Engine[T]) Ingest(v T) error {
 	st := e.stripes[e.next.Add(1)%uint64(len(e.stripes))]
 	st.mu.Lock()
 	err := st.sb.Add(v)
+	if err == nil {
+		// Counted inside the stripe's critical section: a snapshot or seal
+		// that sees the element also sees it in N and PendingElems.
+		e.count.Add(1)
+		e.pending.Add(1)
+	}
 	st.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	e.count.Add(1)
-	e.pending.Add(1)
 	e.version.Add(1)
 	return e.maybeRotate()
 }
@@ -431,12 +437,16 @@ func (e *Engine[T]) IngestBatch(vs []T) error {
 	st := e.stripes[e.next.Add(1)%uint64(len(e.stripes))]
 	st.mu.Lock()
 	err := st.sb.AddBatch(vs)
+	if err == nil {
+		// As in Ingest: counted before the batch becomes visible to a
+		// snapshot or seal.
+		e.count.Add(int64(len(vs)))
+		e.pending.Add(int64(len(vs)))
+	}
 	st.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	e.count.Add(int64(len(vs)))
-	e.pending.Add(int64(len(vs)))
 	e.version.Add(1)
 	return e.maybeRotate()
 }
@@ -516,10 +526,21 @@ func (e *Engine[T]) publishRingLocked(ring *[]*Epoch[T]) {
 // between) only the stripes' partial summaries are merged and folded
 // into the cached prefix, O(unsealed tail) instead of O(retained
 // window). A ring change (rotation, compaction swap, eviction, restore,
-// bulk load) publishes a new slice, missing the cache and triggering one
-// cold prefix merge fanned out across Config.Workers.
+// bulk load) publishes a new slice and misses the cache; see frozenPrefix
+// for how the prefix is then rebuilt.
 func (e *Engine[T]) rebuildLocked(version uint64) (*Snapshot[T], error) {
 	e.epochMu.Lock()
+	// An ingest whose count/bytes trigger lost maybeRotate's TryLock to a
+	// rebuild seals here, so a steady stream of reads cannot postpone the
+	// policy's seal indefinitely. Reading the version again before the
+	// stripes keeps the label a lower bound on what the snapshot holds.
+	if e.overThreshold() {
+		if _, err := e.rotateLocked(time.Now()); err != nil {
+			e.epochMu.Unlock()
+			return nil, err
+		}
+		version = e.version.Load()
+	}
 	// A sliding window must age out even when nothing rotates or ingests:
 	// a quiet engine's queries drop expired epochs here.
 	if e.retain.Kind == RetainMaxAge && e.applyRetentionLocked(time.Now()) {
@@ -611,12 +632,14 @@ func (e *Engine[T]) assemble(ringPtr *[]*Epoch[T], ring []*Epoch[T], tails []*co
 }
 
 // frozenPrefix returns the merged summary of the sealed ring, from the
-// cache when the ring is the one the cache was built against, otherwise
-// by one cold merge fanned out across Config.Workers. Caller holds
-// mergeMu (the cache field is single-flight state, like the snapshot it
-// feeds).
+// cache when the ring is the one the cache was built against, by folding
+// the appended epochs into the cached merge when the ring only grew at
+// its end (a seal or absorb), otherwise by one cold merge fanned out
+// across Config.Workers. Caller holds mergeMu (the cache field is
+// single-flight state, like the snapshot it feeds).
 func (e *Engine[T]) frozenPrefix(ringPtr *[]*Epoch[T], ring []*Epoch[T]) (*core.Summary[T], error) {
-	if c := e.prefix; c != nil && c.ring == ringPtr {
+	c := e.prefix
+	if c != nil && c.ring == ringPtr {
 		e.prefixHits.Add(1)
 		return c.sum, nil
 	}
@@ -628,6 +651,14 @@ func (e *Engine[T]) frozenPrefix(ringPtr *[]*Epoch[T], ring []*Epoch[T]) (*core.
 		// NewSummary with N == 0 is the canonical empty summary: folding
 		// it in is a no-op, and nothing merges until an epoch seals.
 		sum, err = core.NewSummary(core.SummaryParts[T]{Step: int64(e.cfg.Step())})
+	} else if c != nil && len(*c.ring) <= len(ring) && slices.Equal(ring[:len(*c.ring)], *c.ring) {
+		// Under sustained ingest every seal would otherwise re-merge the
+		// whole ring, making each rebuild O(ring) in k-way merge work.
+		sums := []*core.Summary[T]{c.sum}
+		for _, ep := range ring[len(*c.ring):] {
+			sums = append(sums, ep.Summary)
+		}
+		sum, err = core.MergeAll(sums)
 	} else {
 		sums := make([]*core.Summary[T], len(ring))
 		for i, ep := range ring {

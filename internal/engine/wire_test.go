@@ -2,13 +2,11 @@ package engine
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -108,81 +106,17 @@ func postBinary(t *testing.T, url, tenant string, batch []int64) (uint32, int64,
 	return count, n, resp.StatusCode
 }
 
-// tcpConn wraps a raw connection to the TCP ingest server.
-type tcpConn struct {
-	t    *testing.T
-	conn net.Conn
-	resp []byte
-}
-
-func dialWire(t *testing.T, addr string) *tcpConn {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return &tcpConn{t: t, conn: conn}
-}
-
-// send ships one data frame and returns the response frame.
-func (c *tcpConn) send(tenant string, batch []int64) (runio.FrameHeader, []byte) {
-	c.t.Helper()
-	frame, err := runio.AppendDataFrame(nil, runio.Int64Codec{}, tenant, batch)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	if _, err := c.conn.Write(frame); err != nil {
-		c.t.Fatal(err)
-	}
-	return c.read()
-}
-
-func (c *tcpConn) read() (runio.FrameHeader, []byte) {
-	c.t.Helper()
-	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	h, err := runio.ReadFrameHeader(c.conn, 0)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	c.resp, err = runio.ReadFramePayload(c.conn, h, c.resp)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	return h, c.resp
-}
-
-// startTCP serves a TCPServer on a loopback listener.
-func startTCP(t *testing.T, srv *TCPServer[int64]) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ln)
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
-	return ln.Addr().String()
-}
-
-// TestCrossFormatEquivalence is the tentpole's correctness anchor: the
-// same element stream, in the same batch boundaries, ingested via JSON
-// HTTP, binary HTTP and TCP framing yields byte-identical checkpoints.
-// Concurrent queriers run against every engine during ingest so -race
-// exercises the pooled buffers on the snapshot path.
+// TestCrossFormatEquivalence is the wire protocol's correctness anchor:
+// the same element stream, in the same batch boundaries, ingested via
+// JSON HTTP and binary HTTP yields byte-identical checkpoints. Concurrent
+// queriers run against every engine during ingest so -race exercises the
+// pooled buffers on the snapshot path.
 func TestCrossFormatEquivalence(t *testing.T) {
 	batches := wireBatches(20_000, 1500) // ragged tail batch on purpose
 
 	engines := map[string]*Engine[int64]{
 		"json-http":   newWireEngine(t),
 		"binary-http": newWireEngine(t),
-		"tcp":         newWireEngine(t),
 	}
 
 	// Concurrent queriers: they must not perturb ingest state (snapshots
@@ -224,21 +158,6 @@ func TestCrossFormatEquivalence(t *testing.T) {
 		}
 	}
 
-	// TCP framing.
-	addr := startTCP(t, NewTCPServer(engines["tcp"], runio.Int64Codec{}, TCPOptions{}))
-	conn := dialWire(t, addr)
-	for _, b := range batches {
-		h, payload := conn.send("", b)
-		if h.Type != runio.FrameAck {
-			_, msg, _ := runio.DecodeNackPayload(payload)
-			t.Fatalf("tcp: nacked: %s", msg)
-		}
-		count, _, err := runio.DecodeAckPayload(payload)
-		if err != nil || int(count) != len(b) {
-			t.Fatalf("tcp ack: count %d err %v, want %d", count, err, len(b))
-		}
-	}
-
 	close(stop)
 	wg.Wait()
 
@@ -260,8 +179,8 @@ func TestBinaryHTTPProtocolErrors(t *testing.T) {
 	srv := httptest.NewServer(NewHandlerCodec(e, Int64Key, runio.Int64Codec{}, HandlerOptions{}))
 	defer srv.Close()
 
-	post := func(body []byte) (int, string) {
-		resp, err := http.Post(srv.URL+"/ingest", "application/octet-stream", bytes.NewReader(body))
+	post := func(url string, body []byte) (int, string) {
+		resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +216,7 @@ func TestBinaryHTTPProtocolErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status, msg := post(f32); status != http.StatusBadRequest || !strings.Contains(msg, "codec kind") {
+	if status, msg := post(srv.URL+"/ingest", f32); status != http.StatusBadRequest || !strings.Contains(msg, "codec kind") {
 		t.Errorf("wrong kind: %d %q", status, msg)
 	}
 
@@ -306,18 +225,46 @@ func TestBinaryHTTPProtocolErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status, msg := post(named); status != http.StatusBadRequest || !strings.Contains(msg, "tenant") {
+	if status, msg := post(srv.URL+"/ingest", named); status != http.StatusBadRequest || !strings.Contains(msg, "tenant") {
 		t.Errorf("tenant mismatch: %d %q", status, msg)
 	}
 
-	// Corrupt frame: flipped payload byte.
+	// Tenant mismatch on a registry handler: the frame names another
+	// tenant than the /t/{tenant} route.
+	reg, err := NewRegistry(RegistryOptions[int64]{
+		Defaults: Options{Config: wireCfg, Stripes: 1},
+		Codec:    runio.Int64Codec{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	lat, err := reg.Create("lat", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsrv := httptest.NewServer(NewRegistryHandler(reg, Int64Key, HandlerOptions{}))
+	defer rsrv.Close()
+	if status, msg := post(rsrv.URL+"/t/lat/ingest", named); status != http.StatusBadRequest || !strings.Contains(msg, "tenant") {
+		t.Errorf("registry tenant mismatch: %d %q", status, msg)
+	}
+	if n := lat.N(); n != 0 {
+		t.Errorf("mismatched frame ingested %d elements into the route tenant", n)
+	}
+
+	// Corrupt frames: broken magic, flipped payload byte.
 	good, err := runio.AppendDataFrame(nil, runio.Int64Codec{}, "", []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := bytes.Clone(good)
+	bad[1] = 'X'
+	if status, msg := post(srv.URL+"/ingest", bad); status != http.StatusBadRequest || !strings.Contains(msg, "magic") {
+		t.Errorf("bad magic: %d %q", status, msg)
+	}
+	bad = bytes.Clone(good)
 	bad[runio.FrameHeaderSize] ^= 1
-	if status, msg := post(bad); status != http.StatusBadRequest || !strings.Contains(msg, "checksum") {
+	if status, msg := post(srv.URL+"/ingest", bad); status != http.StatusBadRequest || !strings.Contains(msg, "checksum") {
 		t.Errorf("corrupt payload: %d %q", status, msg)
 	}
 
@@ -402,145 +349,5 @@ func TestBinaryHTTPBackpressure(t *testing.T) {
 	}
 	if n := e.N(); n != 600 {
 		t.Errorf("n=%d, want 600 (only the first batch)", n)
-	}
-}
-
-// TestTCPRegistryRouting: frames route to tenants by their header field;
-// unknown tenants nack without dropping the connection.
-func TestTCPRegistryRouting(t *testing.T) {
-	reg, err := NewRegistry(RegistryOptions[int64]{Defaults: Options{Config: wireCfg, Stripes: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	for _, name := range []string{DefaultTenant, "lat", "size"} {
-		if _, err := reg.Create(name, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addr := startTCP(t, NewRegistryTCPServer(reg, runio.Int64Codec{}, TCPOptions{}))
-	conn := dialWire(t, addr)
-
-	// Unknown tenant: nack, connection stays usable.
-	if h, payload := conn.send("nope", []int64{1}); h.Type != runio.FrameNack {
-		t.Fatalf("unknown tenant: frame type %d, want nack", h.Type)
-	} else if retry, msg, _ := runio.DecodeNackPayload(payload); retry != 0 || !strings.Contains(msg, "unknown tenant") {
-		t.Fatalf("unknown tenant nack: retry %d msg %q", retry, msg)
-	}
-
-	// Interleaved tenants over one connection.
-	for i := 0; i < 3; i++ {
-		for _, tenant := range []string{"", "lat", "size"} {
-			if h, _ := conn.send(tenant, []int64{int64(i), int64(i + 1)}); h.Type != runio.FrameAck {
-				t.Fatalf("tenant %q: frame type %d, want ack", tenant, h.Type)
-			}
-		}
-	}
-	for name, want := range map[string]int64{DefaultTenant: 6, "lat": 6, "size": 6} {
-		eng, err := reg.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := eng.N(); n != want {
-			t.Errorf("tenant %q: n=%d, want %d", name, n, want)
-		}
-	}
-}
-
-// TestTCPBackpressureNack: a backlogged engine nacks with a retry hint
-// and the connection keeps serving; after a heal the same batch lands.
-func TestTCPBackpressureNack(t *testing.T) {
-	e := newWireEngine(t)
-	addr := startTCP(t, NewTCPServer(e, runio.Int64Codec{}, TCPOptions{
-		MaxPendingBytes: 512,
-		RetryAfter:      2 * time.Second,
-	}))
-	conn := dialWire(t, addr)
-
-	first := make([]int64, 600)
-	if h, _ := conn.send("", first); h.Type != runio.FrameAck {
-		t.Fatal("first batch nacked")
-	}
-	h, payload := conn.send("", []int64{7})
-	if h.Type != runio.FrameNack {
-		t.Fatalf("backlogged batch: frame type %d, want nack", h.Type)
-	}
-	retry, msg, err := runio.DecodeNackPayload(payload)
-	if err != nil || retry != 2 {
-		t.Fatalf("nack retry %d err %v msg %q, want 2", retry, err, msg)
-	}
-	// Heal: top the partial run off directly (engine ingest bypasses the
-	// listener's bound), rotate to seal it, then retry over the same
-	// connection.
-	for i := 0; i < wireCfg.RunLen-600; i++ {
-		if err := e.Ingest(int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := conn.send("", []int64{7}); h.Type != runio.FrameAck {
-		t.Fatalf("post-heal batch: frame type %d, want ack", h.Type)
-	}
-}
-
-// TestTCPCorruptFrameDropsConnection: framing loss nacks fatally and the
-// server closes the connection — nothing after the corruption is trusted.
-func TestTCPCorruptFrameDropsConnection(t *testing.T) {
-	e := newWireEngine(t)
-	addr := startTCP(t, NewTCPServer(e, runio.Int64Codec{}, TCPOptions{}))
-	conn := dialWire(t, addr)
-
-	frame, err := runio.AppendDataFrame(nil, runio.Int64Codec{}, "", []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame[1] = 'X' // break the magic
-	if _, err := conn.conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	h, payload := conn.read()
-	if h.Type != runio.FrameNack {
-		t.Fatalf("corrupt frame: response type %d, want nack", h.Type)
-	}
-	if _, msg, _ := runio.DecodeNackPayload(payload); !strings.Contains(msg, "magic") {
-		t.Errorf("nack msg %q, want bad magic", msg)
-	}
-	// The server must hang up: the next read sees EOF.
-	conn.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := runio.ReadFrameHeader(conn.conn, 0); err != io.EOF {
-		t.Fatalf("after corrupt frame: %v, want io.EOF (connection closed)", err)
-	}
-	if n := e.N(); n != 0 {
-		t.Errorf("corrupt frame ingested %d elements", n)
-	}
-}
-
-// TestTCPShutdownDrains: Shutdown lets an in-flight batch finish and ack.
-func TestTCPShutdownDrains(t *testing.T) {
-	e := newWireEngine(t)
-	srv := NewTCPServer(e, runio.Int64Codec{}, TCPOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		srv.Serve(ln)
-	}()
-	conn := dialWire(t, ln.Addr().String())
-	if h, _ := conn.send("", []int64{1, 2, 3}); h.Type != runio.FrameAck {
-		t.Fatal("batch nacked")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	<-served
-	if n := e.N(); n != 3 {
-		t.Errorf("n=%d, want 3", n)
 	}
 }

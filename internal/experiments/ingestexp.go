@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -21,12 +20,12 @@ import (
 // IngestSweep is an extension experiment beyond the paper's evaluation:
 // it measures the server's ingest paths end to end — client encoding,
 // transport, server decode and engine insert in one process — for the
-// same stream pushed three ways: JSON over HTTP (the baseline API),
-// binary frames over HTTP (content-negotiated on the same route), and
-// binary frames over a persistent TCP connection. The paper's premise is
-// that one sequential pass at device speed suffices for accurate
-// quantiles; this table asks whether the service's front door keeps up
-// with that pass, and by how much the binary framing widens it.
+// same stream pushed two ways: JSON over HTTP (the baseline API) and
+// binary frames over HTTP (content-negotiated on the same route). The
+// paper's premise is that one sequential pass at device speed suffices
+// for accurate quantiles; this table asks whether the service's front
+// door keeps up with that pass, and by how much the binary framing
+// widens it.
 func IngestSweep(scale int) (*Table, error) {
 	n := scaleN(8_000_000, scale)
 	// One run per batch: large enough to amortize per-batch overheads, and
@@ -72,16 +71,6 @@ func IngestSweep(scale int) (*Table, error) {
 				return err
 			}
 			return c.Close()
-		}},
-		{"tcp", func(e *engine.Engine[int64]) error {
-			srv := engine.NewTCPServer(e, runio.Int64Codec{}, engine.TCPOptions{})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			go srv.Serve(ln)
-			defer srv.Close()
-			return pushTCPPipelined(ln.Addr().String(), xs, batch)
 		}},
 	}
 
@@ -146,73 +135,6 @@ func serveHTTP(e *engine.Engine[int64]) (string, func(), error) {
 	srv := &http.Server{Handler: engine.NewHandlerCodec(e, engine.Int64Key, runio.Int64Codec{}, engine.HandlerOptions{})}
 	go srv.Serve(ln)
 	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
-}
-
-// pushTCPPipelined streams data frames over one TCP connection with acks
-// in flight: the protocol acks every batch, but nothing requires the
-// client to block on each ack, so a writer goroutine keeps frames on the
-// wire while a reader drains acks. This overlaps client encoding with
-// server decode+insert — the transport's peak shape (opaqclient trades
-// some of it for the simpler flush-and-confirm discipline).
-func pushTCPPipelined(addr string, xs []int64, batch int) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-
-	batches := (len(xs) + batch - 1) / batch
-	readErr := make(chan error, 1)
-	go func() {
-		br := bufio.NewReaderSize(conn, 16<<10)
-		var payload []byte
-		var acked int64
-		for i := 0; i < batches; i++ {
-			h, err := runio.ReadFrameHeader(br, 0)
-			if err != nil {
-				readErr <- err
-				return
-			}
-			payload, err = runio.ReadFramePayload(br, h, payload)
-			if err != nil {
-				readErr <- err
-				return
-			}
-			if h.Type != runio.FrameAck {
-				_, msg, _ := runio.DecodeNackPayload(payload)
-				readErr <- fmt.Errorf("batch %d nacked: %s", i, msg)
-				return
-			}
-			count, _, err := runio.DecodeAckPayload(payload)
-			if err != nil {
-				readErr <- err
-				return
-			}
-			acked += int64(count)
-		}
-		if acked != int64(len(xs)) {
-			readErr <- fmt.Errorf("acked %d of %d elements", acked, len(xs))
-			return
-		}
-		readErr <- nil
-	}()
-
-	bw := bufio.NewWriterSize(conn, 256<<10)
-	var frame []byte
-	for off := 0; off < len(xs); off += batch {
-		end := min(off+batch, len(xs))
-		frame, err = runio.AppendDataFrame(frame[:0], runio.Int64Codec{}, "", xs[off:end])
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return <-readErr
 }
 
 // pushJSON streams batches through the JSON ingest route the way an

@@ -12,12 +12,9 @@ import (
 
 // ShardSweep is an extension experiment beyond the paper's evaluation: it
 // measures the real (wall-clock) time of the sharded engine — the paper's
-// Section 3 parallel formulation on real transports instead of the
-// simulated SP-2 — as the shard count grows over fixed total data. Both
-// real transports run at every count: in-process (goroutines exchanging
-// slices) and TCP (every exchange framed over a loopback mesh), so the
-// table doubles as a measurement of what the wire costs. Summaries are
-// re-checked to be bit-identical to the single-shard build on both.
+// Section 3 parallel formulation on the in-process transport instead of
+// the simulated SP-2 — as the shard count grows over fixed total data.
+// Summaries are re-checked to be bit-identical to the single-shard build.
 //
 // Only real-transport throughput feeds the regression gate; the
 // simulated-SP-2 experiments (Table 9–12, Figures 4–6) report modeled
@@ -32,11 +29,10 @@ func ShardSweep(scale int) (*Table, error) {
 	t := &Table{
 		ID:     "Extension: sharded",
 		Title:  fmt.Sprintf("Sharded engine wall-clock build time (n=%s in memory, m=%d, s=%d, sample merge)", humanN(n), m, s),
-		Header: []string{"Shards", "inproc", "speedup", "tcp", "tcp cost"},
+		Header: []string{"Shards", "inproc", "speedup"},
 		Notes: []string{
-			"real transports (no cost model); summaries are bit-identical at every shard count on both",
+			"real transport (no cost model); summaries are bit-identical at every shard count",
 			"per-shard Workers pinned to 1 so the speedup isolates sharding itself",
-			"tcp cost = tcp time / inproc time at the same shard count (loopback mesh framing overhead)",
 		},
 	}
 	var base time.Duration
@@ -51,31 +47,23 @@ func ShardSweep(scale int) (*Table, error) {
 		for i, p := range pieces {
 			datasets[i] = runio.NewMemoryDataset(p, 8)
 		}
-		var elapsed [2]time.Duration
-		for i, transport := range []parallel.TransportKind{parallel.TransportInProcess, parallel.TransportTCP} {
-			start := time.Now()
-			sum, err := parallel.BuildSharded(datasets, cfg,
-				parallel.ShardOptions{Merge: parallel.SampleMerge, Transport: transport})
-			if err != nil {
-				return nil, fmt.Errorf("shards=%d %s: %w", shards, transport, err)
-			}
-			elapsed[i] = time.Since(start)
-			if baseline == nil {
-				base, baseline = elapsed[i], sum
-			} else if err := sameSummary(baseline, sum); err != nil {
-				return nil, fmt.Errorf("shards=%d %s: %w", shards, transport, err)
-			}
+		start := time.Now()
+		sum, err := parallel.BuildSharded(datasets, cfg, parallel.ShardOptions{Merge: parallel.SampleMerge})
+		if err != nil {
+			return nil, fmt.Errorf("shards=%d: %w", shards, err)
+		}
+		elapsed := time.Since(start)
+		if baseline == nil {
+			base, baseline = elapsed, sum
+		} else if err := sameSummary(baseline, sum); err != nil {
+			return nil, fmt.Errorf("shards=%d: %w", shards, err)
 		}
 		t.AddRow(fmt.Sprintf("shards=%d", shards),
-			elapsed[0].Round(time.Millisecond).String(),
-			fmt.Sprintf("%.2fx", float64(base)/float64(elapsed[0])),
-			elapsed[1].Round(time.Millisecond).String(),
-			fmt.Sprintf("%.2fx", float64(elapsed[1])/float64(elapsed[0])))
+			elapsed.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.2fx", float64(base)/float64(elapsed)))
 		if shards == counts[len(counts)-1] {
 			t.AddMetric("sharded/inproc/elems_per_sec",
-				float64(n)/elapsed[0].Seconds(), "elems/sec", "higher", true)
-			t.AddMetric("sharded/tcp/elems_per_sec",
-				float64(n)/elapsed[1].Seconds(), "elems/sec", "higher", true)
+				float64(n)/elapsed.Seconds(), "elems/sec", "higher", true)
 		}
 	}
 	return t, nil

@@ -32,7 +32,7 @@ type Table struct {
 }
 
 // Metric is one machine-readable measurement. Names are
-// slash-namespaced ("ingest/tcp/elems_per_sec") so one JSON file can
+// slash-namespaced ("ingest/binary_http/elems_per_sec") so one JSON file can
 // hold every experiment's trajectory.
 type Metric struct {
 	Name  string  `json:"name"`

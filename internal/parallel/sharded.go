@@ -8,37 +8,6 @@ import (
 	"opaq/internal/runio"
 )
 
-// TransportKind selects the machine a sharded build runs on.
-type TransportKind int
-
-const (
-	// TransportInProcess (the zero value) runs ranks as goroutines
-	// exchanging payloads over channels — the fastest option when all
-	// shards live in one process.
-	TransportInProcess TransportKind = iota
-	// TransportTCP runs ranks over a loopback TCP mesh speaking the runio
-	// frame protocol — the same code path a multi-machine deployment
-	// exercises, with real serialization and sockets on every exchange.
-	TransportTCP
-)
-
-func (k TransportKind) String() string {
-	switch k {
-	case TransportInProcess:
-		return "inprocess"
-	case TransportTCP:
-		return "tcp"
-	default:
-		return fmt.Sprintf("TransportKind(%d)", int(k))
-	}
-}
-
-// machine abstracts the SPMD launchers (realMachine, netMachine) behind
-// the one method BuildSharded needs.
-type machine interface {
-	Run(f func(tr Transport) error) error
-}
-
 // ShardOptions configures a sharded build.
 type ShardOptions struct {
 	// Shards is the engine's rank count. 0 means one rank per dataset;
@@ -48,10 +17,6 @@ type ShardOptions struct {
 	// requires a power-of-two shard count; SampleMerge (the zero value)
 	// accepts any.
 	Merge MergeAlgo
-	// Transport selects the machine the build runs on. The zero value is
-	// the in-process transport; TransportTCP moves every exchange over a
-	// real socket (requires an element type with a runio codec).
-	Transport TransportKind
 }
 
 // BuildSharded runs the sample phase over the per-shard datasets
@@ -67,9 +32,10 @@ type ShardOptions struct {
 // whole number of runs (len % cfg.RunLen == 0) — run boundaries then fall
 // in the same places, and every aggregate (sorted sample multiset, counts,
 // extrema) is order-independent. Tests enforce this across shard counts,
-// merge algorithms and transports. Ragged interior shards still yield a
-// valid summary (short runs contribute proportionally fewer samples and
-// widen ErrorBound), just not a bit-identical one.
+// merge algorithms and the in-process and simulated transports. Ragged
+// interior shards still yield a valid summary (short runs contribute
+// proportionally fewer samples and widen ErrorBound), just not a
+// bit-identical one.
 func BuildSharded[T cmp.Ordered](datasets []runio.Dataset[T], cfg core.Config, opts ShardOptions) (*core.Summary[T], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -87,22 +53,7 @@ func BuildSharded[T cmp.Ordered](datasets []runio.Dataset[T], cfg core.Config, o
 	if err := validMergeAlgo(opts.Merge, p); err != nil {
 		return nil, err
 	}
-	var (
-		m   machine
-		err error
-	)
-	switch opts.Transport {
-	case TransportInProcess:
-		m, err = newRealMachine(p)
-	case TransportTCP:
-		codec, ok := runio.CodecFor[T]()
-		if !ok {
-			return nil, fmt.Errorf("%w: element type %T has no runio codec (network transport)", core.ErrConfig, *new(T))
-		}
-		m, err = newNetMachine(p, codec)
-	default:
-		return nil, fmt.Errorf("%w: unknown transport kind %d", core.ErrConfig, int(opts.Transport))
-	}
+	m, err := newRealMachine(p)
 	if err != nil {
 		return nil, err
 	}

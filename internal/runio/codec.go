@@ -251,23 +251,6 @@ func (Float32Codec) DecodeElems(dst []float32, src []byte) []float32 {
 	return dst
 }
 
-// CodecFor returns the package codec for T when T is one of the six
-// supported fixed-width element types. Callers that are generic over
-// cmp.Ordered but need a wire encoding (the network transport behind
-// BuildSharded) resolve their codec here instead of threading one through
-// every signature; unsupported element types report ok=false.
-func CodecFor[T any]() (Codec[T], bool) {
-	for _, c := range []any{
-		Int64Codec{}, Float64Codec{}, Uint64Codec{},
-		Int32Codec{}, Uint32Codec{}, Float32Codec{},
-	} {
-		if cc, ok := c.(Codec[T]); ok {
-			return cc, true
-		}
-	}
-	return nil, false
-}
-
 // kindName maps codec kinds to human-readable names for error messages.
 func kindName(k uint16) string {
 	switch k {

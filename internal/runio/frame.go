@@ -13,8 +13,8 @@
 //	offset size field
 //	0      4    magic "OPQF"
 //	4      1    version (1)
-//	5      1    frame type (1=data, 2=ack, 3=nack, 4=xfer, 5=barrier, 6=hello)
-//	6      2    codec kind (data/xfer frames; 0 otherwise)
+//	5      1    frame type (1=data, 2=ack, 3=nack)
+//	6      2    codec kind (data frames; 0 otherwise)
 //	8      4    payload length
 //	12     4    CRC32-C of bytes [0, 12)
 //	16     …    payload
@@ -26,10 +26,6 @@
 //	         encoding (the remaining length must divide the element size)
 //	ack:     uint32 elements ingested, int64 engine element count
 //	nack:    uint32 Retry-After seconds, uint16 message length, message
-//	xfer:    one rank-to-rank transport payload (tagged encoding owned by
-//	         the network transport in internal/parallel)
-//	barrier: empty — a barrier arrival or release between ranks
-//	hello:   mesh handshake (dialer rank, mesh size, codec kind)
 //
 // The encoders are append-style so a steady-state sender re-uses one
 // buffer per connection and allocates nothing per frame.
@@ -57,19 +53,6 @@ const (
 	// FrameNack rejects one data frame without dropping the connection —
 	// backpressure (with a Retry-After hint) or a per-frame client error.
 	FrameNack FrameType = 3
-	// FrameXfer carries one rank-to-rank payload of the parallel engine's
-	// network transport (Transport.Send / Recv / Exchange / AllGather).
-	// The payload encoding is owned by internal/parallel; this layer only
-	// guarantees the framing and checksums around it.
-	FrameXfer FrameType = 4
-	// FrameBarrier is a barrier control message between ranks: an arrival
-	// (rank → rank 0) or a release (rank 0 → rank). Its payload is empty.
-	FrameBarrier FrameType = 5
-	// FrameHello opens every mesh connection of the network transport,
-	// identifying the dialing rank and pinning the mesh size and codec so
-	// a misconfigured peer fails the handshake instead of corrupting a
-	// merge.
-	FrameHello FrameType = 6
 )
 
 // FrameHeaderSize is the fixed encoded size of a frame header.
@@ -144,7 +127,7 @@ func ReadFrameHeader(r io.Reader, maxPayload uint32) (FrameHeader, error) {
 	}
 	h.Type = FrameType(buf[5])
 	switch h.Type {
-	case FrameData, FrameAck, FrameNack, FrameXfer, FrameBarrier, FrameHello:
+	case FrameData, FrameAck, FrameNack:
 	default:
 		return h, fmt.Errorf("%w: unknown frame type %d", ErrFrame, buf[5])
 	}
@@ -231,10 +214,10 @@ func AppendDataFrame[T any](dst []byte, codec Codec[T], tenant string, xs []T) (
 }
 
 // AppendRawFrame appends one frame of type typ carrying an opaque payload,
-// sealed with the standard header and payload checksums. The network
-// transport's control frames (xfer, barrier, hello) are encoded through
-// this: the payload semantics live with the sender, the framing discipline
-// stays here.
+// sealed with the standard header and payload checksums. Callers that
+// already hold an encoded payload (the coordinator's write-ahead journal
+// records) frame it through this: the payload semantics live with the
+// caller, the framing discipline stays here.
 func AppendRawFrame(dst []byte, typ FrameType, kind uint16, payload []byte) []byte {
 	start := len(dst)
 	dst = slices.Grow(dst, FrameHeaderSize+len(payload)+frameTailSize)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"strings"
@@ -195,6 +196,11 @@ func TestReadFrameHeaderCorruption(t *testing.T) {
 	corrupt("bad magic", func(f []byte) { f[0] = 'X' })
 	corrupt("bad version", func(f []byte) { f[4] = 99; fixHeaderCRC(f) })
 	corrupt("bad type", func(f []byte) { f[5] = 42; fixHeaderCRC(f) })
+	// Types 4–6 were rank-to-rank transport frames (xfer, barrier, hello);
+	// no sender emits them, so a reader must not accept them either.
+	for _, typ := range []byte{4, 5, 6} {
+		corrupt(fmt.Sprintf("retired type %d", typ), func(f []byte) { f[5] = typ; fixHeaderCRC(f) })
+	}
 	corrupt("flipped length bit", func(f []byte) { f[8] ^= 1 })
 	corrupt("flipped header CRC", func(f []byte) { f[12] ^= 0x80 })
 	corrupt("flipped payload byte", func(f []byte) { f[FrameHeaderSize] ^= 1 })
@@ -283,6 +289,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(seed)
 	f.Add(AppendAckFrame(nil, 7, 42))
 	f.Add(AppendNackFrame(nil, 2, "shed"))
+	f.Add(AppendRawFrame(nil, 4, KindInt64, nil)) // retired xfer type
 	f.Add([]byte(frameMagic))
 	f.Add([]byte{})
 

@@ -1,7 +1,7 @@
 // Package opaqclient is the client side of the binary ingest path: it
-// batches elements locally and ships them as runio ingest frames over a
-// persistent TCP connection (DialTCP) or HTTP (NewHTTP), so callers hit
-// the wire-speed path by default instead of per-element JSON.
+// batches elements locally and posts them as runio ingest frames over
+// HTTP (NewHTTP), so callers hit the wire-speed path by default instead
+// of per-element JSON.
 //
 // Batches flush on two triggers, mirroring the server's EpochPolicy
 // shape: a size trigger (MaxBatch elements) and an optional wall-clock
@@ -17,13 +17,11 @@
 package opaqclient
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -51,8 +49,8 @@ type Options struct {
 	// errors other than backpressure are sticky and surface on the next
 	// Add/Flush/Close.
 	FlushInterval time.Duration
-	// HTTPClient overrides the HTTP transport's client (NewHTTP only).
-	// nil means http.DefaultClient.
+	// HTTPClient overrides the client batches are posted with. nil means
+	// http.DefaultClient.
 	HTTPClient *http.Client
 }
 
@@ -71,28 +69,18 @@ func (b *Backpressure) Error() string {
 	return fmt.Sprintf("opaqclient: server backpressure (retry after %v): %s", b.RetryAfter, b.Msg)
 }
 
-// transport ships one encoded data frame and returns the server's ack:
-// elements acknowledged and the engine's element count. journaled reports
-// a coordinator that accepted the batch into its write-ahead journal
-// (202 + X-Opaq-Journaled) rather than a live worker — the batch is
-// durable and will be replayed, but n is not a read-your-writes
-// watermark for it. A shed batch returns a *Backpressure.
-type transport interface {
-	roundTrip(frame []byte) (acked uint32, n int64, journaled bool, err error)
-	close() error
-}
-
 // Client batches elements toward one server. All methods are safe for
 // concurrent use; batching keeps element order within one goroutine.
 type Client[T cmp.Ordered] struct {
-	codec       runio.Codec[T]
-	tr          transport
-	frameTenant string // tenant field inside data frames
-	maxBatch    int
+	codec    runio.Codec[T]
+	url      string
+	hc       *http.Client
+	maxBatch int
 
 	mu        sync.Mutex
 	buf       []T
 	frame     []byte
+	payload   []byte // response-frame scratch
 	lastN     int64
 	journaled int64
 	err       error // sticky background-flush error
@@ -100,18 +88,6 @@ type Client[T cmp.Ordered] struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-}
-
-// DialTCP connects to a TCP ingest listener (opaq serve -ingest-addr).
-// The connection is persistent; Close flushes and hangs it up.
-func DialTCP[T cmp.Ordered](addr string, codec runio.Codec[T], opts Options) (*Client[T], error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	tr := &tcpTransport{conn: conn, br: bufio.NewReaderSize(conn, 16<<10)}
-	// TCP routes by the frame's tenant field.
-	return newClient(codec, tr, opts.Tenant, opts), nil
 }
 
 // NewHTTP returns a client posting binary batches to baseURL's ingest
@@ -126,23 +102,17 @@ func NewHTTP[T cmp.Ordered](baseURL string, codec runio.Codec[T], opts Options) 
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	// HTTP routes by URL; the frame tenant stays empty so the same client
-	// works against single-engine and registry servers alike.
-	return newClient(codec, &httpTransport{url: url, client: hc}, "", opts)
-}
-
-func newClient[T cmp.Ordered](codec runio.Codec[T], tr transport, frameTenant string, opts Options) *Client[T] {
 	maxBatch := opts.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
 	c := &Client[T]{
-		codec:       codec,
-		tr:          tr,
-		frameTenant: frameTenant,
-		maxBatch:    maxBatch,
-		buf:         make([]T, 0, maxBatch),
-		stop:        make(chan struct{}),
+		codec:    codec,
+		url:      url,
+		hc:       hc,
+		maxBatch: maxBatch,
+		buf:      make([]T, 0, maxBatch),
+		stop:     make(chan struct{}),
 	}
 	if opts.FlushInterval > 0 {
 		c.wg.Add(1)
@@ -253,7 +223,7 @@ func (c *Client[T]) Buffered() int {
 	return len(c.buf)
 }
 
-// Close flushes buffered elements and releases the transport. A
+// Close stops the interval trigger and flushes buffered elements. A
 // backpressure shed on this final flush is returned as the *Backpressure
 // it is — the caller decides whether to retry with a new client or drop
 // the batch.
@@ -261,15 +231,11 @@ func (c *Client[T]) Close() error {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
 	c.mu.Lock()
-	err := c.takeErr()
-	if err == nil {
-		err = c.flushLocked()
+	defer c.mu.Unlock()
+	if err := c.takeErr(); err != nil {
+		return err
 	}
-	c.mu.Unlock()
-	if cerr := c.tr.close(); err == nil {
-		err = cerr
-	}
-	return err
+	return c.flushLocked()
 }
 
 // takeErr surfaces and clears the sticky interval-flush error.
@@ -286,11 +252,13 @@ func (c *Client[T]) flushLocked() error {
 		return nil
 	}
 	var err error
-	c.frame, err = runio.AppendDataFrame(c.frame[:0], c.codec, c.frameTenant, c.buf)
+	// The URL routes the batch; the frame's tenant field stays empty so
+	// the same client works against single-engine and registry servers.
+	c.frame, err = runio.AppendDataFrame(c.frame[:0], c.codec, "", c.buf)
 	if err != nil {
 		return err
 	}
-	acked, n, journaled, err := c.tr.roundTrip(c.frame)
+	acked, n, journaled, err := c.post()
 	if int(acked) >= len(c.buf) {
 		c.buf = c.buf[:0]
 	} else if acked > 0 {
@@ -312,42 +280,14 @@ func (c *Client[T]) flushLocked() error {
 	return err
 }
 
-// tcpTransport speaks the persistent-connection protocol of engine's
-// TCPServer: write a data frame, read one ack or nack frame.
-type tcpTransport struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	payload []byte
-}
-
-func (t *tcpTransport) roundTrip(frame []byte) (uint32, int64, bool, error) {
-	if _, err := t.conn.Write(frame); err != nil {
-		return 0, 0, false, err
-	}
-	h, err := runio.ReadFrameHeader(t.br, 0)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	t.payload, err = runio.ReadFramePayload(t.br, h, t.payload)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	acked, n, err := decodeResponse(h, t.payload)
-	return acked, n, false, err
-}
-
-func (t *tcpTransport) close() error { return t.conn.Close() }
-
-// httpTransport posts one frame per request to the binary ingest route
-// and decodes the frame-encoded response body.
-type httpTransport struct {
-	url     string
-	client  *http.Client
-	payload []byte
-}
-
-func (t *httpTransport) roundTrip(frame []byte) (uint32, int64, bool, error) {
-	resp, err := t.client.Post(t.url, "application/octet-stream", bytes.NewReader(frame))
+// post ships the encoded frame in one request and returns the server's
+// ack: elements acknowledged and the engine's element count. journaled
+// reports a coordinator that accepted the batch into its write-ahead
+// journal (202 + X-Opaq-Journaled) rather than a live worker — the batch
+// is durable and will be replayed, but n is not a read-your-writes
+// watermark for it. A shed batch returns a *Backpressure.
+func (c *Client[T]) post() (acked uint32, n int64, journaled bool, err error) {
+	resp, err := c.hc.Post(c.url, "application/octet-stream", bytes.NewReader(c.frame))
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -355,26 +295,26 @@ func (t *httpTransport) roundTrip(frame []byte) (uint32, int64, bool, error) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	journaled := resp.Header.Get("X-Opaq-Journaled") == "true"
+	journaled = resp.Header.Get("X-Opaq-Journaled") == "true"
 	h, err := runio.ReadFrameHeader(resp.Body, 0)
 	if err != nil {
 		// Not a frame body: a JSON error from a non-binary-aware route.
-		return 0, 0, false, fmt.Errorf("opaqclient: %s: http %d (no frame body)", t.url, resp.StatusCode)
+		return 0, 0, false, fmt.Errorf("opaqclient: %s: http %d (no frame body)", c.url, resp.StatusCode)
 	}
-	t.payload, err = runio.ReadFramePayload(resp.Body, h, t.payload)
+	c.payload, err = runio.ReadFramePayload(resp.Body, h, c.payload)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	acked, n, err := decodeResponse(h, t.payload)
+	acked, n, err = decodeResponse(h, c.payload)
 	if err != nil || acked > 0 || h.Type != runio.FrameAck {
 		return acked, n, journaled, err
 	}
 	// The body is ack-then-maybe-nack; a zero ack with a trailing nack
 	// carries the real story (backpressure or a protocol rejection).
 	if h2, err2 := runio.ReadFrameHeader(resp.Body, 0); err2 == nil {
-		t.payload, err2 = runio.ReadFramePayload(resp.Body, h2, t.payload)
+		c.payload, err2 = runio.ReadFramePayload(resp.Body, h2, c.payload)
 		if err2 == nil {
-			if _, _, nerr := decodeResponse(h2, t.payload); nerr != nil {
+			if _, _, nerr := decodeResponse(h2, c.payload); nerr != nil {
 				return acked, n, journaled, nerr
 			}
 		}
@@ -382,9 +322,7 @@ func (t *httpTransport) roundTrip(frame []byte) (uint32, int64, bool, error) {
 	return acked, n, journaled, nil
 }
 
-func (t *httpTransport) close() error { return nil }
-
-// decodeResponse turns a server response frame into the transport result:
+// decodeResponse turns a server response frame into the post result:
 // acks yield counts, nacks yield *Backpressure (retry hint present) or a
 // plain protocol error.
 func decodeResponse(h runio.FrameHeader, payload []byte) (uint32, int64, error) {

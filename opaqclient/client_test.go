@@ -2,7 +2,6 @@ package opaqclient
 
 import (
 	"errors"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -32,69 +31,37 @@ func startHTTP(t *testing.T, e *engine.Engine[int64], opts engine.HandlerOptions
 	return srv.URL
 }
 
-// startTCP serves a TCP ingest listener for one engine.
-func startTCP(t *testing.T, e *engine.Engine[int64], opts engine.TCPOptions) string {
-	t.Helper()
-	srv := engine.NewTCPServer(e, runio.Int64Codec{}, opts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ln)
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
-	return ln.Addr().String()
-}
-
-// TestSizeTrigger: Add flushes exactly on the MaxBatch boundary, over
-// both transports, and N() tracks the server's acked element count.
+// TestSizeTrigger: Add flushes exactly on the MaxBatch boundary, and N()
+// tracks the server's acked element count.
 func TestSizeTrigger(t *testing.T) {
-	for _, transport := range []string{"http", "tcp"} {
-		t.Run(transport, func(t *testing.T) {
-			e := newTestEngine(t)
-			var c *Client[int64]
-			switch transport {
-			case "http":
-				c = NewHTTP(startHTTP(t, e, engine.HandlerOptions{}), runio.Int64Codec{}, Options{MaxBatch: 10})
-			case "tcp":
-				var err error
-				c, err = DialTCP(startTCP(t, e, engine.TCPOptions{}), runio.Int64Codec{}, Options{MaxBatch: 10})
-				if err != nil {
-					t.Fatal(err)
-				}
+	t.Run("http", func(t *testing.T) {
+		e := newTestEngine(t)
+		c := NewHTTP(startHTTP(t, e, engine.HandlerOptions{}), runio.Int64Codec{}, Options{MaxBatch: 10})
+		for i := 0; i < 25; i++ {
+			if err := c.Add(int64(i)); err != nil {
+				t.Fatalf("Add(%d): %v", i, err)
 			}
-			for i := 0; i < 25; i++ {
-				if err := c.Add(int64(i)); err != nil {
-					t.Fatalf("Add(%d): %v", i, err)
-				}
-			}
-			// Two full batches flushed; five elements await the next trigger.
-			if got := c.Buffered(); got != 5 {
-				t.Errorf("Buffered() = %d, want 5", got)
-			}
-			if n := e.N(); n != 20 {
-				t.Errorf("server n = %d before explicit flush, want 20", n)
-			}
-			if got := c.N(); got != 20 {
-				t.Errorf("client N() = %d, want 20", got)
-			}
-			if err := c.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			if n := e.N(); n != 25 {
-				t.Errorf("server n = %d after Close, want 25", n)
-			}
-			if got := c.N(); got != 25 {
-				t.Errorf("client N() = %d after Close, want 25", got)
-			}
-		})
-	}
+		}
+		// Two full batches flushed; five elements await the next trigger.
+		if got := c.Buffered(); got != 5 {
+			t.Errorf("Buffered() = %d, want 5", got)
+		}
+		if n := e.N(); n != 20 {
+			t.Errorf("server n = %d before explicit flush, want 20", n)
+		}
+		if got := c.N(); got != 20 {
+			t.Errorf("client N() = %d, want 20", got)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if n := e.N(); n != 25 {
+			t.Errorf("server n = %d after Close, want 25", n)
+		}
+		if got := c.N(); got != 25 {
+			t.Errorf("client N() = %d after Close, want 25", got)
+		}
+	})
 }
 
 // TestAddBatchChunking: one AddBatch call larger than MaxBatch flushes in
@@ -153,67 +120,54 @@ func TestFlushInterval(t *testing.T) {
 // the server's hint, keeps every element buffered, and the same batch
 // lands once the backlog heals — nothing dropped, nothing duplicated.
 func TestBackpressureRetainsBuffer(t *testing.T) {
-	for _, transport := range []string{"http", "tcp"} {
-		t.Run(transport, func(t *testing.T) {
-			e := newTestEngine(t)
-			// A bound below one run: pending bytes from the first batch trip
-			// it and no rotation can heal until the run completes.
-			var c *Client[int64]
-			var err error
-			switch transport {
-			case "http":
-				url := startHTTP(t, e, engine.HandlerOptions{MaxPendingBytes: 512, RetryAfter: 2 * time.Second})
-				c = NewHTTP(url, runio.Int64Codec{}, Options{MaxBatch: 100})
-			case "tcp":
-				addr := startTCP(t, e, engine.TCPOptions{MaxPendingBytes: 512, RetryAfter: 2 * time.Second})
-				c, err = DialTCP(addr, runio.Int64Codec{}, Options{MaxBatch: 100})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			first := make([]int64, 100)
-			if err := c.AddBatch(first); err != nil {
-				t.Fatalf("first batch: %v", err)
-			}
-			// 100×8 = 800 pending bytes > 512: the next flush sheds.
-			second := make([]int64, 100)
-			err = c.AddBatch(second)
-			var bp *Backpressure
-			if !errors.As(err, &bp) {
-				t.Fatalf("second batch: %v, want *Backpressure", err)
-			}
-			if bp.RetryAfter != 2*time.Second {
-				t.Errorf("RetryAfter = %v, want 2s", bp.RetryAfter)
-			}
-			if got := c.Buffered(); got != 100 {
-				t.Errorf("Buffered() = %d after shed, want 100", got)
-			}
-			if n := e.N(); n != 100 {
-				t.Errorf("server n = %d after shed, want 100", n)
-			}
-			// Heal: complete the run directly and seal it, then retry.
-			for i := 0; i < testCfg.RunLen-100; i++ {
-				if err := e.Ingest(int64(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := e.Rotate(); err != nil {
+	t.Run("http", func(t *testing.T) {
+		e := newTestEngine(t)
+		// A bound below one run: pending bytes from the first batch trip
+		// it and no rotation can heal until the run completes.
+		url := startHTTP(t, e, engine.HandlerOptions{MaxPendingBytes: 512, RetryAfter: 2 * time.Second})
+		c := NewHTTP(url, runio.Int64Codec{}, Options{MaxBatch: 100})
+		first := make([]int64, 100)
+		if err := c.AddBatch(first); err != nil {
+			t.Fatalf("first batch: %v", err)
+		}
+		// 100×8 = 800 pending bytes > 512: the next flush sheds.
+		second := make([]int64, 100)
+		err := c.AddBatch(second)
+		var bp *Backpressure
+		if !errors.As(err, &bp) {
+			t.Fatalf("second batch: %v, want *Backpressure", err)
+		}
+		if bp.RetryAfter != 2*time.Second {
+			t.Errorf("RetryAfter = %v, want 2s", bp.RetryAfter)
+		}
+		if got := c.Buffered(); got != 100 {
+			t.Errorf("Buffered() = %d after shed, want 100", got)
+		}
+		if n := e.N(); n != 100 {
+			t.Errorf("server n = %d after shed, want 100", n)
+		}
+		// Heal: complete the run directly and seal it, then retry.
+		for i := 0; i < testCfg.RunLen-100; i++ {
+			if err := e.Ingest(int64(i)); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Flush(); err != nil {
-				t.Fatalf("post-heal Flush: %v", err)
-			}
-			if got := c.Buffered(); got != 0 {
-				t.Errorf("Buffered() = %d after retry, want 0", got)
-			}
-			if n := e.N(); n != int64(testCfg.RunLen)+100 {
-				t.Errorf("server n = %d, want %d", n, testCfg.RunLen+100)
-			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		}
+		if _, err := e.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatalf("post-heal Flush: %v", err)
+		}
+		if got := c.Buffered(); got != 0 {
+			t.Errorf("Buffered() = %d after retry, want 0", got)
+		}
+		if n := e.N(); n != int64(testCfg.RunLen)+100 {
+			t.Errorf("server n = %d, want %d", n, testCfg.RunLen+100)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestIntervalBackpressureNotSticky: a shed interval flush is not a
@@ -265,7 +219,7 @@ func TestIntervalBackpressureNotSticky(t *testing.T) {
 }
 
 // TestTenantRouting: Options.Tenant lands elements in the right registry
-// tenant over both transports.
+// tenant.
 func TestTenantRouting(t *testing.T) {
 	reg, err := engine.NewRegistry(engine.RegistryOptions[int64]{
 		Defaults: engine.Options{Config: testCfg, Stripes: 1},
@@ -289,35 +243,12 @@ func TestTenantRouting(t *testing.T) {
 	}
 	hc.Close()
 
-	tsrv := engine.NewRegistryTCPServer(reg, runio.Int64Codec{}, engine.TCPOptions{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tsrv.Serve(ln)
-	}()
-	defer func() {
-		tsrv.Close()
-		<-done
-	}()
-	tc, err := DialTCP(ln.Addr().String(), runio.Int64Codec{}, Options{Tenant: "lat", MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.AddBatch([]int64{5, 6, 7, 8}); err != nil {
-		t.Fatal(err)
-	}
-	tc.Close()
-
 	lat, err := reg.Get("lat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := lat.N(); n != 8 {
-		t.Errorf("tenant lat: n = %d, want 8", n)
+	if n := lat.N(); n != 4 {
+		t.Errorf("tenant lat: n = %d, want 4", n)
 	}
 	def, err := reg.Get(engine.DefaultTenant)
 	if err != nil {

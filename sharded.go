@@ -10,19 +10,6 @@ import (
 // ShardOptions configures a sharded build; see parallel.ShardOptions.
 type ShardOptions = parallel.ShardOptions
 
-// TransportKind selects the machine a sharded build runs on; see
-// parallel.TransportKind.
-type TransportKind = parallel.TransportKind
-
-// Transport kinds for ShardOptions.Transport.
-const (
-	// TransportInProcess runs ranks as goroutines in this process.
-	TransportInProcess = parallel.TransportInProcess
-	// TransportTCP runs ranks over a loopback TCP mesh speaking the runio
-	// frame protocol — real serialization and sockets on every exchange.
-	TransportTCP = parallel.TransportTCP
-)
-
 // BuildSharded runs the sample phase over the per-shard datasets
 // concurrently — one engine rank per dataset, connected by the real
 // in-process transport — and merges the per-shard sample lists into one
