@@ -433,10 +433,11 @@ func binaryIngestBody(contentType string) bool {
 }
 
 // validateFrames walks a binary ingest body, enforcing the same framing,
-// checksum, codec-kind and tenant-match rules the worker handler would,
-// and returns the total element count. Journaling skips the workers'
-// validation, so it must happen here — a body the fleet would reject
-// with 400 is rejected now, not silently accepted and dropped at replay.
+// checksum, codec-kind, tenant-match and NaN-key rules the worker handler
+// would, and returns the total element count. Journaling skips the
+// workers' validation, so it must happen here — a body the fleet would
+// reject with 400 is rejected now, not silently accepted and dropped at
+// replay.
 func (c *Coordinator[T]) validateFrames(tenant string, body []byte) (int64, error) {
 	rd := bytes.NewReader(body)
 	elemSize := c.opts.Codec.Size()
@@ -467,6 +468,11 @@ func (c *Coordinator[T]) validateFrames(tenant string, body []byte) (int64, erro
 		if frameTenant != "" && frameTenant != tenant {
 			return 0, fmt.Errorf("frame tenant %q on route tenant %q", frameTenant, tenant)
 		}
+		for off := 0; off < len(elemBytes); off += elemSize {
+			if v := c.opts.Codec.Decode(elemBytes[off:]); v != v {
+				return 0, fmt.Errorf("%w: element %d of a frame", core.ErrNaN, off/elemSize)
+			}
+		}
 		elems += int64(len(elemBytes) / elemSize)
 	}
 }
@@ -477,9 +483,10 @@ func (c *Coordinator[T]) validateFrames(tenant string, body []byte) (int64, erro
 // response body matches the request's wire format: JSON bodies get a
 // JSON acknowledgment, frame bodies get an ack frame counting the
 // batch's elements (engine count 0 — the fleet that would know is down).
-// Bodies the workers would reject are rejected here with 400, and an
-// append past the journal budget fails 503 exactly as an unjournaled
-// all-owners-down ingest would.
+// Frame bodies the workers would reject are rejected here with 400; JSON
+// bodies are only checked for syntax, so a key the workers cannot parse
+// (or a NaN) is dropped at replay. An append past the journal budget
+// fails 503 exactly as an unjournaled all-owners-down ingest would.
 func (c *Coordinator[T]) journalIngest(tenant, contentType string, body []byte, w http.ResponseWriter) {
 	binary := binaryIngestBody(contentType)
 	var elems int64

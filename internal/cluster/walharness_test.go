@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -349,5 +350,38 @@ func TestIngestJournalRejectsInvalidBodies(t *testing.T) {
 	rec = doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/octet-stream", frame)
 	if rec.status != http.StatusAccepted || rec.header.Get("X-Opaq-Journaled") != "true" {
 		t.Fatalf("valid frame with dead fleet: status %d, want 202 journaled", rec.status)
+	}
+}
+
+// TestIngestJournalRejectsNaNFrames: a float fleet's workers answer 400 to
+// a NaN key, so the coordinator must not journal a frame body holding
+// one, even after valid frames.
+func TestIngestJournalRejectsNaNFrames(t *testing.T) {
+	dead, err := New(Options[float64]{
+		Workers: []string{"http://127.0.0.1:1"},
+		Codec:   runio.Float64Codec{},
+		Parse:   engine.Float64Key,
+		Client:  &WorkerClient{HTTP: &http.Client{Timeout: time.Second}, Attempts: 1, Backoff: time.Millisecond},
+		WALDir:  t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dead.Close)
+	h := dead.Handler()
+
+	body, err := runio.AppendDataFrame(nil, runio.Float64Codec{}, "", []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, err = runio.AppendDataFrame(body, runio.Float64Codec{}, "", []float64{3, math.NaN(), 4}); err != nil {
+		t.Fatal(err)
+	}
+	rec := doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/octet-stream", body)
+	if rec.status != http.StatusBadRequest {
+		t.Fatalf("NaN frame journaled: status %d", rec.status)
+	}
+	if st := dead.wal.Stats(); st.Appends != 0 {
+		t.Fatalf("a NaN frame reached the journal: %+v", st)
 	}
 }

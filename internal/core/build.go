@@ -16,17 +16,20 @@ import (
 // Build executes OPAQ's sample phase over one sequential scan of rr,
 // returning the Summary used by the quantile phase. This is the algorithm
 // of Figure 1 in the paper: for each run, extract the s regular sample
-// points with an O(m log s) multi-selection, then merge the per-run sorted
-// sample lists.
+// points, then merge the per-run sorted sample lists. selection.SampleRun
+// extracts them: runs of fixed-width numeric keys are radix-sorted in
+// place, and string runs keep the paper's O(m log s) multi-selection. Runs
+// are reordered in place. A NaN key fails the build with ErrNaN.
 //
 // With cfg.Workers != 1 the scan runs as a staged pipeline — a prefetching
 // producer reads runs ahead of a bounded pool of sampling workers — which
-// overlaps I/O with computation and scales the per-run multi-selection
-// across cores. This realizes the paper's Section 4 future work ("we can
+// overlaps I/O with computation and scales the per-run sampling across
+// cores. This realizes the paper's Section 4 future work ("we can
 // significantly reduce the total execution time by overlapping the I/O and
-// the computation"). Every run is sampled with an RNG seeded independently
-// from (cfg.Seed, run index), so the resulting Summary is bit-identical for
-// any worker count, including the sequential Workers == 1 path.
+// the computation"). A run's samples are exact order statistics of that
+// run alone (a string run seeds its RNG from cfg.Seed and the run index),
+// so the resulting Summary is bit-identical for any worker count,
+// including the sequential Workers == 1 path.
 //
 // Runs shorter than cfg.RunLen are handled exactly: a short run of length
 // m' contributes ⌊m'·s/m⌋ sample points at the same sub-run spacing, and
@@ -73,9 +76,9 @@ type runStats[T cmp.Ordered] struct {
 // runSeed derives the selection RNG seed for the run with 0-based index idx
 // from the configured seed, via one splitmix64 round so consecutive indices
 // yield uncorrelated streams. Giving each run its own seed — rather than
-// threading one RNG through the scan — is what makes the concurrent build
-// bit-identical to the sequential one: the randomness a run sees no longer
-// depends on how many runs were processed before it, or by which worker.
+// threading one RNG through the scan — keeps the randomness a
+// multi-selected run sees independent of how many runs were processed
+// before it, or by which worker.
 func runSeed(seed, idx int64) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(idx)+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -84,24 +87,20 @@ func runSeed(seed, idx int64) int64 {
 }
 
 // sampleRun performs the per-run work of the sample phase: an exact min/max
-// scan plus the O(m log s) multi-selection at the regular ranks. run must be
-// non-empty and is reordered in place.
+// scan that also rejects NaN, then the regular samples at ranks k·step−1.
+// run must be non-empty and is reordered in place.
 func sampleRun[T cmp.Ordered](run []T, idx int64, step int, seed int64) (runStats[T], error) {
 	rs := runStats[T]{idx: idx, n: int64(len(run)), min: run[0], max: run[0]}
-	for _, v := range run[1:] {
+	for i, v := range run {
+		if v != v {
+			return rs, fmt.Errorf("%w: element %d of run %d", ErrNaN, i, idx)
+		}
 		rs.min = min(rs.min, v)
 		rs.max = max(rs.max, v)
 	}
 	si := len(run) / step // samples this run contributes
 	rs.leftover = int64(len(run) - si*step)
-	if si == 0 {
-		return rs, nil
-	}
-	ranks := make([]int, si)
-	for k := 1; k <= si; k++ {
-		ranks[k-1] = k*step - 1
-	}
-	samples, err := selection.MultiSelect(run, ranks, rand.New(rand.NewSource(runSeed(seed, idx))))
+	samples, err := selection.SampleRun(run, step, runSeed(seed, idx))
 	if err != nil {
 		return rs, fmt.Errorf("core: sample phase select: %w", err)
 	}

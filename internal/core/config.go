@@ -6,8 +6,12 @@
 //
 //  1. Sample phase: the data is consumed as r runs of m elements. From each
 //     run the s regular sample points — the elements of exact local ranks
-//     m/s, 2m/s, …, m — are extracted with an O(m log s) multi-selection,
-//     and the r sorted sample lists are merged into one sorted list.
+//     m/s, 2m/s, …, m — are extracted, and the r sorted sample lists are
+//     merged into one sorted list. The paper extracts them with an
+//     O(m log s) multi-selection; selection.SampleRun instead radix-sorts
+//     runs of fixed-width numeric keys in place, which puts the same order
+//     statistics at the same ranks in a few linear passes. String runs
+//     keep the multi-selection.
 //  2. Quantile phase: for a quantile of rank ψ = ⌈φ·n⌉, two indices into
 //     the sorted sample list give deterministic bounds e_l ≤ e_φ ≤ e_u with
 //     at most n/s data elements between the true quantile and either bound
@@ -35,6 +39,9 @@ var (
 	ErrPhi = errors.New("core: quantile fraction out of range")
 	// ErrIncompatible indicates summaries that cannot be merged.
 	ErrIncompatible = errors.New("core: incompatible summaries")
+	// ErrNaN indicates a NaN key: NaN compares false with everything, so
+	// it has no rank and would corrupt the extrema and the sample order.
+	ErrNaN = errors.New("core: NaN key")
 )
 
 // Config fixes the two parameters of the sample phase. In the paper's
@@ -51,11 +58,11 @@ type Config struct {
 	// positive. For estimating q quantiles with good bounds the paper
 	// recommends s ≥ 2q.
 	SampleSize int
-	// Seed drives the randomized selection inside the sample phase. The
-	// output bounds are deterministic regardless of Seed (selection returns
-	// exact order statistics); the seed only perturbs in-memory reordering.
-	// Each run derives its own selection RNG from (Seed, run index), so the
-	// summary does not depend on how runs are scheduled across workers.
+	// Seed drives the randomized multi-selection that samples runs of
+	// string keys; each such run derives its own RNG from (Seed, run
+	// index). The samples are exact order statistics whatever the seed, so
+	// it only changes how string runs are reordered in memory, never the
+	// summary. Numeric runs are always radix-sorted and ignore it.
 	Seed int64
 	// Workers bounds the concurrency of the sample phase. 0 (the default)
 	// uses runtime.GOMAXPROCS(0); 1 forces the plain sequential scan; any

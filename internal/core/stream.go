@@ -2,7 +2,7 @@ package core
 
 import (
 	"cmp"
-	"math/rand"
+	"fmt"
 
 	"opaq/internal/merge"
 	"opaq/internal/selection"
@@ -15,11 +15,12 @@ import (
 //
 // Internally it buffers up to RunLen elements; each full buffer becomes
 // one run and is sampled exactly as the pull-based sample phase would —
-// run i draws its selection RNG from the same (Seed, i) derivation Build
-// uses — so Summary() is bit-identical to running Build over the same
-// element sequence at any Config.Workers setting. The buffered tail (a
-// partial run) is folded in on Summary() with the same ragged-run
-// accounting Build uses, at the cost of an O(RunLen log s) flush.
+// with selection.SampleRun, and a string run i seeds its RNG from the
+// same (Seed, i) derivation Build uses — so Summary() is bit-identical
+// to running Build over the same element sequence at any Config.Workers
+// setting. The buffered tail (a partial run) is folded in on Summary()
+// with the same ragged-run accounting Build uses, at the cost of sampling
+// a copy of it. NaN keys are rejected with ErrNaN.
 //
 // # Sealing
 //
@@ -46,7 +47,7 @@ type StreamBuilder[T cmp.Ordered] struct {
 	bufMin, bufMax T
 
 	// seq counts runs flushed over the builder's lifetime, across seals,
-	// so each run's selection RNG keeps the same (Seed, run index)
+	// so a multi-selected run's RNG keeps the same (Seed, run index)
 	// derivation Build uses.
 	seq int64
 }
@@ -62,8 +63,12 @@ func NewStreamBuilder[T cmp.Ordered](cfg Config) (*StreamBuilder[T], error) {
 	}, nil
 }
 
-// Add observes one element. Amortized cost is O(log s) per element.
+// Add observes one element. Amortized cost is one run's sampling cost
+// divided by RunLen. A NaN is rejected with ErrNaN and not observed.
 func (b *StreamBuilder[T]) Add(v T) error {
+	if v != v {
+		return ErrNaN
+	}
 	if len(b.buf) == 0 {
 		b.bufMin, b.bufMax = v, v
 	} else {
@@ -85,7 +90,14 @@ func (b *StreamBuilder[T]) Add(v T) error {
 // per element but copies run-sized chunks into the buffer wholesale, so
 // the per-element cost is one extrema comparison plus the memmove — on
 // the wire-speed ingest path the per-call overhead of Add is measurable.
+// A batch holding a NaN is rejected whole with ErrNaN: the check runs
+// before anything is buffered, so N() does not move.
 func (b *StreamBuilder[T]) AddBatch(vs []T) error {
+	for i, v := range vs {
+		if v != v {
+			return fmt.Errorf("%w: element %d of the batch", ErrNaN, i)
+		}
+	}
 	for len(vs) > 0 {
 		if len(b.buf) == 0 {
 			b.bufMin, b.bufMax = vs[0], vs[0]
@@ -141,18 +153,13 @@ func (b *StreamBuilder[T]) flush() error {
 	b.runs++
 	b.seq++
 	if si > 0 {
-		ranks := make([]int, si)
-		for k := 1; k <= si; k++ {
-			ranks[k-1] = k*step - 1
-		}
-		rng := rand.New(rand.NewSource(runSeed(b.cfg.Seed, b.seq-1)))
-		samples, err := selection.MultiSelect(b.buf, ranks, rng)
+		samples, err := selection.SampleRun(b.buf, step, runSeed(b.cfg.Seed, b.seq-1))
 		if err != nil {
 			return err
 		}
 		b.lists = append(b.lists, samples)
 	}
-	// MultiSelect permutes the run in place but its sample list is a fresh
+	// SampleRun reorders the run in place but its sample list is a fresh
 	// slice, so the run buffer is dead here and can be refilled in place.
 	b.buf = b.buf[:0]
 	return nil
@@ -214,16 +221,11 @@ func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 		leftover += int64(len(b.buf) - si*step)
 		runs++
 		if si > 0 {
-			ranks := make([]int, si)
-			for k := 1; k <= si; k++ {
-				ranks[k-1] = k*step - 1
-			}
 			// The tail must be copied (ingestion continues into b.buf), but
-			// the copy is pure scratch: MultiSelect permutes it and returns a
+			// the copy is pure scratch: SampleRun reorders it and returns a
 			// fresh sample list, so it goes straight back to the pool.
 			cp := append(getSamples[T](len(b.buf)), b.buf...)
-			rng := rand.New(rand.NewSource(runSeed(b.cfg.Seed, b.seq)))
-			samples, err := selection.MultiSelect(cp, ranks, rng)
+			samples, err := selection.SampleRun(cp, step, runSeed(b.cfg.Seed, b.seq))
 			putSamples(cp)
 			if err != nil {
 				return nil, err

@@ -6,9 +6,9 @@
 //
 // A request body holds one or more data frames; the response body is
 // binary too: one ack frame covering every element ingested, followed by
-// one nack frame when the request stopped early (backpressure or a
-// protocol error). A client that sent n frames and reads an ack for fewer
-// elements knows exactly which suffix to retry.
+// one nack frame when the request stopped early (backpressure, a
+// protocol error or a NaN key). A client that sent n frames and reads an
+// ack for fewer elements knows exactly which suffix to retry.
 package engine
 
 import (
@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"opaq/internal/core"
 	"opaq/internal/runio"
 )
 
@@ -150,10 +151,15 @@ frames:
 			break
 		}
 		if err := eng.IngestBatch(bufs.elems); err != nil {
-			if errors.Is(err, ErrBacklogged) {
+			switch {
+			case errors.Is(err, ErrBacklogged):
 				status = http.StatusTooManyRequests
 				nackRetry = retrySeconds(eng, h.opts.RetryAfter)
 				nackMsg = err.Error()
+				break frames
+			case errors.Is(err, core.ErrNaN):
+				// The frame was rejected whole; earlier frames stay acked.
+				status, nackMsg = http.StatusBadRequest, err.Error()
 				break frames
 			}
 			writeErr(w, err)

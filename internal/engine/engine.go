@@ -232,6 +232,11 @@ type Engine[T cmp.Ordered] struct {
 
 	tickStop  chan struct{}
 	closeOnce sync.Once
+
+	// afterIngestUnlock, set only by tests, runs in Ingest and
+	// IngestBatch right after the stripe unlock, where a descheduled
+	// ingester's elements are already visible to a snapshot.
+	afterIngestUnlock func()
 }
 
 type stripe[T cmp.Ordered] struct {
@@ -417,6 +422,9 @@ func (e *Engine[T]) Ingest(v T) error {
 		e.pending.Add(1)
 	}
 	st.mu.Unlock()
+	if e.afterIngestUnlock != nil {
+		e.afterIngestUnlock()
+	}
 	if err != nil {
 		return err
 	}
@@ -426,7 +434,8 @@ func (e *Engine[T]) Ingest(v T) error {
 
 // IngestBatch observes a batch of elements. The whole batch lands on one
 // stripe (keeping its run composition contiguous) and bumps the ingest
-// version once, so a batch triggers at most one snapshot rebuild.
+// version once, so a batch triggers at most one snapshot rebuild. A batch
+// holding a NaN is rejected whole with core.ErrNaN.
 func (e *Engine[T]) IngestBatch(vs []T) error {
 	if len(vs) == 0 {
 		return nil
@@ -444,6 +453,9 @@ func (e *Engine[T]) IngestBatch(vs []T) error {
 		e.pending.Add(int64(len(vs)))
 	}
 	st.mu.Unlock()
+	if e.afterIngestUnlock != nil {
+		e.afterIngestUnlock()
+	}
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -330,8 +331,20 @@ func TestEngineRestoreLandsAsOwnEpoch(t *testing.T) {
 // contract: checkpoints cut while ingest and rotation race must each be a
 // consistent sealed set — LoadSummary re-validates every structural
 // invariant, so a torn merge set (double-counted or dropped stripe)
-// cannot load.
+// cannot load — and none may cover more elements than N() reports.
+//
+// Ingest is paced in rounds: each checkpoint is cut while every ingester
+// adds its next roundElems keys, and the next round starts once all have.
+// So every checkpoint races ingest, and N grows with the checkpoint count
+// rather than with wall time: a fast ingest path or a slow race detector
+// cannot make the O(N) checkpoints fall behind the deadline.
 func TestEngineCheckpointConcurrentWithIngest(t *testing.T) {
+	const (
+		ingesters   = 4
+		roundElems  = 2048
+		checkpoints = 40
+		seals       = 3
+	)
 	codec := runio.Int64Codec{}
 	e, err := New[int64](Options{
 		Config:  core.Config{RunLen: 256, SampleSize: 32, Seed: 3},
@@ -341,18 +354,38 @@ func TestEngineCheckpointConcurrentWithIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	var (
+		mu      sync.Mutex
+		changed = sync.NewCond(&mu) // budget, stopped or a finished round
+		budget  int                 // keys each ingester may have added
+		added   [ingesters]int
+		stopped bool
+		wg      sync.WaitGroup
+	)
+	stop := func() {
+		mu.Lock()
+		stopped = true
+		mu.Unlock()
+		changed.Broadcast()
+	}
+	// Stop the ingesters on every exit, t.Fatal included, so none leaks
+	// into the next run under -count.
+	defer wg.Wait()
+	defer stop()
+	for g := 0; g < ingesters; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for {
-				select {
-				case <-stop:
+				mu.Lock()
+				for !stopped && added[g] >= budget {
+					changed.Wait()
+				}
+				done := stopped
+				mu.Unlock()
+				if done {
 					return
-				default:
 				}
 				batch := make([]int64, 1+rng.Intn(300))
 				for i := range batch {
@@ -360,33 +393,117 @@ func TestEngineCheckpointConcurrentWithIngest(t *testing.T) {
 				}
 				if err := e.IngestBatch(batch); err != nil {
 					t.Errorf("ingester %d: %v", g, err)
+					stop()
 					return
 				}
+				mu.Lock()
+				added[g] += len(batch)
+				if added[g] >= budget {
+					changed.Broadcast()
+				}
+				mu.Unlock()
 			}
 		}(g)
 	}
-	// Checkpoint continuously until the policy has demonstrably sealed
-	// several epochs under our feet (bounded by a deadline so a broken
-	// trigger fails loudly rather than spinning).
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; i < 40 || e.Stats().SealedEpochs < 3; i++ {
-		if time.Now().After(deadline) {
-			t.Fatal("MaxElems policy never sealed 3 epochs within the deadline")
+	// roundDone waits until every ingester has used up its budget and
+	// reports false when they were stopped instead.
+	roundDone := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for !stopped && slices.Min(added[:]) < budget {
+			changed.Wait()
 		}
+		return !stopped
+	}
+	// Checkpoint until both targets are met, bounded by a deadline so a
+	// broken trigger fails loudly rather than spinning.
+	deadline := time.Now().Add(10 * time.Second)
+	cut := 0
+	for ; cut < checkpoints || e.Stats().SealedEpochs < seals; cut++ {
+		if time.Now().After(deadline) {
+			break
+		}
+		mu.Lock()
+		budget += roundElems
+		mu.Unlock()
+		changed.Broadcast()
 		var buf bytes.Buffer
 		if err := e.Checkpoint(&buf, codec); err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
+			t.Fatalf("checkpoint %d: %v", cut, err)
 		}
 		sum, err := core.LoadSummary[int64](bytes.NewReader(buf.Bytes()), codec)
 		if err != nil {
-			t.Fatalf("checkpoint %d does not load: %v", i, err)
+			t.Fatalf("checkpoint %d does not load: %v", cut, err)
 		}
 		if sum.N() > e.N() {
-			t.Fatalf("checkpoint %d covers %d elements, engine has only absorbed %d", i, sum.N(), e.N())
+			t.Fatalf("checkpoint %d covers %d elements, engine has only absorbed %d", cut, sum.N(), e.N())
+		}
+		if !roundDone() {
+			return
 		}
 	}
-	close(stop)
-	wg.Wait()
+	if cut < checkpoints {
+		t.Errorf("only %d checkpoints within the deadline, want %d", cut, checkpoints)
+	}
+	if sealed := e.Stats().SealedEpochs; sealed < seals {
+		t.Errorf("MaxElems policy sealed %d epochs within the deadline, want %d", sealed, seals)
+	}
+}
+
+// TestEngineCountsBeforeVisible parks an ingester right after its stripe
+// unlock, where its elements are already visible to a snapshot, and cuts
+// a checkpoint there. Ingest and IngestBatch must have counted the
+// elements inside the stripe lock, so the checkpoint covers no more than
+// N().
+func TestEngineCountsBeforeVisible(t *testing.T) {
+	codec := runio.Int64Codec{}
+	batch := make([]int64, 100)
+	for i := range batch {
+		batch[i] = int64(i)
+	}
+	for _, tc := range []struct {
+		name   string
+		ingest func(*Engine[int64]) error
+		want   int64
+	}{
+		{"Ingest", func(e *Engine[int64]) error { return e.Ingest(7) }, 1},
+		{"IngestBatch", func(e *Engine[int64]) error { return e.IngestBatch(batch) }, int64(len(batch))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New[int64](Options{Config: core.Config{RunLen: 64, SampleSize: 8}, Stripes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			parked, release := make(chan struct{}), make(chan struct{})
+			e.afterIngestUnlock = func() {
+				close(parked)
+				<-release
+			}
+			done := make(chan error, 1)
+			go func() { done <- tc.ingest(e) }()
+			<-parked
+			var buf bytes.Buffer
+			cpErr := e.Checkpoint(&buf, codec)
+			n := e.N()
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatalf("ingest: %v", err)
+			}
+			if cpErr != nil {
+				t.Fatalf("checkpoint: %v", cpErr)
+			}
+			sum, err := core.LoadSummary[int64](bytes.NewReader(buf.Bytes()), codec)
+			if err != nil {
+				t.Fatalf("checkpoint does not load: %v", err)
+			}
+			if sum.N() != tc.want {
+				t.Fatalf("checkpoint covers %d elements, want the parked ingester's %d", sum.N(), tc.want)
+			}
+			if sum.N() > n {
+				t.Fatalf("checkpoint covers %d elements, engine has only absorbed %d", sum.N(), n)
+			}
+		})
+	}
 }
 
 // TestEngineEpochPolicyTriggers exercises the count, bytes and wall-clock

@@ -232,7 +232,8 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrTenantExists), errors.Is(err, core.ErrEmpty):
 		status = http.StatusConflict
 	case errors.Is(err, core.ErrPhi), errors.Is(err, errBadRequest),
-		errors.Is(err, ErrTenantName), errors.Is(err, core.ErrConfig):
+		errors.Is(err, ErrTenantName), errors.Is(err, core.ErrConfig),
+		errors.Is(err, core.ErrNaN):
 		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -349,5 +350,105 @@ func TestBinaryHTTPBackpressure(t *testing.T) {
 	}
 	if n := e.N(); n != 600 {
 		t.Errorf("n=%d, want 600 (only the first batch)", n)
+	}
+}
+
+// newFloat64Server serves a fresh single-stripe float64 engine with JSON
+// and binary ingest.
+func newFloat64Server(t *testing.T) (*Engine[float64], *httptest.Server) {
+	t.Helper()
+	e, err := New[float64](Options{Config: wireCfg, Stripes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandlerCodec(e, Float64Key, runio.Float64Codec{}, HandlerOptions{}))
+	t.Cleanup(srv.Close)
+	return e, srv
+}
+
+// TestFloat64JSONIngestRejectsNaN: NaN keys have no rank, so a float64
+// engine answers 400 to a JSON batch holding one and leaves n unchanged.
+func TestFloat64JSONIngestRejectsNaN(t *testing.T) {
+	e, srv := newFloat64Server(t)
+	postJSON := func(body string) (int, string) {
+		resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	if status, body := postJSON(`{"keys":[1.5,2.5,3.5]}`); status != http.StatusOK {
+		t.Fatalf("good JSON batch: %d %s", status, body)
+	}
+	if status, body := postJSON(`{"keys":[4.5,"NaN",5.5]}`); status != http.StatusBadRequest || !strings.Contains(body, "NaN") {
+		t.Errorf("JSON batch with NaN: %d %s, want 400 naming NaN", status, body)
+	}
+	if n := e.N(); n != 3 {
+		t.Errorf("after the JSON NaN batch: n=%d, want 3", n)
+	}
+}
+
+// TestFloat64BinaryIngestRejectsNaN: a binary frame holding a NaN is
+// nacked with 400 and not ingested; in a multi-frame body the frames
+// before it stay acked.
+func TestFloat64BinaryIngestRejectsNaN(t *testing.T) {
+	e, srv := newFloat64Server(t)
+	good, err := runio.AppendDataFrame(nil, runio.Float64Codec{}, "", []float64{6, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withNaN, err := runio.AppendDataFrame(nil, runio.Float64Codec{}, "", []float64{8, math.NaN(), 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		body         []byte
+		acked, wantN int64
+	}{
+		{"NaN frame", withNaN, 0, 0},
+		{"good frame, then NaN frame", append(bytes.Clone(good), withNaN...), 2, 2},
+	} {
+		resp, err := http.Post(srv.URL+"/ingest", "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if got := e.N(); got != tc.wantN {
+			t.Errorf("%s: n=%d, want %d", tc.name, got, tc.wantN)
+		}
+		body := bytes.NewReader(raw)
+		h, err := runio.ReadFrameHeader(body, 0)
+		if err != nil || h.Type != runio.FrameAck {
+			t.Fatalf("%s: first frame %v type %d, want ack", tc.name, err, h.Type)
+		}
+		payload, err := runio.ReadFramePayload(body, h, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, n, err := runio.DecodeAckPayload(payload)
+		if err != nil || int64(count) != tc.acked || n != tc.wantN {
+			t.Errorf("%s: ack count=%d n=%d err=%v, want %d and %d", tc.name, count, n, err, tc.acked, tc.wantN)
+		}
+		h, err = runio.ReadFrameHeader(body, 0)
+		if err != nil || h.Type != runio.FrameNack {
+			t.Fatalf("%s: second frame %v type %d, want nack", tc.name, err, h.Type)
+		}
+		payload, err = runio.ReadFramePayload(body, h, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, msg, err := runio.DecodeNackPayload(payload); err != nil || !strings.Contains(msg, "NaN") {
+			t.Errorf("%s: nack %q err %v, want a message naming NaN", tc.name, msg, err)
+		}
 	}
 }

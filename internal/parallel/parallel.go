@@ -33,7 +33,6 @@ package parallel
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"opaq/internal/core"
@@ -210,7 +209,6 @@ func runRank[T cmp.Ordered](tr Transport, local []T, cfg Config,
 	perProc []PhaseTimes, localParts []core.SummaryParts[T], globalBlocks [][]T) error {
 	id := tr.ID()
 	step := int64(cfg.Core.Step())
-	rng := rand.New(rand.NewSource(cfg.Core.Seed + int64(id)))
 
 	// ---- Phase 1: I/O. The local shard is read once, run by run. Under
 	// OverlapIO the charge is deferred and folded into max(I/O, sampling)
@@ -226,7 +224,7 @@ func runRank[T cmp.Ordered](tr Transport, local []T, cfg Config,
 		tr.Charge(ioTime)
 	}
 
-	// ---- Phase 2: sampling (multi-select per run). ----
+	// ---- Phase 2: sampling (the regular samples of each run). ----
 	t0 := tr.Clock()
 	var (
 		sampleLists [][]T
@@ -235,6 +233,9 @@ func runRank[T cmp.Ordered](tr Transport, local []T, cfg Config,
 	)
 	for ri, run := range runs {
 		for i, v := range run {
+			if v != v {
+				return fmt.Errorf("%w: element %d of rank %d's run %d", core.ErrNaN, i, id, ri)
+			}
 			if ri == 0 && i == 0 {
 				minV, maxV = v, v
 			} else {
@@ -247,17 +248,16 @@ func runRank[T cmp.Ordered](tr Transport, local []T, cfg Config,
 		if si == 0 {
 			continue
 		}
-		ranks := make([]int, si)
-		for k := 1; k <= si; k++ {
-			ranks[k-1] = k*int(step) - 1
-		}
+		// The run aliases the caller's data, and SampleRun reorders what
+		// it samples.
 		cp := append([]T(nil), run...)
-		samples, err := selection.MultiSelect(cp, ranks, rng)
+		samples, err := selection.SampleRun(cp, int(step), cfg.Core.Seed+int64(id))
 		if err != nil {
 			return err
 		}
 		sampleLists = append(sampleLists, samples)
-		// Cost: O(m·log s) per run (paper, Table 2).
+		// Cost: the paper's O(m·log s) multi-selection per run (Table 2),
+		// whichever kernel ran, so the simulated times stay the paper's.
 		tr.Compute(int64(len(run)) * int64(ceilLog2(si+1)))
 	}
 	perProc[id].Sampling = tr.Clock() - t0

@@ -1,0 +1,349 @@
+package selection
+
+import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// referenceSample is the sample phase SampleRun replaces: RegularSample
+// when step divides the run, MultiSelect at ranks k·step−1 otherwise, on
+// a copy of run.
+func referenceSample[T cmp.Ordered](t testing.TB, run []T, step int) []T {
+	t.Helper()
+	cp := slices.Clone(run)
+	s := len(cp) / step
+	if s == 0 {
+		return nil
+	}
+	if len(cp)%step == 0 {
+		out, err := RegularSample(cp, s, testRNG())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ranks := make([]int, s)
+	for k := range ranks {
+		ranks[k] = (k+1)*step - 1
+	}
+	out, err := MultiSelect(cp, ranks, testRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkSampleRun runs SampleRun on a copy of run and checks it against
+// referenceSample: equal values (==), the multiset of bit patterns kept,
+// and, where the run yields samples, a sorted run that the samples are
+// read from, with −0 before +0 (the larger bit pattern first among equal
+// values).
+func checkSampleRun[T cmp.Ordered](t *testing.T, name string, run []T, step int, bits func(T) uint64) {
+	t.Helper()
+	got := slices.Clone(run)
+	samples, err := SampleRun(got, step, 1)
+	if err != nil {
+		t.Fatalf("%s: SampleRun: %v", name, err)
+	}
+	want := referenceSample(t, run, step)
+	if len(samples) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", name, len(samples), len(want))
+	}
+	for k := range want {
+		if samples[k] != want[k] {
+			t.Fatalf("%s: sample %d = %v, want %v", name, k, samples[k], want[k])
+		}
+	}
+	bitsOf := func(xs []T) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = bits(x)
+		}
+		slices.Sort(out)
+		return out
+	}
+	if !slices.Equal(bitsOf(got), bitsOf(run)) {
+		t.Fatalf("%s: SampleRun changed the run's multiset", name)
+	}
+	if len(want) == 0 {
+		return
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] || (got[i] == got[i-1] && bits(got[i]) > bits(got[i-1])) {
+			t.Fatalf("%s: run not sorted at %d: %v (%#x) after %v (%#x)",
+				name, i, got[i], bits(got[i]), got[i-1], bits(got[i-1]))
+		}
+	}
+	for k, v := range samples {
+		if bits(v) != bits(got[(k+1)*step-1]) {
+			t.Fatalf("%s: sample %d is not the sorted run's element %d", name, k, (k+1)*step-1)
+		}
+	}
+}
+
+// keyType builds values of one numeric key type: from raw 64-bit words
+// (truncated to the type's width; NaN patterns become 0) and from small
+// integers.
+type keyType[T cmp.Ordered] struct {
+	fromBits  func(uint64) T
+	fromSmall func(int) T
+	bits      func(T) uint64
+	extremes  []T
+}
+
+var (
+	int32Keys = keyType[int32]{
+		fromBits:  func(u uint64) int32 { return int32(u) },
+		fromSmall: func(i int) int32 { return int32(i) },
+		bits:      func(v int32) uint64 { return uint64(uint32(v)) },
+		extremes:  []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32},
+	}
+	uint32Keys = keyType[uint32]{
+		fromBits:  func(u uint64) uint32 { return uint32(u) },
+		fromSmall: func(i int) uint32 { return uint32(i) },
+		bits:      func(v uint32) uint64 { return uint64(v) },
+		extremes:  []uint32{0, 1, 1 << 31, 1<<31 - 1, math.MaxUint32 - 1, math.MaxUint32},
+	}
+	int64Keys = keyType[int64]{
+		fromBits:  func(u uint64) int64 { return int64(u) },
+		fromSmall: func(i int) int64 { return int64(i) },
+		bits:      func(v int64) uint64 { return uint64(v) },
+		extremes:  []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64},
+	}
+	uint64Keys = keyType[uint64]{
+		fromBits:  func(u uint64) uint64 { return u },
+		fromSmall: func(i int) uint64 { return uint64(i) },
+		bits:      func(v uint64) uint64 { return v },
+		extremes:  []uint64{0, 1, 1 << 63, 1<<63 - 1, math.MaxUint64 - 1, math.MaxUint64},
+	}
+	float32Keys = keyType[float32]{
+		fromBits: func(u uint64) float32 {
+			if f := math.Float32frombits(uint32(u)); f == f {
+				return f
+			}
+			return 0
+		},
+		fromSmall: func(i int) float32 { return float32(i) / 4 },
+		bits:      func(v float32) uint64 { return uint64(math.Float32bits(v)) },
+		extremes: []float32{
+			float32(math.Inf(-1)), -math.MaxFloat32, -1, -math.SmallestNonzeroFloat32,
+			float32(math.Copysign(0, -1)), 0, math.SmallestNonzeroFloat32,
+			math.Float32frombits(0x007fffff), // largest subnormal
+			0x1p-126,                         // smallest normal
+			1, math.MaxFloat32, float32(math.Inf(1)),
+		},
+	}
+	float64Keys = keyType[float64]{
+		fromBits: func(u uint64) float64 {
+			if f := math.Float64frombits(u); f == f {
+				return f
+			}
+			return 0
+		},
+		fromSmall: func(i int) float64 { return float64(i) / 4 },
+		bits:      math.Float64bits,
+		extremes: []float64{
+			math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64,
+			math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64,
+			math.Float64frombits(0x000fffffffffffff), // largest subnormal
+			0x1p-1022,                                // smallest normal
+			1, math.MaxFloat64, math.Inf(1),
+		},
+	}
+)
+
+// TestSampleRunMatchesRegularSample checks, for all six radix-sorted key
+// types, that SampleRun selects the same values as RegularSample on
+// random, duplicate-heavy, all-equal, sorted, reverse-sorted and ragged
+// runs, and on runs sized around the insertion-sort cutoff.
+func TestSampleRunMatchesRegularSample(t *testing.T) {
+	t.Run("int32", func(t *testing.T) { checkSampleRunCases(t, int32Keys) })
+	t.Run("uint32", func(t *testing.T) { checkSampleRunCases(t, uint32Keys) })
+	t.Run("int64", func(t *testing.T) { checkSampleRunCases(t, int64Keys) })
+	t.Run("uint64", func(t *testing.T) { checkSampleRunCases(t, uint64Keys) })
+	t.Run("float32", func(t *testing.T) { checkSampleRunCases(t, float32Keys) })
+	t.Run("float64", func(t *testing.T) { checkSampleRunCases(t, float64Keys) })
+}
+
+func checkSampleRunCases[T cmp.Ordered](t *testing.T, kt keyType[T]) {
+	rng := testRNG()
+	random := func(n int) []T {
+		xs := make([]T, n)
+		for i := range xs {
+			xs[i] = kt.fromBits(rng.Uint64())
+		}
+		return xs
+	}
+	small := func(n, span int) []T {
+		xs := make([]T, n)
+		for i := range xs {
+			xs[i] = kt.fromSmall(rng.Intn(span) - span/2)
+		}
+		return xs
+	}
+	sorted := slices.Sorted(slices.Values(random(3000)))
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	cases := map[string][]T{
+		"random":     random(5000),
+		"narrow":     small(5000, 1000), // constant leading bytes
+		"duplicates": small(5000, 8),
+		"all-equal":  small(3000, 1),
+		"sorted":     sorted,
+		"reverse":    reversed,
+		"ragged":     random(1037),
+		"one":        random(1),
+	}
+	for _, n := range []int{radixCutoff - 1, radixCutoff, radixCutoff + 1, 2 * radixCutoff, 2*radixCutoff + 1} {
+		cases[fmt.Sprintf("len%d", n)] = random(n)
+		// 256·n keys over 2¹⁶ values: below the top digit, buckets of
+		// about n keys, on either side of the cutoff.
+		cases[fmt.Sprintf("buckets%d", n)] = small(256*n, 1<<16)
+	}
+	for name, run := range cases {
+		for _, step := range []int{1, 3, 64, len(run)} {
+			checkSampleRun(t, fmt.Sprintf("%s/step=%d", name, step), run, step, kt.bits)
+		}
+	}
+}
+
+// TestSampleRunExtremes runs SampleRun over runs drawn from each type's
+// extreme values: the integer limits, 0 and ±1; for floats ±Inf, ±MaxFloat,
+// subnormals, the smallest normal and mixed ±0. Beyond the values matching
+// RegularSample's, the run must be left sorted with every −0 before every
+// +0, bit for bit.
+func TestSampleRunExtremes(t *testing.T) {
+	t.Run("int32", func(t *testing.T) { checkSampleRunExtremes(t, int32Keys) })
+	t.Run("uint32", func(t *testing.T) { checkSampleRunExtremes(t, uint32Keys) })
+	t.Run("int64", func(t *testing.T) { checkSampleRunExtremes(t, int64Keys) })
+	t.Run("uint64", func(t *testing.T) { checkSampleRunExtremes(t, uint64Keys) })
+	t.Run("float32", func(t *testing.T) { checkSampleRunExtremes(t, float32Keys) })
+	t.Run("float64", func(t *testing.T) { checkSampleRunExtremes(t, float64Keys) })
+}
+
+func checkSampleRunExtremes[T cmp.Ordered](t *testing.T, kt keyType[T]) {
+	rng := testRNG()
+	for _, n := range []int{len(kt.extremes), radixCutoff + 1, 600} {
+		run := make([]T, n)
+		for i := range run {
+			run[i] = kt.extremes[rng.Intn(len(kt.extremes))]
+		}
+		for _, step := range []int{1, 5} {
+			checkSampleRun(t, fmt.Sprintf("n=%d/step=%d", n, step), run, step, kt.bits)
+		}
+	}
+}
+
+func TestSampleRunArgs(t *testing.T) {
+	if _, err := SampleRun([]int64{1, 2}, 0, 1); err == nil {
+		t.Error("SampleRun with step 0 should fail")
+	}
+	run := []int64{3, 1, 2}
+	samples, err := SampleRun(run, 4, 1)
+	if err != nil || samples != nil {
+		t.Fatalf("SampleRun(len 3, step 4) = %v, %v; want nil, nil", samples, err)
+	}
+	if !slices.Equal(run, []int64{3, 1, 2}) {
+		t.Fatalf("a run shorter than step was reordered: %v", run)
+	}
+	// Key types outside the six keep MultiSelect.
+	strs := []string{"d", "b", "a", "c"}
+	samples2, err := SampleRun(strs, 2, 1)
+	if err != nil || !slices.Equal(samples2, []string{"b", "d"}) {
+		t.Fatalf("SampleRun(strings) = %v, %v; want [b d]", samples2, err)
+	}
+}
+
+// FuzzSampleRun turns arbitrary bytes into NaN-free int64 and float64
+// runs — 2-byte words when narrow, so duplicates are common, 8-byte words
+// otherwise — and checks SampleRun against RegularSample.
+func FuzzSampleRun(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(1), false)
+	f.Add(make([]byte, 512), uint8(3), true)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f}, uint8(0), false)
+	f.Fuzz(func(t *testing.T, raw []byte, stepRaw uint8, narrow bool) {
+		width := 8
+		if narrow {
+			width = 2
+		}
+		ints := make([]int64, 0, len(raw)/width)
+		floats := make([]float64, 0, len(raw)/width)
+		for i := 0; i+width <= len(raw); i += width {
+			var v int64
+			if narrow {
+				v = int64(int16(binary.LittleEndian.Uint16(raw[i:])))
+			} else {
+				v = int64(binary.LittleEndian.Uint64(raw[i:]))
+			}
+			ints = append(ints, v)
+			floats = append(floats, float64Keys.fromBits(uint64(v)))
+		}
+		step := 1 + int(stepRaw%16)
+		checkSampleRun(t, "int64", ints, step, int64Keys.bits)
+		checkSampleRun(t, "float64", floats, step, float64Keys.bits)
+	})
+}
+
+// benchKeys returns n int64 keys: uniform over [0, 2⁶²), or Zipf(1.1)
+// popularity ranks over 2²⁰ distinct keys scattered across that range.
+func benchKeys(n int, zipf bool) []int64 {
+	r := rand.New(rand.NewSource(7))
+	z := rand.NewZipf(r, 1.1, 1, 1<<20-1)
+	xs := make([]int64, n)
+	for i := range xs {
+		if zipf {
+			xs[i] = int64((z.Uint64()+1)*0x61c8864680b583eb) & (1<<62 - 1)
+		} else {
+			xs[i] = r.Int63n(1 << 62)
+		}
+	}
+	return xs
+}
+
+// BenchmarkSampleRun times one run's sample phase with both kernels:
+// SampleRun, and MultiSelect with a fresh per-run RNG as the sample phase
+// ran before SampleRun. Every iteration first copies the pristine run,
+// since both kernels reorder it. Strings take MultiSelect in both.
+func BenchmarkSampleRun(b *testing.B) {
+	for _, size := range []struct{ m, s int }{{65536, 1024}, {2048, 32}} {
+		for _, dist := range []string{"uniform", "zipf"} {
+			keys := benchKeys(size.m, dist == "zipf")
+			floats := make([]float64, len(keys))
+			strs := make([]string, len(keys))
+			for i, k := range keys {
+				floats[i] = float64(k) / (1 << 61)
+				strs[i] = fmt.Sprintf("%016x", k)
+			}
+			name := fmt.Sprintf("m=%d,s=%d/%s", size.m, size.s, dist)
+			benchKernels(b, name+"/int64", keys, size.s)
+			benchKernels(b, name+"/float64", floats, size.s)
+			benchKernels(b, name+"/string", strs, size.s)
+		}
+	}
+}
+
+func benchKernels[T cmp.Ordered](b *testing.B, name string, src []T, s int) {
+	run := make([]T, len(src))
+	step := len(src) / s
+	b.Run(name+"/SampleRun", func(b *testing.B) {
+		for b.Loop() {
+			copy(run, src)
+			if _, err := SampleRun(run, step, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(name+"/MultiSelect", func(b *testing.B) {
+		for b.Loop() {
+			copy(run, src)
+			if _, err := RegularSample(run, s, rand.New(rand.NewSource(1))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -13,6 +13,11 @@
 // select the median, split, and recurse on both halves for log s levels,
 // giving O(m log s) total work (Section 2.1 of the paper).
 //
+// SampleRun is the sample phase's entry point. It radix-sorts runs of
+// fixed-width numeric keys in place instead, which puts the same order
+// statistics at the same ranks in a few linear passes, and multi-selects
+// everything else.
+//
 // All functions operate in place and reorder their input slice.
 package selection
 
@@ -120,9 +125,11 @@ func bitLen(n int) int {
 // insertionSort sorts xs in place; used only for tiny subproblems.
 func insertionSort[T cmp.Ordered](xs []T) {
 	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+		v, j := xs[i], i
+		for ; j > 0 && v < xs[j-1]; j-- {
+			xs[j] = xs[j-1]
 		}
+		xs[j] = v
 	}
 }
 

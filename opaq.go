@@ -123,6 +123,8 @@ var (
 	ErrPhi = core.ErrPhi
 	// ErrIncompatible reports summaries that cannot be merged.
 	ErrIncompatible = core.ErrIncompatible
+	// ErrNaN reports a NaN key, which has no rank.
+	ErrNaN = core.ErrNaN
 )
 
 // Build runs the one-pass sample phase over a run reader.
