@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,21 +23,18 @@ import (
 	"opaq/internal/runio"
 )
 
-// Coordinator errors surfaced to HTTP statuses.
+// Coordinator errors. They wrap the engine's HTTP sentinels, so the
+// shared error mapping (engine.WriteError) answers them.
 var (
 	// ErrNoSurvivors reports a scatter-gather in which every owner of the
 	// tenant was unreachable — there is nothing to answer from, degraded
-	// or otherwise.
-	ErrNoSurvivors = errors.New("cluster: no surviving owner")
+	// or otherwise (503).
+	ErrNoSurvivors = fmt.Errorf("cluster: %w: no surviving owner", engine.ErrUnavailable)
 	// errBadWorker reports a worker answering outside its protocol
 	// (unexpected status, undecodable summary) — a bug or version skew,
-	// not an outage.
-	errBadWorker = errors.New("cluster: unexpected worker response")
-	errBadGather = errors.New("cluster: bad request")
+	// not an outage (502).
+	errBadWorker = fmt.Errorf("cluster: %w: unexpected worker response", engine.ErrBadGateway)
 )
-
-// maxQuantiles mirrors the engine handler's cap on GET /quantiles.
-const maxQuantiles = 4096
 
 // maxProxyBody bounds an ingest body buffered for relay; workers enforce
 // their own (smaller) limits on top.
@@ -170,6 +166,9 @@ func New[T cmp.Ordered](opts Options[T]) (*Coordinator[T], error) {
 	if buckets == 0 {
 		buckets = engine.DefaultBuckets
 	}
+	if buckets < 1 {
+		return nil, fmt.Errorf("cluster: Buckets must be positive, got %d", opts.Buckets)
+	}
 	client := opts.Client
 	if client == nil {
 		client = &WorkerClient{}
@@ -225,8 +224,8 @@ func (c *Coordinator[T]) Close() {
 // reqCtx derives a fan-out context that dies with either the request or
 // the coordinator, so both a hung-up client and a shutdown unblock the
 // handler.
-func (c *Coordinator[T]) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(r.Context())
+func (c *Coordinator[T]) reqCtx(parent context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(parent)
 	stop := context.AfterFunc(c.ctx, cancel)
 	return ctx, func() { stop(); cancel() }
 }
@@ -236,67 +235,22 @@ func (c *Coordinator[T]) Owners(tenant string) []string {
 	return c.ring.Owners(tenant, c.opts.Spread)
 }
 
-// Handler mounts the engine HTTP surface over the fleet: tenant routes
-// under /t/{tenant}/ plus the default-tenant root aliases, the admin API,
-// and an aggregated /healthz.
+// Handler mounts the engine HTTP surface over the fleet: the engine's
+// read routes (engine.ReadRoutes) over scatter-gather views, routed
+// ingest and merged stats, each under /t/{tenant}/ plus the
+// default-tenant root aliases, the admin API, and an aggregated /healthz.
 func (c *Coordinator[T]) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, prefix := range []string{"", "/t/{tenant}"} {
-		mux.HandleFunc("POST "+prefix+"/ingest", c.withTenant(c.ingest))
-		mux.HandleFunc("GET "+prefix+"/quantile", c.withTenant(c.quantile))
-		mux.HandleFunc("GET "+prefix+"/quantiles", c.withTenant(c.quantiles))
-		mux.HandleFunc("GET "+prefix+"/selectivity", c.withTenant(c.selectivity))
-		mux.HandleFunc("GET "+prefix+"/stats", c.withTenant(c.stats))
-		mux.HandleFunc("GET "+prefix+"/summary", c.withTenant(c.summary))
+		mux.HandleFunc("POST "+prefix+"/ingest", engine.WithTenant(c.ingest))
+		mux.HandleFunc("GET "+prefix+"/stats", engine.WithTenant(c.stats))
+		engine.ReadRoutes(mux, prefix, c.opts.Parse, c.opts.Codec, c.view)
 	}
 	mux.HandleFunc("POST /admin/tenants", c.adminCreate)
 	mux.HandleFunc("GET /admin/tenants", c.adminList)
-	mux.HandleFunc("DELETE /admin/tenants/{tenant}", c.adminDelete)
+	mux.HandleFunc("DELETE /admin/tenants/{tenant}", engine.WithTenant(c.adminDelete))
 	mux.HandleFunc("GET /healthz", c.healthz)
 	return mux
-}
-
-func (c *Coordinator[T]) withTenant(f func(tenant string, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tenant := r.PathValue("tenant")
-		if tenant == "" {
-			tenant = engine.DefaultTenant
-		}
-		if !engine.ValidTenantName(tenant) {
-			writeErr(w, fmt.Errorf("%w: %q", engine.ErrTenantName, tenant))
-			return
-		}
-		f(tenant, w, r)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeErr maps coordinator errors onto statuses, extending the engine
-// handler's mapping with the fleet-level outcomes: every owner down is
-// 503 (outage), a protocol-breaking worker is 502 (bad gateway), and a
-// context killed by shutdown or a gone client is 503.
-func writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, engine.ErrUnknownTenant):
-		status = http.StatusNotFound
-	case errors.Is(err, core.ErrEmpty), errors.Is(err, engine.ErrTenantExists):
-		status = http.StatusConflict
-	case errors.Is(err, core.ErrPhi), errors.Is(err, errBadGather),
-		errors.Is(err, engine.ErrTenantName), errors.Is(err, core.ErrConfig):
-		status = http.StatusBadRequest
-	case errors.Is(err, ErrNoSurvivors),
-		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, errBadWorker):
-		status = http.StatusBadGateway
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // ingest relays the request body — JSON or binary frames, the worker
@@ -313,19 +267,12 @@ func writeErr(w http.ResponseWriter, err error) {
 // backlog journals every new batch behind it, preserving per-tenant
 // batch order end to end.
 func (c *Coordinator[T]) ingest(tenant string, w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := c.reqCtx(r)
+	ctx, cancel := c.reqCtx(r.Context())
 	defer cancel()
 	r.Body = http.MaxBytesReader(w, r.Body, maxProxyBody)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-				"error": fmt.Sprintf("body exceeds %d bytes; split the batch", tooBig.Limit),
-			})
-			return
-		}
-		writeErr(w, fmt.Errorf("%w: reading body: %v", errBadGather, err))
+		engine.WriteError(w, fmt.Errorf("%w: reading body: %w", engine.ErrBadRequest, err))
 		return
 	}
 	contentType := r.Header.Get("Content-Type")
@@ -340,14 +287,14 @@ func (c *Coordinator[T]) ingest(tenant string, w http.ResponseWriter, r *http.Re
 	resp, err := c.deliverBatch(ctx, tenant, contentType, body, c.orderOwners(owners, start))
 	if err != nil {
 		if ctx.Err() != nil {
-			writeErr(w, ctx.Err())
+			engine.WriteError(w, ctx.Err())
 			return
 		}
 		if c.wal != nil {
 			c.journalIngest(tenant, contentType, body, w)
 			return
 		}
-		writeErr(w, err)
+		engine.WriteError(w, err)
 		return
 	}
 	relay(w, resp)
@@ -424,56 +371,22 @@ func (c *Coordinator[T]) ownerQuarantined(owner string) bool {
 	return at != 0 && time.Since(time.Unix(0, at)) < c.quarantine
 }
 
-// binaryIngestBody mirrors the engine handler's content negotiation.
-func binaryIngestBody(contentType string) bool {
-	if i := strings.IndexByte(contentType, ';'); i >= 0 {
-		contentType = contentType[:i]
-	}
-	return strings.TrimSpace(contentType) == "application/octet-stream"
-}
-
-// validateFrames walks a binary ingest body, enforcing the same framing,
-// checksum, codec-kind, tenant-match and NaN-key rules the worker handler
-// would, and returns the total element count. Journaling skips the
-// workers' validation, so it must happen here — a body the fleet would
-// reject with 400 is rejected now, not silently accepted and dropped at
-// replay.
-func (c *Coordinator[T]) validateFrames(tenant string, body []byte) (int64, error) {
+// countFrames walks a binary ingest body through the engine's frame
+// checks — framing, checksums, codec kind, tenant match, NaN keys — and
+// returns its element count.
+func (c *Coordinator[T]) countFrames(tenant string, body []byte) (int64, error) {
+	var fr engine.FrameReader[T]
 	rd := bytes.NewReader(body)
-	elemSize := c.opts.Codec.Size()
-	kind := c.opts.Codec.Kind()
-	var payload []byte
-	var elems int64
+	var n int64
 	for {
-		h, err := runio.ReadFrameHeader(rd, 0)
+		elems, err := fr.Next(rd, c.opts.Codec, tenant)
 		if err == io.EOF {
-			return elems, nil
+			return n, nil
 		}
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("%w: %w", engine.ErrBadRequest, err)
 		}
-		if h.Type != runio.FrameData {
-			return 0, fmt.Errorf("frame type %d: only data frames ingest", h.Type)
-		}
-		if h.Kind != kind {
-			return 0, fmt.Errorf("codec kind %d, fleet speaks %d", h.Kind, kind)
-		}
-		if payload, err = runio.ReadFramePayload(rd, h, payload); err != nil {
-			return 0, err
-		}
-		frameTenant, elemBytes, err := runio.SplitDataPayload(payload, elemSize)
-		if err != nil {
-			return 0, err
-		}
-		if frameTenant != "" && frameTenant != tenant {
-			return 0, fmt.Errorf("frame tenant %q on route tenant %q", frameTenant, tenant)
-		}
-		for off := 0; off < len(elemBytes); off += elemSize {
-			if v := c.opts.Codec.Decode(elemBytes[off:]); v != v {
-				return 0, fmt.Errorf("%w: element %d of a frame", core.ErrNaN, off/elemSize)
-			}
-		}
-		elems += int64(len(elemBytes) / elemSize)
+		n += int64(len(elems))
 	}
 }
 
@@ -483,31 +396,29 @@ func (c *Coordinator[T]) validateFrames(tenant string, body []byte) (int64, erro
 // response body matches the request's wire format: JSON bodies get a
 // JSON acknowledgment, frame bodies get an ack frame counting the
 // batch's elements (engine count 0 — the fleet that would know is down).
-// Frame bodies the workers would reject are rejected here with 400; JSON
-// bodies are only checked for syntax, so a key the workers cannot parse
-// (or a NaN) is dropped at replay. An append past the journal budget
-// fails 503 exactly as an unjournaled all-owners-down ingest would.
+// Journaling skips the workers' validation, so the body is decoded here
+// with the engine's own checks (engine.DecodeKeys, engine.FrameReader):
+// a batch the fleet would reject with 400 is rejected now, not accepted
+// and then dropped at replay. An append past the journal budget fails
+// 503 exactly as an unjournaled all-owners-down ingest would.
 func (c *Coordinator[T]) journalIngest(tenant, contentType string, body []byte, w http.ResponseWriter) {
-	binary := binaryIngestBody(contentType)
-	var elems int64
-	if binary {
-		n, err := c.validateFrames(tenant, body)
-		if err != nil {
-			writeErr(w, fmt.Errorf("%w: %v", errBadGather, err))
-			return
-		}
-		elems = n
-	} else if !json.Valid(body) {
-		writeErr(w, fmt.Errorf("%w: ingest body is not valid JSON", errBadGather))
-		return
-	}
+	binary := engine.IsBinaryIngest(contentType)
 	kind := walBodyJSON
+	var elems int64
+	var err error
 	if binary {
 		kind = walBodyFrames
+		elems, err = c.countFrames(tenant, body)
+	} else {
+		_, err = engine.DecodeKeys(bytes.NewReader(body), c.opts.Parse)
+	}
+	if err != nil {
+		engine.WriteError(w, err)
+		return
 	}
 	pending, err := c.wal.Append(tenant, kind, body)
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w for tenant %q: %v", ErrNoSurvivors, tenant, err))
+		engine.WriteError(w, fmt.Errorf("%w for tenant %q: %v", ErrNoSurvivors, tenant, err))
 		return
 	}
 	w.Header().Set("X-Opaq-Journaled", "true")
@@ -518,7 +429,7 @@ func (c *Coordinator[T]) journalIngest(tenant, contentType string, body []byte, 
 		w.Write(ack)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	engine.WriteJSON(w, http.StatusAccepted, map[string]any{
 		"journaled":     true,
 		"pending_bytes": pending,
 	})
@@ -772,132 +683,64 @@ func (c *Coordinator[T]) cacheStats() map[string]any {
 	return st
 }
 
-// boundsJSON mirrors the engine handler's quantile enclosure shape.
-type boundsJSON struct {
-	Phi      float64 `json:"phi"`
-	Rank     int64   `json:"rank"`
-	Lower    string  `json:"lower"`
-	Upper    string  `json:"upper"`
-	MaxBelow int64   `json:"max_below"`
-	MaxAbove int64   `json:"max_above"`
-}
-
-func toBoundsJSON[T cmp.Ordered](b core.Bounds[T]) boundsJSON {
-	return boundsJSON{
-		Phi:      b.Phi,
-		Rank:     b.Rank,
-		Lower:    fmt.Sprint(b.Lower),
-		Upper:    fmt.Sprint(b.Upper),
-		MaxBelow: b.MaxBelow,
-		MaxAbove: b.MaxAbove,
-	}
-}
-
-func (c *Coordinator[T]) quantile(tenant string, w http.ResponseWriter, r *http.Request) {
-	phi, err := strconv.ParseFloat(r.URL.Query().Get("phi"), 64)
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: phi: %v", errBadGather, err))
-		return
-	}
-	ctx, cancel := c.reqCtx(r)
+// view answers the engine's read routes from a scatter-gather: the
+// merged summary with its histogram at Options.Buckets, a strong ETag for
+// complete gathers, the partial flag, and /summary bytes shared through
+// the gather cache.
+func (c *Coordinator[T]) view(ctx context.Context, tenant string) (engine.View[T], error) {
+	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
 	g, err := c.gather(ctx, tenant)
 	if err != nil {
-		writeErr(w, err)
-		return
+		return engine.View[T]{}, err
 	}
-	b, err := g.sum.Bounds(phi)
-	if err != nil {
-		writeErr(w, err)
-		return
+	v := engine.View[T]{Summary: g.sum, Partial: g.partial}
+	if g.sum.N() > 0 {
+		if v.Hist, err = histogram.Build(g.sum, c.buckets); err != nil {
+			return engine.View[T]{}, err
+		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"phi":       b.Phi,
-		"rank":      b.Rank,
-		"lower":     fmt.Sprint(b.Lower),
-		"upper":     fmt.Sprint(b.Upper),
-		"max_below": b.MaxBelow,
-		"max_above": b.MaxAbove,
-		"partial":   g.partial,
-	})
+	if g.key != "" {
+		// Hash the vector: the joined worker tags are unbounded and leak
+		// fleet internals; 128 bits of SHA-256 keep the strong-tag
+		// property (vector determines bytes) in a fixed-width header.
+		h := sha256.Sum256([]byte(g.key))
+		v.ETag = `"` + hex.EncodeToString(h[:16]) + `"`
+	}
+	v.Encode = func() ([]byte, error) { return c.encodeMerged(tenant, g) }
+	return v, nil
 }
 
-func (c *Coordinator[T]) quantiles(tenant string, w http.ResponseWriter, r *http.Request) {
-	q, err := strconv.Atoi(r.URL.Query().Get("q"))
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: q: %v", errBadGather, err))
-		return
+// encodeMerged serializes a gathered summary in the checksummed
+// core.SaveSummary format — the same bytes a local engine's checkpoint
+// would hold when the stream was run-aligned, which is what the
+// multi-process equivalence harness asserts. A complete gather's bytes
+// are attached to its cached merge, so repeat fetches skip the encode.
+func (c *Coordinator[T]) encodeMerged(tenant string, g *gathered[T]) ([]byte, error) {
+	if g.key != "" {
+		if _, raw, ok := c.cache.mergedFor(tenant, g.key); ok && raw != nil {
+			return raw, nil
+		}
 	}
-	if q > maxQuantiles {
-		writeErr(w, fmt.Errorf("%w: q=%d exceeds maximum %d", errBadGather, q, maxQuantiles))
-		return
+	var buf bytes.Buffer
+	if err := core.SaveSummary(&buf, g.sum, c.opts.Codec); err != nil {
+		return nil, err
 	}
-	ctx, cancel := c.reqCtx(r)
-	defer cancel()
-	g, err := c.gather(ctx, tenant)
-	if err != nil {
-		writeErr(w, err)
-		return
+	if g.key != "" {
+		c.cache.attachMergedRaw(tenant, g.sum, buf.Bytes())
 	}
-	bs, err := g.sum.Quantiles(q)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	out := make([]boundsJSON, len(bs))
-	for i, b := range bs {
-		out[i] = toBoundsJSON(b)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"quantiles": out, "partial": g.partial})
-}
-
-func (c *Coordinator[T]) selectivity(tenant string, w http.ResponseWriter, r *http.Request) {
-	a, err := c.opts.Parse(r.URL.Query().Get("a"))
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: a: %v", errBadGather, err))
-		return
-	}
-	b, err := c.opts.Parse(r.URL.Query().Get("b"))
-	if err != nil {
-		writeErr(w, fmt.Errorf("%w: b: %v", errBadGather, err))
-		return
-	}
-	ctx, cancel := c.reqCtx(r)
-	defer cancel()
-	g, err := c.gather(ctx, tenant)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	if g.sum.N() == 0 {
-		writeErr(w, core.ErrEmpty)
-		return
-	}
-	hist, err := histogram.Build(g.sum, c.buckets)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	est := hist.EstimateRange(a, b)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"a":             fmt.Sprint(a),
-		"b":             fmt.Sprint(b),
-		"selectivity":   est / float64(hist.N()),
-		"estimate":      est,
-		"max_abs_error": hist.MaxRangeError(),
-		"partial":       g.partial,
-	})
+	return buf.Bytes(), nil
 }
 
 func (c *Coordinator[T]) stats(tenant string, w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := c.reqCtx(r)
+	ctx, cancel := c.reqCtx(r.Context())
 	defer cancel()
 	g, err := c.gather(ctx, tenant)
 	if err != nil {
-		writeErr(w, err)
+		engine.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	engine.WriteJSON(w, http.StatusOK, map[string]any{
 		"n":            g.sum.N(),
 		"samples":      g.sum.SampleCount(),
 		"step":         g.sum.Step(),
@@ -909,88 +752,35 @@ func (c *Coordinator[T]) stats(tenant string, w http.ResponseWriter, r *http.Req
 	})
 }
 
-// summary serves the merged summary in the checksummed core.SaveSummary
-// format — the same bytes a local engine's checkpoint would hold when the
-// stream was run-aligned, which is what the multi-process equivalence
-// harness asserts. Degradation is flagged in the X-Opaq-Partial header
-// (the body is pure summary bytes). Non-partial answers carry a strong
-// ETag derived from the owner version vector and honor If-None-Match, so
-// downstream pollers (opaqclient.Query.Summary) get the same 304 fast
-// path the coordinator itself uses against workers.
-func (c *Coordinator[T]) summary(tenant string, w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := c.reqCtx(r)
-	defer cancel()
-	g, err := c.gather(ctx, tenant)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	var etag string
-	if g.key != "" {
-		// Hash the vector: the joined worker tags are unbounded and leak
-		// fleet internals; 128 bits of SHA-256 keep the strong-tag
-		// property (vector determines bytes) in a fixed-width header.
-		h := sha256.Sum256([]byte(g.key))
-		etag = `"` + hex.EncodeToString(h[:16]) + `"`
-		w.Header().Set("ETag", etag)
-	}
-	w.Header().Set("X-Opaq-Partial", strconv.FormatBool(g.partial))
-	if etag != "" && engine.ETagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	var raw []byte
-	if g.key != "" {
-		if _, cachedRaw, ok := c.cache.mergedFor(tenant, g.key); ok {
-			raw = cachedRaw
-		}
-	}
-	if raw == nil {
-		var buf bytes.Buffer
-		if err := core.SaveSummary(&buf, g.sum, c.opts.Codec); err != nil {
-			writeErr(w, err)
-			return
-		}
-		raw = buf.Bytes()
-		if g.key != "" {
-			c.cache.attachMergedRaw(tenant, g.sum, raw)
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
-}
-
 // adminCreate creates the tenant on every owner. A 409 from an owner
 // counts as success — creates are idempotent retried — so a half-created
 // tenant heals on retry. Any owner unreachable fails the create (a tenant
 // that silently exists on only part of its owner set would serve partial
 // answers forever).
 func (c *Coordinator[T]) adminCreate(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := c.reqCtx(r)
+	ctx, cancel := c.reqCtx(r.Context())
 	defer cancel()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeErr(w, fmt.Errorf("%w: reading body: %v", errBadGather, err))
+		engine.WriteError(w, fmt.Errorf("%w: reading body: %v", engine.ErrBadRequest, err))
 		return
 	}
 	var req struct {
 		Name string `json:"name"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, fmt.Errorf("%w: decoding body: %v", errBadGather, err))
+		engine.WriteError(w, fmt.Errorf("%w: decoding body: %v", engine.ErrBadRequest, err))
 		return
 	}
 	if !engine.ValidTenantName(req.Name) {
-		writeErr(w, fmt.Errorf("%w: %q", engine.ErrTenantName, req.Name))
+		engine.WriteError(w, fmt.Errorf("%w: %q", engine.ErrTenantName, req.Name))
 		return
 	}
 	owners := c.Owners(req.Name)
 	for _, owner := range owners {
 		resp, err := c.client.Do(ctx, http.MethodPost, owner+"/admin/tenants", "application/json", body, nil)
 		if err != nil {
-			writeErr(w, fmt.Errorf("%w: owner %s: %v", ErrNoSurvivors, owner, err))
+			engine.WriteError(w, fmt.Errorf("%w: owner %s: %v", ErrNoSurvivors, owner, err))
 			return
 		}
 		status := resp.StatusCode
@@ -1000,7 +790,7 @@ func (c *Coordinator[T]) adminCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Body.Close()
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
+	engine.WriteJSON(w, http.StatusCreated, map[string]any{
 		"tenant":  req.Name,
 		"workers": owners,
 	})
@@ -1009,7 +799,7 @@ func (c *Coordinator[T]) adminCreate(w http.ResponseWriter, r *http.Request) {
 // adminList unions every worker's tenant list, annotating each tenant
 // with its owner set; unreachable workers flag the listing partial.
 func (c *Coordinator[T]) adminList(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := c.reqCtx(r)
+	ctx, cancel := c.reqCtx(r.Context())
 	defer cancel()
 	type workerList struct {
 		tenants []string
@@ -1066,22 +856,21 @@ func (c *Coordinator[T]) adminList(w http.ResponseWriter, r *http.Request) {
 		out = append(out, entry{Name: n, Owners: c.Owners(n)})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	writeJSON(w, http.StatusOK, map[string]any{"tenants": out, "partial": partial})
+	engine.WriteJSON(w, http.StatusOK, map[string]any{"tenants": out, "partial": partial})
 }
 
 // adminDelete removes the tenant from every worker (not just current
 // owners, so a fleet whose ring changed across restarts still cleans up).
 // Unreachable workers fail the delete — a half-deleted tenant would
 // resurrect from the missed worker's checkpoint.
-func (c *Coordinator[T]) adminDelete(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := c.reqCtx(r)
+func (c *Coordinator[T]) adminDelete(tenant string, w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := c.reqCtx(r.Context())
 	defer cancel()
-	tenant := r.PathValue("tenant")
 	found := false
 	for _, worker := range c.ring.Workers() {
 		resp, err := c.client.Do(ctx, http.MethodDelete, worker+"/admin/tenants/"+tenant, "", nil, nil)
 		if err != nil {
-			writeErr(w, fmt.Errorf("%w: worker %s: %v", ErrNoSurvivors, worker, err))
+			engine.WriteError(w, fmt.Errorf("%w: worker %s: %v", ErrNoSurvivors, worker, err))
 			return
 		}
 		status := resp.StatusCode
@@ -1091,7 +880,7 @@ func (c *Coordinator[T]) adminDelete(w http.ResponseWriter, r *http.Request) {
 			found = true
 		case status == http.StatusNotFound:
 		default:
-			writeErr(w, fmt.Errorf("%w: worker %s status %d", errBadWorker, worker, status))
+			engine.WriteError(w, fmt.Errorf("%w: worker %s status %d", errBadWorker, worker, status))
 			return
 		}
 	}
@@ -1102,10 +891,10 @@ func (c *Coordinator[T]) adminDelete(w http.ResponseWriter, r *http.Request) {
 		c.wal.DropTenant(tenant)
 	}
 	if !found {
-		writeErr(w, fmt.Errorf("%w: %q", engine.ErrUnknownTenant, tenant))
+		engine.WriteError(w, fmt.Errorf("%w: %q", engine.ErrUnknownTenant, tenant))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": tenant})
+	engine.WriteJSON(w, http.StatusOK, map[string]string{"deleted": tenant})
 }
 
 // healthz aggregates worker health: the coordinator answers 200 whenever
@@ -1114,7 +903,7 @@ func (c *Coordinator[T]) adminDelete(w http.ResponseWriter, r *http.Request) {
 // on both sides, and the gather-cache counters so a cold fast path is
 // diagnosable in one round trip.
 func (c *Coordinator[T]) healthz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := c.reqCtx(r)
+	ctx, cancel := c.reqCtx(r.Context())
 	defer cancel()
 	workers := c.ring.Workers()
 	type health struct {
@@ -1155,7 +944,7 @@ func (c *Coordinator[T]) healthz(w http.ResponseWriter, r *http.Request) {
 		}
 		out[worker] = healths[i].body
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	engine.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":       status,
 		"build":        engine.BuildInfo(),
 		"workers":      out,

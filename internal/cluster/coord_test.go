@@ -338,6 +338,16 @@ func TestCoordinatorAdmin(t *testing.T) {
 		}
 	}
 
+	// An escaped '?' must not reach the worker URL as a query string,
+	// where it would delete "alpha": invalid names answer 400 and delete
+	// nothing.
+	if status, _ := doJSON(t, h, http.MethodDelete, "/admin/tenants/alpha%3Fx", nil); status != http.StatusBadRequest {
+		t.Fatalf("delete of an invalid name: status %d, want 400", status)
+	}
+	if status, out := doJSON(t, h, http.MethodGet, "/admin/tenants", nil); status != http.StatusOK ||
+		len(out["tenants"].([]any)) != 4 {
+		t.Fatalf("list after the invalid delete: %v", out)
+	}
 	if status, _ := doJSON(t, h, http.MethodDelete, "/admin/tenants/alpha", nil); status != http.StatusOK {
 		t.Fatalf("delete status %d", status)
 	}
@@ -347,5 +357,51 @@ func TestCoordinatorAdmin(t *testing.T) {
 	if status, out := doJSON(t, h, http.MethodGet, "/admin/tenants", nil); status != http.StatusOK ||
 		len(out["tenants"].([]any)) != 3 {
 		t.Fatalf("list after delete: %v", out)
+	}
+}
+
+// TestCoordinatorMatchesWorkerSurface sends one table of reads, malformed
+// ones included, to a worker's registry handler and to a spread-1
+// coordinator in front of it: both tiers serve the same read routes, so
+// every status must match, and every 200 body must be byte-identical.
+func TestCoordinatorMatchesWorkerSurface(t *testing.T) {
+	w := newTestWorker(t)
+	worker := engine.NewRegistryHandler(w.reg, engine.Int64Key, engine.HandlerOptions{})
+	coord := testCoordinator(t, 1, w).Handler()
+	for _, name := range []string{"data", "empty"} {
+		if status, out := doJSON(t, coord, http.MethodPost, "/admin/tenants",
+			[]byte(fmt.Sprintf(`{"name":%q}`, name))); status != http.StatusCreated {
+			t.Fatalf("create %s: status %d %v", name, status, out)
+		}
+	}
+	var next int64 = 1
+	ingestJSON(t, coord, "data", runAlignedBatch(512, 3, &next))
+
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/t/data/quantile?phi=abc", http.StatusBadRequest},
+		{"/t/data/quantile?phi=1.5", http.StatusBadRequest},
+		{"/t/data/quantiles?q=x", http.StatusBadRequest},
+		{"/t/data/quantiles?q=4097", http.StatusBadRequest},
+		{"/t/data/selectivity?a=1&b=zzz", http.StatusBadRequest},
+		{"/t/-bad/quantile?phi=0.5", http.StatusBadRequest},
+		{"/t/nosuch/quantile?phi=0.5", http.StatusNotFound},
+		{"/t/empty/quantile?phi=0.5", http.StatusConflict},
+		{"/t/empty/selectivity?a=1&b=2", http.StatusConflict},
+		{"/t/data/quantile?phi=0.5", http.StatusOK},
+		{"/t/data/quantiles?q=10", http.StatusOK},
+		{"/t/data/selectivity?a=1000000&b=400000000000", http.StatusOK},
+	} {
+		fromWorker := doRaw(t, worker, http.MethodGet, c.path, "", nil)
+		fromCoord := doRaw(t, coord, http.MethodGet, c.path, "", nil)
+		if fromWorker.status != c.want || fromCoord.status != c.want {
+			t.Errorf("%s: worker %d, coordinator %d, want %d", c.path, fromWorker.status, fromCoord.status, c.want)
+			continue
+		}
+		if c.want == http.StatusOK && !bytes.Equal(fromWorker.body.Bytes(), fromCoord.body.Bytes()) {
+			t.Errorf("%s: bodies differ:\nworker      %s\ncoordinator %s", c.path, fromWorker.body.Bytes(), fromCoord.body.Bytes())
+		}
 	}
 }

@@ -328,16 +328,20 @@ func TestIngestJournalRejectsInvalidBodies(t *testing.T) {
 	t.Cleanup(dead.Close)
 	h := dead.Handler()
 
-	rec := doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/json", []byte(`{"keys":[1,`))
-	if rec.status != http.StatusBadRequest {
-		t.Fatalf("malformed JSON journaled: status %d", rec.status)
+	// Malformed JSON, a key the int64 fleet cannot parse, and a body that
+	// is valid JSON but not an ingest object.
+	for _, body := range []string{`{"keys":[1,`, `{"keys":["abc"]}`, `[1,2]`} {
+		rec := doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/json", []byte(body))
+		if rec.status != http.StatusBadRequest {
+			t.Fatalf("invalid JSON body %s journaled: status %d", body, rec.status)
+		}
 	}
 	frame, err := runio.AppendDataFrame(nil, runio.Int64Codec{}, "", []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame[len(frame)-1] ^= 0xff // break the payload CRC
-	rec = doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/octet-stream", frame)
+	rec := doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/octet-stream", frame)
 	if rec.status != http.StatusBadRequest {
 		t.Fatalf("corrupt frame journaled: status %d", rec.status)
 	}
@@ -381,7 +385,11 @@ func TestIngestJournalRejectsNaNFrames(t *testing.T) {
 	if rec.status != http.StatusBadRequest {
 		t.Fatalf("NaN frame journaled: status %d", rec.status)
 	}
+	rec = doRaw(t, h, http.MethodPost, "/t/x/ingest", "application/json", []byte(`{"keys":["NaN"]}`))
+	if rec.status != http.StatusBadRequest {
+		t.Fatalf("NaN JSON key journaled: status %d", rec.status)
+	}
 	if st := dead.wal.Stats(); st.Appends != 0 {
-		t.Fatalf("a NaN frame reached the journal: %+v", st)
+		t.Fatalf("a NaN key reached the journal: %+v", st)
 	}
 }

@@ -28,10 +28,9 @@ import (
 // wireBuffers is the per-request scratch of one binary ingest: pooled on
 // the handler so the steady state reuses one payload buffer, one decoded
 // batch and one response buffer — zero allocations per element.
-type wireBuffers[T any] struct {
-	payload []byte
-	elems   []T
-	resp    []byte
+type wireBuffers[T cmp.Ordered] struct {
+	frames FrameReader[T]
+	resp   []byte
 }
 
 func (h *handler[T]) getBufs() *wireBuffers[T] {
@@ -41,13 +40,58 @@ func (h *handler[T]) getBufs() *wireBuffers[T] {
 	return &wireBuffers[T]{}
 }
 
-// isBinaryIngest reports whether the request carries ingest frames.
-func isBinaryIngest(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
+// IsBinaryIngest reports whether an ingest body of this Content-Type
+// carries runio frames rather than JSON.
+func IsBinaryIngest(contentType string) bool {
+	if i := strings.IndexByte(contentType, ';'); i >= 0 {
+		contentType = contentType[:i]
 	}
-	return strings.TrimSpace(ct) == "application/octet-stream"
+	return strings.TrimSpace(contentType) == "application/octet-stream"
+}
+
+// FrameReader walks the data frames of a binary ingest body, enforcing
+// everything an engine checks before it ingests: framing and checksums,
+// data frames only, the codec's kind, a frame tenant (when set) naming
+// the route's tenant, and no NaN key. Its buffers are reused across
+// frames and bodies, so the walk allocates nothing per element.
+type FrameReader[T cmp.Ordered] struct {
+	payload []byte
+	elems   []T
+}
+
+// Next reads one frame from rd and returns its elements, valid until the
+// next call. io.EOF marks the clean end of the body; any other error is
+// the protocol violation that ends it.
+func (f *FrameReader[T]) Next(rd io.Reader, codec runio.Codec[T], route string) ([]T, error) {
+	fh, err := runio.ReadFrameHeader(rd, 0)
+	if err != nil {
+		return nil, err
+	}
+	if fh.Type != runio.FrameData {
+		return nil, fmt.Errorf("frame type %d: only data frames ingest", fh.Type)
+	}
+	if fh.Kind != codec.Kind() {
+		return nil, fmt.Errorf("codec kind %d, engine speaks %d", fh.Kind, codec.Kind())
+	}
+	if f.payload, err = runio.ReadFramePayload(rd, fh, f.payload); err != nil {
+		return nil, err
+	}
+	tenant, elemBytes, err := runio.SplitDataPayload(f.payload, codec.Size())
+	if err != nil {
+		return nil, err
+	}
+	if tenant != "" && tenant != route {
+		return nil, fmt.Errorf("frame tenant %q on route tenant %q", tenant, route)
+	}
+	if f.elems, err = runio.DecodeFrameElems(codec, elemBytes, f.elems[:0]); err != nil {
+		return nil, err
+	}
+	for i, v := range f.elems {
+		if v != v {
+			return nil, fmt.Errorf("%w: element %d of a frame", core.ErrNaN, i)
+		}
+	}
+	return f.elems, nil
 }
 
 // shedNow applies rotate-then-check backpressure against bound: a backlog
@@ -74,7 +118,7 @@ func retrySeconds[T cmp.Ordered](eng *Engine[T], explicit time.Duration) uint32 
 // ingestBinary handles one application/octet-stream ingest request.
 func (h *handler[T]) ingestBinary(eng *Engine[T], w http.ResponseWriter, r *http.Request) {
 	if h.codec == nil {
-		writeJSON(w, http.StatusUnsupportedMediaType, map[string]string{
+		WriteJSON(w, http.StatusUnsupportedMediaType, map[string]string{
 			"error": "binary ingest not enabled: handler has no codec",
 		})
 		return
@@ -99,41 +143,14 @@ func (h *handler[T]) ingestBinary(eng *Engine[T], w http.ResponseWriter, r *http
 	status := http.StatusOK
 	var nackRetry uint32
 	var nackMsg string
-
-frames:
 	for {
-		fh, err := runio.ReadFrameHeader(r.Body, 0)
+		elems, err := bufs.frames.Next(r.Body, h.codec, route)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			status, nackMsg = http.StatusBadRequest, err.Error()
-			break
-		}
-		if fh.Type != runio.FrameData {
-			status, nackMsg = http.StatusBadRequest, fmt.Sprintf("frame type %d: only data frames ingest", fh.Type)
-			break
-		}
-		if fh.Kind != h.codec.Kind() {
-			status, nackMsg = http.StatusBadRequest, fmt.Sprintf("codec kind %d, engine speaks %d", fh.Kind, h.codec.Kind())
-			break
-		}
-		bufs.payload, err = runio.ReadFramePayload(r.Body, fh, bufs.payload)
-		if err != nil {
-			status, nackMsg = http.StatusBadRequest, err.Error()
-			break
-		}
-		tenant, elemBytes, err := runio.SplitDataPayload(bufs.payload, h.codec.Size())
-		if err != nil {
-			status, nackMsg = http.StatusBadRequest, err.Error()
-			break
-		}
-		if tenant != "" && tenant != route {
-			status, nackMsg = http.StatusBadRequest, fmt.Sprintf("frame tenant %q on route tenant %q", tenant, route)
-			break
-		}
-		bufs.elems, err = runio.DecodeFrameElems(h.codec, elemBytes, bufs.elems[:0])
-		if err != nil {
+			// A frame with a NaN key is rejected whole; earlier frames stay
+			// acked.
 			status, nackMsg = http.StatusBadRequest, err.Error()
 			break
 		}
@@ -141,7 +158,7 @@ frames:
 		// an exact ack for what landed instead of rejecting wholesale.
 		shed, err := shedNow(eng, h.opts.MaxPendingBytes)
 		if err != nil {
-			writeErr(w, err)
+			WriteError(w, err)
 			return
 		}
 		if shed {
@@ -150,22 +167,17 @@ frames:
 			nackMsg = "ingest backpressure: unsealed bytes over bound"
 			break
 		}
-		if err := eng.IngestBatch(bufs.elems); err != nil {
-			switch {
-			case errors.Is(err, ErrBacklogged):
-				status = http.StatusTooManyRequests
-				nackRetry = retrySeconds(eng, h.opts.RetryAfter)
-				nackMsg = err.Error()
-				break frames
-			case errors.Is(err, core.ErrNaN):
-				// The frame was rejected whole; earlier frames stay acked.
-				status, nackMsg = http.StatusBadRequest, err.Error()
-				break frames
+		if err := eng.IngestBatch(elems); err != nil {
+			if !errors.Is(err, ErrBacklogged) {
+				WriteError(w, err)
+				return
 			}
-			writeErr(w, err)
-			return
+			status = http.StatusTooManyRequests
+			nackRetry = retrySeconds(eng, h.opts.RetryAfter)
+			nackMsg = err.Error()
+			break
 		}
-		ingested += int64(len(bufs.elems))
+		ingested += int64(len(elems))
 	}
 
 	bufs.resp = runio.AppendAckFrame(bufs.resp[:0], uint32(ingested), eng.N())

@@ -173,7 +173,8 @@ type Stats struct {
 	Merges         int64
 	PrefixHits     int64
 	PrefixRebuilds int64
-	// Queries is the number of snapshot-backed queries served.
+	// Queries is the number of snapshot-backed queries served, HTTP
+	// summary fetches included.
 	Queries int64
 	// SnapshotN, SnapshotSamples and SnapshotErrorBound describe the
 	// cached snapshot (zero when none has been cut yet).

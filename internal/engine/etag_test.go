@@ -154,8 +154,8 @@ func TestEtagMatch(t *testing.T) {
 		{`"abc.1`, false}, // unterminated quote is not our tag
 	}
 	for _, c := range cases {
-		if got := ETagMatch(c.header, tag); got != c.want {
-			t.Errorf("ETagMatch(%q) = %v, want %v", c.header, got, c.want)
+		if got := etagMatch(c.header, tag); got != c.want {
+			t.Errorf("etagMatch(%q) = %v, want %v", c.header, got, c.want)
 		}
 	}
 }

@@ -390,6 +390,18 @@ func TestFloat64JSONIngestRejectsNaN(t *testing.T) {
 	}
 }
 
+// TestFloat64SelectivityRejectsNaN: a NaN range bound is not a key, so
+// the selectivity route answers 400 instead of estimating from it.
+func TestFloat64SelectivityRejectsNaN(t *testing.T) {
+	e, srv := newFloat64Server(t)
+	if err := e.IngestBatch([]float64{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	getJSON(t, srv.URL+"/selectivity?a=1&b=100", http.StatusOK)
+	getJSON(t, srv.URL+"/selectivity?a=NaN&b=100", http.StatusBadRequest)
+	getJSON(t, srv.URL+"/selectivity?a=1&b=NaN", http.StatusBadRequest)
+}
+
 // TestFloat64BinaryIngestRejectsNaN: a binary frame holding a NaN is
 // nacked with 400 and not ingested; in a multi-frame body the frames
 // before it stay acked.
