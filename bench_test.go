@@ -167,9 +167,10 @@ func BenchmarkRankBounds(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildSharded measures the sharded engine (real transport) over
-// fixed total data as the shard count grows; per-shard Workers is pinned
-// to 1 so the subject is sharding itself.
+// BenchmarkBuildSharded measures the sharded build (one goroutine per
+// shard, then one k-way merge of the shard summaries) over fixed total
+// data as the shard count grows; per-shard Workers is pinned to 1 so the
+// subject is sharding itself.
 func BenchmarkBuildSharded(b *testing.B) {
 	const n, runLen = 2_000_000, 1 << 16
 	gen := datagen.NewUniform(3, 1<<62)
@@ -191,7 +192,7 @@ func BenchmarkBuildSharded(b *testing.B) {
 			b.SetBytes(n * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := opaq.BuildSharded(datasets, cfg, opaq.ShardOptions{Merge: opaq.SampleMerge}); err != nil {
+				if _, err := opaq.BuildSharded(datasets, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

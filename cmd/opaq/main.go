@@ -19,9 +19,9 @@
 //	opaq coord     -addr :8080 -workers http://h1:9001,http://h2:9001 -spread 2
 //
 // Every subcommand performs the minimum number of passes: quantiles,
-// rank and histogram one pass; exact two; sort three. -shards N routes the
-// build through the sharded engine (N concurrent shards, PSRS-style sample
-// merge); the summary is bit-identical to the single-shard build.
+// rank and histogram one pass; exact two; sort three. -shards N splits the
+// build into N run-aligned shards of the file, built concurrently and
+// merged in one k-way pass; the summary is bit-identical for every N.
 //
 // serve runs the live quantile service: POST /ingest streams keys in;
 // GET /quantile, /quantiles, /selectivity and /stats answer from
@@ -128,10 +128,9 @@ func sampleFlags(fs *flag.FlagSet) sampleArgs {
 	}
 }
 
-// build produces the summary: sequentially for -shards 1, through the
-// sharded engine otherwise (the file is split into run-aligned sections
-// scanned concurrently — no materialization). Either way the summary bytes
-// are identical.
+// build produces the summary through the sharded build: the file is split
+// into -shards run-aligned sections scanned concurrently (no
+// materialization), so the summary bytes are the same for every count.
 func (a sampleArgs) build() (opaq.Dataset[int64], *opaq.Summary[int64], error) {
 	if *a.in == "" {
 		return nil, nil, fmt.Errorf("missing -in")
@@ -141,21 +140,17 @@ func (a sampleArgs) build() (opaq.Dataset[int64], *opaq.Summary[int64], error) {
 		return nil, nil, err
 	}
 	cfg := opaq.Config{RunLen: *a.m, SampleSize: *a.s, Workers: *a.w}
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	if *a.shards < 1 {
 		return nil, nil, fmt.Errorf("-shards must be ≥ 1, got %d", *a.shards)
-	}
-	if *a.shards == 1 {
-		sum, err := opaq.BuildFromDataset(ds, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ds, sum, nil
 	}
 	sections, err := opaq.ShardFile(*a.in, opaq.Int64Codec{}, *a.shards, *a.m)
 	if err != nil {
 		return nil, nil, err
 	}
-	sum, err := opaq.BuildSharded(sections, cfg, opaq.ShardOptions{Merge: opaq.SampleMerge})
+	sum, err := opaq.BuildSharded(sections, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

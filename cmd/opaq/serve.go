@@ -157,14 +157,20 @@ func cmdServe(args []string) error {
 		}
 	}
 	if *load != "" {
-		sections, err := opaq.ShardFile(*load, opaq.Int64Codec{}, *shards, *m)
-		if err != nil {
-			return fmt.Errorf("bulk load %s: %w", *load, err)
+		// Like -restore, a bulk load lands as its own epoch: on a warm
+		// reboot the checkpoint already holds it.
+		if warmDefault {
+			fmt.Printf("opaq: skipping -load %s: default tenant already warm from %s\n", *load, *checkpointDir)
+		} else {
+			sections, err := opaq.ShardFile(*load, opaq.Int64Codec{}, *shards, *m)
+			if err != nil {
+				return fmt.Errorf("bulk load %s: %w", *load, err)
+			}
+			if err := eng.BulkLoad(sections); err != nil {
+				return fmt.Errorf("bulk load %s: %w", *load, err)
+			}
+			fmt.Printf("opaq: bulk-loaded %s (%d shards, n=%d)\n", *load, *shards, eng.N())
 		}
-		if err := eng.BulkLoad(sections, opaq.ShardOptions{Merge: opaq.SampleMerge}); err != nil {
-			return fmt.Errorf("bulk load %s: %w", *load, err)
-		}
-		fmt.Printf("opaq: bulk-loaded %s (%d shards, n=%d)\n", *load, *shards, eng.N())
 	}
 
 	ln, err := net.Listen("tcp", *addr)

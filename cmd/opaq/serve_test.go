@@ -327,9 +327,10 @@ func TestCmdServeFlagValidation(t *testing.T) {
 }
 
 // TestCmdServeRestoreSkippedWhenWarm pins the seed-vs-warm-boot rule: a
-// -restore seed lands as its own epoch, so re-applying it on top of a
-// default tenant already restored from -checkpoint-dir would double the
-// history on every reboot. The warm state must win.
+// -restore seed and a -load bulk load each land as their own epoch, so
+// re-applying them on top of a default tenant already restored from
+// -checkpoint-dir would double the history on every reboot. The warm
+// state must win.
 func TestCmdServeRestoreSkippedWhenWarm(t *testing.T) {
 	dir := t.TempDir()
 	seed := filepath.Join(dir, "seed.sum")
@@ -345,6 +346,7 @@ func TestCmdServeRestoreSkippedWhenWarm(t *testing.T) {
 	if err := src.CheckpointFile(seed, opaq.Int64Codec{}); err != nil {
 		t.Fatal(err)
 	}
+	load := genFile(t, "uniform", 2048)
 	ckptDir := filepath.Join(dir, "tenants")
 
 	defaultN := func(base string) float64 {
@@ -369,7 +371,7 @@ func TestCmdServeRestoreSkippedWhenWarm(t *testing.T) {
 		go func() {
 			done <- cmdServe([]string{
 				"-addr", addr, "-m", "512", "-s", "64",
-				"-restore", seed, "-checkpoint-dir", ckptDir,
+				"-restore", seed, "-load", load, "-checkpoint-dir", ckptDir,
 			})
 		}()
 		base := "http://" + addr
@@ -402,9 +404,9 @@ func TestCmdServeRestoreSkippedWhenWarm(t *testing.T) {
 			t.Fatal("serve did not shut down")
 		}
 	}
-	cycle(1000) // cold boot: seed restored
-	cycle(1000) // warm boot: seed skipped, not layered on the checkpoint
-	cycle(1000) // and stays stable across further reboots
+	cycle(3048) // cold boot: seed restored, file bulk-loaded
+	cycle(3048) // warm boot: both skipped, not layered on the checkpoint
+	cycle(3048) // and stays stable across further reboots
 }
 
 // TestCmdServeMultiTenant pins the multi-tenant acceptance criterion end

@@ -1,11 +1,10 @@
-// Sharded: build one quantile summary from many shards concurrently with
-// the real (non-simulated) sharded engine — the paper's Section 3 parallel
-// formulation running on goroutines and channels instead of a modeled
-// IBM SP-2. Each shard runs the full local sample phase; the per-shard
-// sample lists are merged globally by PSRS-style splitter merging (or a
-// bitonic network for power-of-two shard counts); and the result is
-// bit-identical to a sequential build over all the data — which this
-// program verifies, along with the wall-clock speedup.
+// Sharded: build one quantile summary from many shards concurrently. Each
+// shard runs the full local sample phase in its own goroutine; the shard
+// summaries are merged in one k-way pass; and the result is bit-identical
+// to a sequential build over all the data — which this program verifies,
+// along with the wall-clock speedup. (The paper's Section 3 bitonic and
+// sample merges, which move the lists between processors, run on the
+// simulated machine: see examples/parallel.)
 //
 // Run with: go run ./examples/sharded
 package main
@@ -49,7 +48,7 @@ func main() {
 			datasets[i] = opaq.NewMemoryDataset(p, 8)
 		}
 		start = time.Now()
-		sum, err := opaq.BuildSharded(datasets, cfg, opaq.ShardOptions{Merge: opaq.SampleMerge})
+		sum, err := opaq.BuildSharded(datasets, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,8 +59,8 @@ func main() {
 	}
 
 	// The summary serves quantiles exactly like a sequential one.
-	fmt.Println("\ndectile bounds from the sharded summary (8 shards, bitonic merge):")
-	sum, err := opaq.BuildShardedFromSlice(xs, cfg, opaq.ShardOptions{Shards: 8, Merge: opaq.BitonicMerge})
+	fmt.Println("\ndectile bounds from the sharded summary (8 shards):")
+	sum, err := opaq.BuildShardedFromSlice(xs, cfg, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type testWorker struct {
 
 func testWorkerDefaults() engine.Options {
 	return engine.Options{
-		Config:  core.Config{RunLen: 512, SampleSize: 64, Seed: 1},
+		Config:  core.Config{RunLen: 512, SampleSize: 64},
 		Stripes: 2,
 	}
 }

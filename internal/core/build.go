@@ -27,9 +27,9 @@ import (
 // cores. This realizes the paper's Section 4 future work ("we can
 // significantly reduce the total execution time by overlapping the I/O and
 // the computation"). A run's samples are exact order statistics of that
-// run alone (a string run seeds its RNG from cfg.Seed and the run index),
-// so the resulting Summary is bit-identical for any worker count,
-// including the sequential Workers == 1 path.
+// run alone (a string run seeds its RNG from the run index), so the
+// resulting Summary is bit-identical for any worker count, including the
+// sequential Workers == 1 path.
 //
 // Runs shorter than cfg.RunLen are handled exactly: a short run of length
 // m' contributes ⌊m'·s/m⌋ sample points at the same sub-run spacing, and
@@ -73,14 +73,14 @@ type runStats[T cmp.Ordered] struct {
 	min, max T
 }
 
-// runSeed derives the selection RNG seed for the run with 0-based index idx
-// from the configured seed, via one splitmix64 round so consecutive indices
-// yield uncorrelated streams. Giving each run its own seed — rather than
-// threading one RNG through the scan — keeps the randomness a
-// multi-selected run sees independent of how many runs were processed
-// before it, or by which worker.
-func runSeed(seed, idx int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(idx)+1)
+// runSeed derives the selection RNG seed for the run with 0-based index
+// idx, via one splitmix64 round so consecutive indices yield uncorrelated
+// streams. Giving each run its own seed — rather than threading one RNG
+// through the scan — keeps the randomness a multi-selected run sees
+// independent of how many runs were processed before it, or by which
+// worker.
+func runSeed(idx int64) int64 {
+	z := 0x9e3779b97f4a7c15 * (uint64(idx) + 1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
@@ -89,7 +89,7 @@ func runSeed(seed, idx int64) int64 {
 // sampleRun performs the per-run work of the sample phase: an exact min/max
 // scan that also rejects NaN, then the regular samples at ranks k·step−1.
 // run must be non-empty and is reordered in place.
-func sampleRun[T cmp.Ordered](run []T, idx int64, step int, seed int64) (runStats[T], error) {
+func sampleRun[T cmp.Ordered](run []T, idx int64, step int) (runStats[T], error) {
 	rs := runStats[T]{idx: idx, n: int64(len(run)), min: run[0], max: run[0]}
 	for i, v := range run {
 		if v != v {
@@ -100,7 +100,7 @@ func sampleRun[T cmp.Ordered](run []T, idx int64, step int, seed int64) (runStat
 	}
 	si := len(run) / step // samples this run contributes
 	rs.leftover = int64(len(run) - si*step)
-	samples, err := selection.SampleRun(run, step, runSeed(seed, idx))
+	samples, err := selection.SampleRun(run, step, runSeed(idx))
 	if err != nil {
 		return rs, fmt.Errorf("core: sample phase select: %w", err)
 	}
@@ -126,7 +126,7 @@ func collectSequential[T cmp.Ordered](rr runio.RunReader[T], cfg Config) ([]runS
 		if len(run) == 0 {
 			continue
 		}
-		rs, err := sampleRun(run, idx, cfg.Step(), cfg.Seed)
+		rs, err := sampleRun(run, idx, cfg.Step())
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +194,7 @@ func collectConcurrent[T cmp.Ordered](rr runio.RunReader[T], cfg Config, workers
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				rs, err := sampleRun(j.run, j.idx, cfg.Step(), cfg.Seed)
+				rs, err := sampleRun(j.run, j.idx, cfg.Step())
 				select {
 				case results <- result{rs: rs, err: err}:
 				case <-quit:

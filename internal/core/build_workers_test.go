@@ -49,7 +49,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 		"selfsimilar": datagen.Generate(selfSim, 60_000),
 		"ragged":      datagen.Generate(datagen.NewUniform(13, 1<<30), 60_000-4_321),
 	}
-	cfg := Config{RunLen: 4096, SampleSize: 256, Seed: 42}
+	cfg := Config{RunLen: 4096, SampleSize: 256}
 	for name, xs := range datasets {
 		t.Run(name, func(t *testing.T) {
 			want := buildWith(t, xs, cfg, 1).Parts()
@@ -63,36 +63,12 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministicAcrossSeeds re-checks that the concurrent path, like
-// the sequential one, returns exact order statistics: different seeds give
-// the same summary at every worker count.
-func TestBuildDeterministicAcrossSeeds(t *testing.T) {
-	xs := datagen.Generate(datagen.NewUniform(3, 1<<35), 30_000)
-	cfg := Config{RunLen: 3000, SampleSize: 100}
-	var want SummaryParts[int64]
-	first := true
-	for _, seed := range []int64{0, 1, -99, 1 << 40} {
-		for _, w := range workerMatrix() {
-			c := cfg
-			c.Seed = seed
-			got := buildWith(t, xs, c, w).Parts()
-			if first {
-				want, first = got, false
-				continue
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("seed=%d workers=%d: summary diverged", seed, w)
-			}
-		}
-	}
-}
-
 // TestStreamBuilderMatchesConcurrentBuild pins the cross-path guarantee:
 // push-based streaming, sequential pull, and the concurrent pipeline all
 // produce the same bits.
 func TestStreamBuilderMatchesConcurrentBuild(t *testing.T) {
 	xs := datagen.Generate(datagen.NewUniform(7, 1<<30), 25_000) // ragged tail
-	cfg := Config{RunLen: 2048, SampleSize: 128, Seed: 5}
+	cfg := Config{RunLen: 2048, SampleSize: 128}
 	sb, err := NewStreamBuilder[int64](cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +138,7 @@ func TestBuildConcurrentEmpty(t *testing.T) {
 // a reader the caller already prefetches.
 func TestBuildConcurrentPrewrappedPrefetch(t *testing.T) {
 	xs := datagen.Generate(datagen.NewUniform(21, 1<<30), 20_000)
-	cfg := Config{RunLen: 1024, SampleSize: 64, Seed: 9, Workers: 4}
+	cfg := Config{RunLen: 1024, SampleSize: 64, Workers: 4}
 	ds := runio.NewMemoryDataset(xs, 8)
 	rr, err := ds.Runs(cfg.RunLen)
 	if err != nil {

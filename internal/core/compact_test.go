@@ -137,7 +137,7 @@ func summaryBytes(t testing.TB, s *Summary[int64]) []byte {
 // merge of the compacted set is byte-identical to the merge of the
 // original set, and the returned spans mirror PlanBuddies.
 func TestCompactSummariesEquivalence(t *testing.T) {
-	cfg := Config{RunLen: 64, SampleSize: 8, Seed: 3}
+	cfg := Config{RunLen: 64, SampleSize: 8}
 	rng := rand.New(rand.NewSource(9))
 	xs := make([]int64, 4000)
 	for i := range xs {
@@ -182,7 +182,7 @@ func TestCompactSummariesEquivalence(t *testing.T) {
 // yields a byte-identical summary. testing/quick drives the dataset, the
 // chunking and the bracketing.
 func TestMergeAllAssociativityQuick(t *testing.T) {
-	cfg := Config{RunLen: 32, SampleSize: 4, Seed: 11}
+	cfg := Config{RunLen: 32, SampleSize: 4}
 	prop := func(raw []int16, chunksRaw uint8, bracketSeed int64) bool {
 		xs := make([]int64, len(raw)+32) // ≥ one run even for tiny raw
 		for i, v := range raw {

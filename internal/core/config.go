@@ -58,12 +58,6 @@ type Config struct {
 	// positive. For estimating q quantiles with good bounds the paper
 	// recommends s ≥ 2q.
 	SampleSize int
-	// Seed drives the randomized multi-selection that samples runs of
-	// string keys; each such run derives its own RNG from (Seed, run
-	// index). The samples are exact order statistics whatever the seed, so
-	// it only changes how string runs are reordered in memory, never the
-	// summary. Numeric runs are always radix-sorted and ignore it.
-	Seed int64
 	// Workers bounds the concurrency of the sample phase. 0 (the default)
 	// uses runtime.GOMAXPROCS(0); 1 forces the plain sequential scan; any
 	// larger value runs a prefetching producer feeding that many sampling

@@ -15,7 +15,7 @@ import (
 // sealed pieces back with the final Summary is byte-identical to never
 // sealing — the partial run stays buffered, so no run is ever split.
 func TestSealPreservesRunComposition(t *testing.T) {
-	cfg := Config{RunLen: 64, SampleSize: 8, Seed: 3}
+	cfg := Config{RunLen: 64, SampleSize: 8}
 	rng := rand.New(rand.NewSource(9))
 	xs := make([]int64, 64*7+37) // ragged tail on purpose
 	for i := range xs {
@@ -124,7 +124,7 @@ func TestSealEmpty(t *testing.T) {
 // TestMergeAll checks MergeAll against the pairwise fold and its error
 // cases.
 func TestMergeAll(t *testing.T) {
-	cfg := Config{RunLen: 32, SampleSize: 4, Seed: 1}
+	cfg := Config{RunLen: 32, SampleSize: 4}
 	rng := rand.New(rand.NewSource(2))
 	var sums []*Summary[int64]
 	for k := 0; k < 5; k++ {

@@ -66,8 +66,9 @@ func NewSummary[T cmp.Ordered](parts SummaryParts[T]) (*Summary[T], error) {
 // (counts, extrema, step) and globalSamples is the globally merged sorted
 // sample list. The aggregation is the paper's Section 3 quantile phase
 // setup — the global summary behaves exactly like a sequential one with
-// r·p total runs — and is shared by both the simulated machine
-// (parallel.Run) and the real sharded engine (parallel.BuildSharded).
+// r·p total runs. The simulated machine (parallel.Run) calls it after its
+// distributed global merge; in one process, MergeAll over the shard
+// summaries computes the same Summary.
 //
 // globalSamples may carry trailing padding introduced by the bitonic
 // network (pads equal the globally largest sample, so they sort to the

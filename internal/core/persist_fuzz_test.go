@@ -25,7 +25,7 @@ func FuzzLoadSummary(f *testing.F) {
 	for i := range xs {
 		xs[i] = rng.Int63n(1 << 48)
 	}
-	sum, err := BuildFromSlice(xs, Config{RunLen: 256, SampleSize: 32, Seed: 7})
+	sum, err := BuildFromSlice(xs, Config{RunLen: 256, SampleSize: 32})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // stream, mimicking the engine's epoch ring (ragged sizes included).
 func buildStreamSummaries(t *testing.T, n int, seed int64) []*Summary[int64] {
 	t.Helper()
-	cfg := Config{RunLen: 64, SampleSize: 8, Seed: seed}
+	cfg := Config{RunLen: 64, SampleSize: 8}
 	sb, err := NewStreamBuilder[int64](cfg)
 	if err != nil {
 		t.Fatal(err)

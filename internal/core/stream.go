@@ -16,7 +16,7 @@ import (
 // Internally it buffers up to RunLen elements; each full buffer becomes
 // one run and is sampled exactly as the pull-based sample phase would —
 // with selection.SampleRun, and a string run i seeds its RNG from the
-// same (Seed, i) derivation Build uses — so Summary() is bit-identical
+// same run-index derivation Build uses — so Summary() is bit-identical
 // to running Build over the same element sequence at any Config.Workers
 // setting. The buffered tail (a partial run) is folded in on Summary()
 // with the same ragged-run accounting Build uses, at the cost of sampling
@@ -47,8 +47,8 @@ type StreamBuilder[T cmp.Ordered] struct {
 	bufMin, bufMax T
 
 	// seq counts runs flushed over the builder's lifetime, across seals,
-	// so a multi-selected run's RNG keeps the same (Seed, run index)
-	// derivation Build uses.
+	// so a multi-selected run's RNG keeps the same run-index derivation
+	// Build uses.
 	seq int64
 }
 
@@ -153,7 +153,7 @@ func (b *StreamBuilder[T]) flush() error {
 	b.runs++
 	b.seq++
 	if si > 0 {
-		samples, err := selection.SampleRun(b.buf, step, runSeed(b.cfg.Seed, b.seq-1))
+		samples, err := selection.SampleRun(b.buf, step, runSeed(b.seq-1))
 		if err != nil {
 			return err
 		}
@@ -225,7 +225,7 @@ func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 			// the copy is pure scratch: SampleRun reorders it and returns a
 			// fresh sample list, so it goes straight back to the pool.
 			cp := append(getSamples[T](len(b.buf)), b.buf...)
-			samples, err := selection.SampleRun(cp, step, runSeed(b.cfg.Seed, b.seq))
+			samples, err := selection.SampleRun(cp, step, runSeed(b.seq))
 			putSamples(cp)
 			if err != nil {
 				return nil, err

@@ -90,7 +90,7 @@ func TestEmptySummaryConsistency(t *testing.T) {
 }
 
 func TestStreamBuilderMatchesBatchBuild(t *testing.T) {
-	cfg := Config{RunLen: 1000, SampleSize: 100, Seed: 5}
+	cfg := Config{RunLen: 1000, SampleSize: 100}
 	xs := datagen.Generate(datagen.NewUniform(7, 1<<40), 25_000)
 	sb, err := NewStreamBuilder[int64](cfg)
 	if err != nil {
@@ -176,7 +176,7 @@ func TestQuickStreamEqualsBatch(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%5000 + 1
-		cfg := Config{RunLen: 128, SampleSize: 16, Seed: seed}
+		cfg := Config{RunLen: 128, SampleSize: 16}
 		xs := make([]int64, n)
 		for i := range xs {
 			xs[i] = r.Int63n(1000)

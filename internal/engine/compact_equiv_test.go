@@ -38,7 +38,7 @@ type equivPair struct {
 // policy under test.
 func equivOptions(withCompaction bool) Options {
 	opts := Options{
-		Config:  core.Config{RunLen: 64, SampleSize: 8, Seed: 9},
+		Config:  core.Config{RunLen: 64, SampleSize: 8},
 		Stripes: 2,
 		Buckets: 8,
 	}
@@ -263,7 +263,7 @@ func TestCompactionEquivalenceRandomSchedules(t *testing.T) {
 // prefix invalidation events under test — actually fire.
 func prefixEquivOptions(shadow bool) Options {
 	return Options{
-		Config:              core.Config{RunLen: 64, SampleSize: 8, Seed: 9},
+		Config:              core.Config{RunLen: 64, SampleSize: 8},
 		Stripes:             2,
 		Buckets:             8,
 		Retention:           Retention{Kind: RetainLastK, K: 6},
@@ -642,7 +642,7 @@ func TestCompactionWithEvictionServesRetainedWindow(t *testing.T) {
 			t.Parallel()
 			const runLen = 64
 			opts := Options{
-				Config:     core.Config{RunLen: runLen, SampleSize: 8, Seed: 21},
+				Config:     core.Config{RunLen: runLen, SampleSize: 8},
 				Stripes:    1, // run-aligned batches seal exactly what was ingested
 				Buckets:    8,
 				Retention:  Retention{Kind: RetainLastK, K: 4},

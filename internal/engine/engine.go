@@ -812,8 +812,8 @@ func (e *Engine[T]) Stats() Stats {
 // sections from runio.ShardFile) via the sharded build: every shard runs
 // the full local sample phase concurrently, and the merged result lands as
 // one epoch alongside live ingestion.
-func (e *Engine[T]) BulkLoad(datasets []runio.Dataset[T], opts parallel.ShardOptions) error {
-	sum, err := parallel.BuildSharded(datasets, e.cfg, opts)
+func (e *Engine[T]) BulkLoad(datasets []runio.Dataset[T]) error {
+	sum, err := parallel.BuildSharded(datasets, e.cfg)
 	if err != nil {
 		return err
 	}

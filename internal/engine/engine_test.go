@@ -12,14 +12,13 @@ import (
 
 	"opaq/internal/core"
 	"opaq/internal/metrics"
-	"opaq/internal/parallel"
 	"opaq/internal/runio"
 )
 
 func newTestEngine(t *testing.T, stripes int) *Engine[int64] {
 	t.Helper()
 	e, err := New[int64](Options{
-		Config:  core.Config{RunLen: 512, SampleSize: 64, Seed: 42},
+		Config:  core.Config{RunLen: 512, SampleSize: 64},
 		Stripes: stripes,
 		Buckets: 32,
 	})
@@ -345,7 +344,7 @@ func TestEngineBulkLoad(t *testing.T) {
 	for i, s := range sections {
 		datasets[i] = s
 	}
-	if err := e.BulkLoad(datasets, parallel.ShardOptions{Merge: parallel.SampleMerge}); err != nil {
+	if err := e.BulkLoad(datasets); err != nil {
 		t.Fatal(err)
 	}
 	if e.N() != n {

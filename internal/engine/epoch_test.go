@@ -21,7 +21,7 @@ import (
 func TestEngineKeepAllByteIdenticalAcrossRotation(t *testing.T) {
 	codec := runio.Int64Codec{}
 	opts := Options{
-		Config:  core.Config{RunLen: 128, SampleSize: 16, Seed: 5},
+		Config:  core.Config{RunLen: 128, SampleSize: 16},
 		Stripes: 3,
 		Buckets: 16,
 	}
@@ -82,7 +82,7 @@ func TestEngineWindowedTortureConcurrent(t *testing.T) {
 		waves     = 8
 	)
 	e, err := New[int64](Options{
-		Config:    core.Config{RunLen: runLen, SampleSize: 64, Seed: 9},
+		Config:    core.Config{RunLen: runLen, SampleSize: 64},
 		Stripes:   2,
 		Buckets:   32,
 		Retention: Retention{Kind: RetainLastK, K: keepK},
@@ -302,7 +302,7 @@ func TestEngineRestoreLandsAsOwnEpoch(t *testing.T) {
 
 	// Under last-K retention a restored epoch ages out like any other.
 	windowed, err := New[int64](Options{
-		Config:    core.Config{RunLen: 512, SampleSize: 64, Seed: 42},
+		Config:    core.Config{RunLen: 512, SampleSize: 64},
 		Stripes:   2,
 		Retention: Retention{Kind: RetainLastK, K: 1},
 	})
@@ -347,7 +347,7 @@ func TestEngineCheckpointConcurrentWithIngest(t *testing.T) {
 	)
 	codec := runio.Int64Codec{}
 	e, err := New[int64](Options{
-		Config:  core.Config{RunLen: 256, SampleSize: 32, Seed: 3},
+		Config:  core.Config{RunLen: 256, SampleSize: 32},
 		Stripes: 4,
 		Epoch:   EpochPolicy{MaxElems: 1024},
 	})

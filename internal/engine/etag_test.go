@@ -13,7 +13,7 @@ import (
 func etagTestEngine(t *testing.T) *Engine[int64] {
 	t.Helper()
 	eng, err := New[int64](Options{
-		Config:  core.Config{RunLen: 256, SampleSize: 32, Seed: 1},
+		Config:  core.Config{RunLen: 256, SampleSize: 32},
 		Stripes: 2,
 	})
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 func testRegistryOptions(dir string) RegistryOptions[int64] {
 	return RegistryOptions[int64]{
 		Defaults: Options{
-			Config:  core.Config{RunLen: 512, SampleSize: 64, Seed: 1},
+			Config:  core.Config{RunLen: 512, SampleSize: 64},
 			Stripes: 2,
 			Buckets: 16,
 		},
@@ -280,7 +280,7 @@ func TestRegistryOptionsPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	custom := Options{
-		Config:    core.Config{RunLen: 256, SampleSize: 16, Seed: 7},
+		Config:    core.Config{RunLen: 256, SampleSize: 16},
 		Stripes:   5,
 		Buckets:   32,
 		Epoch:     EpochPolicy{MaxElems: 4096},
@@ -312,6 +312,38 @@ func TestRegistryOptionsPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
+	// Sidecars written while core.Config still had a Seed field carry it;
+	// they must keep restoring, with the field ignored.
+	legacy := `{
+  "Config": {
+    "RunLen": 256,
+    "SampleSize": 16,
+    "Seed": 7,
+    "Workers": 0
+  },
+  "Stripes": 5,
+  "Buckets": 32,
+  "Epoch": {
+    "MaxElems": 4096,
+    "MaxBytes": 0,
+    "Interval": 0
+  },
+  "Retention": {
+    "Kind": 1,
+    "K": 3,
+    "MaxAge": 0
+  },
+  "Compaction": {
+    "Enabled": false,
+    "MinEpochs": 0
+  },
+  "MaxPending": 0,
+  "DisableFrozenPrefix": false
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "legacy"+optionsExt), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	r2, err := NewRegistry(testRegistryOptions(dir))
 	if err != nil {
@@ -342,6 +374,9 @@ func TestRegistryOptionsPersistence(t *testing.T) {
 	}
 	if freshEng.N() != 0 {
 		t.Errorf("sidecar-only tenant N = %d, want 0", freshEng.N())
+	}
+	if got, err := r2.TenantOptions("legacy"); err != nil || got != custom {
+		t.Errorf("legacy sidecar restored options = %+v (err %v), want %+v", got, err, custom)
 	}
 
 	// Delete removes both files so the tenant stays gone on the next boot.

@@ -35,7 +35,7 @@ func ClusterSweep(scale int) (*Table, error) {
 	const tenant = "bench"
 	codec := runio.Int64Codec{}
 	defaults := engine.Options{
-		Config:  core.Config{RunLen: 1 << 14, SampleSize: 1 << 9, Seed: seqSeed},
+		Config:  core.Config{RunLen: 1 << 14, SampleSize: 1 << 9},
 		Stripes: 2,
 	}
 

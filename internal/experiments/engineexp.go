@@ -23,7 +23,7 @@ func EngineSweep(scale int) (*Table, error) {
 	n := scaleN(8_000_000, scale)
 	const runLen = 1 << 14
 	const batch = runLen // run-aligned batches: every batch completes a run
-	cfg := core.Config{RunLen: runLen, SampleSize: 1 << 8, Seed: seqSeed}
+	cfg := core.Config{RunLen: runLen, SampleSize: 1 << 8}
 
 	xs := datagen.Generate(datagen.NewUniform(seqSeed, 1<<62), n)
 
@@ -102,7 +102,7 @@ func CompactionSweep(scale int) (*Table, error) {
 	n := scaleN(8_000_000, scale)
 	const runLen = 1 << 13
 	const batch = runLen // run-aligned: every batch completes a run
-	cfg := core.Config{RunLen: runLen, SampleSize: 1 << 7, Seed: seqSeed}
+	cfg := core.Config{RunLen: runLen, SampleSize: 1 << 7}
 
 	xs := datagen.Generate(datagen.NewUniform(seqSeed, 1<<62), n)
 

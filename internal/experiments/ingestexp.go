@@ -34,7 +34,7 @@ func IngestSweep(scale int) (*Table, error) {
 	// light sampling config (s=32) keeps the engine's own run-sorting cost
 	// from drowning the transport costs this experiment compares.
 	const batch = 1 << 16
-	cfg := core.Config{RunLen: 1 << 16, SampleSize: 1 << 5, Seed: seqSeed}
+	cfg := core.Config{RunLen: 1 << 16, SampleSize: 1 << 5}
 
 	xs := datagen.Generate(datagen.NewUniform(seqSeed, 1<<62), n)
 

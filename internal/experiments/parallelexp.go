@@ -27,7 +27,7 @@ func parallelConfig(perProc, p int, algo parallel.MergeAlgo) parallel.Config {
 		m += s - rem
 	}
 	return parallel.Config{
-		Core:  core.Config{RunLen: m, SampleSize: s, Seed: parSeed},
+		Core:  core.Config{RunLen: m, SampleSize: s},
 		Procs: p,
 		Merge: algo,
 		Model: simnet.DefaultCostModel(),

@@ -42,7 +42,7 @@ func seqConfig(n, s int) core.Config {
 	if m < s {
 		m = s
 	}
-	return core.Config{RunLen: m, SampleSize: s, Seed: seqSeed}
+	return core.Config{RunLen: m, SampleSize: s}
 }
 
 // Table3 reproduces "The RER_A produced by OPAQ algorithm for different
@@ -310,10 +310,10 @@ func AblationSplit(scale int) (*Table, error) {
 	}
 	o := metrics.NewOracle(xs)
 	splits := []core.Config{
-		{RunLen: 65536, SampleSize: 512, Seed: seqSeed},
-		{RunLen: 32768, SampleSize: 1024, Seed: seqSeed},
-		{RunLen: 16384, SampleSize: 2048, Seed: seqSeed},
-		{RunLen: 8192, SampleSize: 4096, Seed: seqSeed},
+		{RunLen: 65536, SampleSize: 512},
+		{RunLen: 32768, SampleSize: 1024},
+		{RunLen: 16384, SampleSize: 2048},
+		{RunLen: 8192, SampleSize: 4096},
 	}
 	for _, cfg := range splits {
 		sum, err := core.BuildFromSlice(xs, cfg)

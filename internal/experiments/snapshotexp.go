@@ -29,7 +29,7 @@ func SnapshotSweep(scale int) (*Table, error) {
 	// the measured steady-state cycles (floor 200 keeps the rates
 	// meaningful at heavy scale-down).
 	cycles := max(200, 2000/max(scale, 1))
-	cfg := core.Config{RunLen: runLen, SampleSize: 32, Seed: seqSeed}
+	cfg := core.Config{RunLen: runLen, SampleSize: 32}
 
 	t := &Table{
 		ID:     "Extension: snapshot",

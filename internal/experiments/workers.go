@@ -21,7 +21,7 @@ import (
 // worker pool multi-selects them.
 func WorkerSweep(scale int) (*Table, error) {
 	n := int64(scaleN(8_000_000, scale))
-	cfg := core.Config{RunLen: 1 << 16, SampleSize: 1 << 10, Seed: seqSeed}
+	cfg := core.Config{RunLen: 1 << 16, SampleSize: 1 << 10}
 
 	dir, err := os.MkdirTemp("", "opaq-workers")
 	if err != nil {

@@ -8,23 +8,29 @@ import (
 	"time"
 
 	"opaq/internal/merge"
+	"opaq/internal/simnet"
 )
 
-// This file holds the transport-agnostic algorithms of the parallel
-// formulation: the two global sample-merge methods of the paper's Section 3,
-// written against Transport so they run identically on the simulated
-// machine (Run, the experiment tables) and on the real in-process engine
-// (BuildSharded). Everything is generic over cmp.Ordered.
+// This file holds the two global sample-merge methods of the paper's
+// Section 3, run on the simulated machine (Run, GlobalMergeTime): real
+// values move between the processors while the machine charges the
+// messages and the Compute calls to its cost model. Everything is generic
+// over cmp.Ordered.
+//
+// The words argument of Send/Exchange/AllGather is the message's payload
+// size in the cost model's units (8-byte elements). Control metadata
+// (block sizes, pad values) is charged as one word per message, matching
+// the paper's convention of ignoring O(1) control traffic.
 
 // globalMerge dispatches to the configured merge algorithm. local is this
 // rank's sorted sample list; the return value is this rank's block of the
 // globally sorted list.
-func globalMerge[T cmp.Ordered](tr Transport, algo MergeAlgo, local []T) ([]T, error) {
+func globalMerge[T cmp.Ordered](pr *simnet.Proc, algo MergeAlgo, local []T) ([]T, error) {
 	switch algo {
 	case BitonicMerge:
-		return bitonicMerge(tr, local)
+		return bitonicMerge(pr, local)
 	case SampleMerge:
-		return sampleMerge(tr, local)
+		return sampleMerge(pr, local)
 	default:
 		return nil, fmt.Errorf("parallel: unknown merge algorithm %d", int(algo))
 	}
@@ -46,8 +52,8 @@ type blockMeta[T cmp.Ordered] struct {
 // knows the exact expected sample count, and since pads equal the true
 // maximum, trimming preserves the multiset even when real keys tie with the
 // pad). Returns this rank's block of the globally sorted list.
-func bitonicMerge[T cmp.Ordered](tr Transport, local []T) ([]T, error) {
-	p := tr.P()
+func bitonicMerge[T cmp.Ordered](pr *simnet.Proc, local []T) ([]T, error) {
+	p := pr.P()
 	if p == 1 {
 		return local, nil
 	}
@@ -57,7 +63,7 @@ func bitonicMerge[T cmp.Ordered](tr Transport, local []T) ([]T, error) {
 	if len(local) > 0 {
 		meta.max = local[len(local)-1]
 	}
-	gathered, err := tr.AllGather(1, meta)
+	gathered, err := pr.AllGather(1, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -81,21 +87,21 @@ func bitonicMerge[T cmp.Ordered](tr Transport, local []T) ([]T, error) {
 	for i := len(local); i < blockLen; i++ {
 		block[i] = pad
 	}
-	id := tr.ID()
+	id := pr.ID()
 	// Bitonic sorting network on p keys, operating on blocks.
 	for k := 2; k <= p; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
 			partner := id ^ j
 			ascending := id&k == 0
 			keepLow := (id < partner) == ascending
-			got, err := tr.Exchange(partner, int64(blockLen), block)
+			got, err := pr.Exchange(partner, int64(blockLen), block)
 			if err != nil {
 				return nil, err
 			}
 			other := got.([]T)
 			block = merge.Split(block, other, keepLow)
 			// Merge-split cost: one pass over both blocks.
-			tr.Compute(int64(2 * blockLen))
+			pr.Compute(int64(2 * blockLen))
 		}
 	}
 	return block, nil
@@ -107,8 +113,8 @@ func bitonicMerge[T cmp.Ordered](tr Transport, local []T) ([]T, error) {
 // Returns this rank's block of the globally sorted list (blocks are
 // splitter-delimited, so sizes vary within the paper's bucket expansion
 // bound β ≤ 3/2 in expectation).
-func sampleMerge[T cmp.Ordered](tr Transport, local []T) ([]T, error) {
-	p := tr.P()
+func sampleMerge[T cmp.Ordered](pr *simnet.Proc, local []T) ([]T, error) {
+	p := pr.P()
 	if p == 1 {
 		return local, nil
 	}
@@ -123,7 +129,7 @@ func sampleMerge[T cmp.Ordered](tr Transport, local []T) ([]T, error) {
 			probe = append(probe, local[idx])
 		}
 	}
-	gathered, err := tr.AllGather(int64(len(probe)), probe)
+	gathered, err := pr.AllGather(int64(len(probe)), probe)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +144,7 @@ func sampleMerge[T cmp.Ordered](tr Transport, local []T) ([]T, error) {
 		return local, nil
 	}
 	slices.Sort(allProbes)
-	tr.Compute(int64(len(allProbes)) * int64(ceilLog2(len(allProbes)+1))) // splitter sort
+	pr.Compute(int64(len(allProbes)) * int64(ceilLog2(len(allProbes)+1))) // splitter sort
 	// p−1 splitters at regular positions.
 	splitters := make([]T, 0, p-1)
 	for i := 1; i < p; i++ {
@@ -160,21 +166,21 @@ func sampleMerge[T cmp.Ordered](tr Transport, local []T) ([]T, error) {
 			cuts[i] = cuts[i-1]
 		}
 	}
-	tr.Compute(int64(p) * int64(ceilLog2(len(local)+1)))
+	pr.Compute(int64(p) * int64(ceilLog2(len(local)+1)))
 	// All-to-all: send partition j to rank j.
-	id := tr.ID()
+	id := pr.ID()
 	pieces := make([][]T, p)
 	pieces[id] = local[cuts[id]:cuts[id+1]]
 	for off := 1; off < p; off++ {
 		to := (id + off) % p
 		part := local[cuts[to]:cuts[to+1]]
-		if err := tr.Send(to, int64(len(part)), part); err != nil {
+		if err := pr.Send(to, int64(len(part)), part); err != nil {
 			return nil, err
 		}
 	}
 	for off := 1; off < p; off++ {
 		from := (id - off + p) % p
-		got, err := tr.Recv(from)
+		got, err := pr.Recv(from)
 		if err != nil {
 			return nil, err
 		}
@@ -182,22 +188,8 @@ func sampleMerge[T cmp.Ordered](tr Transport, local []T) ([]T, error) {
 	}
 	// Local k-way merge of the received sorted pieces.
 	out := merge.KWay(pieces)
-	tr.Compute(int64(len(out)) * int64(ceilLog2(p+1)))
+	pr.Compute(int64(len(out)) * int64(ceilLog2(p+1)))
 	return out, nil
-}
-
-// splitRuns cuts xs into consecutive runs of m elements (last may be short).
-func splitRuns[T any](xs []T, m int) [][]T {
-	var out [][]T
-	for len(xs) > 0 {
-		end := m
-		if end > len(xs) {
-			end = len(xs)
-		}
-		out = append(out, xs[:end])
-		xs = xs[end:]
-	}
-	return out
 }
 
 func ceilLog2(n int) int {

@@ -22,8 +22,8 @@ func GlobalMergeTime(listLen, p int, algo MergeAlgo, model simnet.CostModel, see
 	if listLen < 1 || p < 1 {
 		return 0, fmt.Errorf("parallel: GlobalMergeTime needs positive listLen and p, got %d, %d", listLen, p)
 	}
-	if algo == BitonicMerge && p&(p-1) != 0 {
-		return 0, fmt.Errorf("parallel: bitonic merge requires power-of-two p, got %d", p)
+	if err := validMergeAlgo(algo, p); err != nil {
+		return 0, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	lists := make([][]int64, p)
@@ -43,16 +43,7 @@ func GlobalMergeTime(listLen, p int, algo MergeAlgo, model simnet.CostModel, see
 	}
 	blocks := make([][]int64, p)
 	err = m.Run(func(pr *simnet.Proc) error {
-		var block []int64
-		var err error
-		switch algo {
-		case BitonicMerge:
-			block, err = bitonicMerge(pr, lists[pr.ID()])
-		case SampleMerge:
-			block, err = sampleMerge(pr, lists[pr.ID()])
-		default:
-			err = fmt.Errorf("parallel: unknown merge algorithm %d", int(algo))
-		}
+		block, err := globalMerge(pr, algo, lists[pr.ID()])
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,9 @@
 // Package parallel implements the parallel formulation of OPAQ (paper,
-// Section 3) as a transport-agnostic sharded quantile engine.
+// Section 3) on the simulated machine of internal/simnet, and the real
+// sharded build.
 //
 // Each of the p ranks owns n/p elements, runs the sequential sample phase
-// locally (read runs, multi-select regular samples, merge the local sample
+// locally (read runs, extract regular samples, merge the local sample
 // lists), and then the p local sorted sample lists are merged into a
 // globally sorted, block-distributed sample list by one of two algorithms:
 //
@@ -16,18 +17,15 @@
 //
 // The quantile phase is the sequential one with r·p total runs.
 //
-// The algorithms (algo.go) are written against the Transport interface and
-// are generic over cmp.Ordered, so the same code serves two machines:
-//
-//   - Run executes on the simulated message-passing machine of
-//     internal/simnet, whose cost model provides the execution-time results
-//     of Figures 3–6 and Tables 11–12. Real data still moves between
-//     goroutines and the resulting bounds are bit-identical to a sequential
-//     OPAQ over the concatenated data (tests assert this).
-//   - BuildSharded executes on the real in-process transport (real.go):
-//     goroutines and channels, no cost model — the production engine for
-//     sharded datasets, whose local phase reuses the concurrent build
-//     pipeline of internal/core.
+// Run executes this protocol on the simulated machine, whose cost model
+// provides the execution-time results of Figures 3–6 and Tables 11–12.
+// Real data still moves between the simulated processors, and the
+// resulting bounds are bit-identical to a sequential OPAQ over the
+// concatenated data (tests assert this). The merges exist because each
+// list sits in another processor's memory; in one process they compute
+// what one k-way merge does, so BuildSharded builds each shard with core's
+// full pipeline in its own goroutine and merges the shard summaries with
+// core.MergeAll.
 package parallel
 
 import (
@@ -36,9 +34,7 @@ import (
 	"time"
 
 	"opaq/internal/core"
-	"opaq/internal/merge"
 	"opaq/internal/runio"
-	"opaq/internal/selection"
 	"opaq/internal/simnet"
 )
 
@@ -200,101 +196,74 @@ func Run[T cmp.Ordered](data [][]T, cfg Config) (*Result[T], error) {
 	return res, nil
 }
 
-// runRank is the SPMD body of Run: one rank's local sample phase (with the
-// cost model charged per the paper's Table 2) followed by the global merge.
-// It is written against Transport, so it would execute on any machine; Run
-// instantiates it on the simulator, where Charge/Compute/Clock drive the
-// reported phase times.
-func runRank[T cmp.Ordered](tr Transport, local []T, cfg Config,
+// runRank is the SPMD body of Run: one rank builds its local summary with
+// core's sample phase on one CPU (one simulated processor), charges that
+// phase's costs per the paper's Table 2, and then takes part in the global
+// merge, whose messages the machine charges itself.
+func runRank[T cmp.Ordered](pr *simnet.Proc, local []T, cfg Config,
 	perProc []PhaseTimes, localParts []core.SummaryParts[T], globalBlocks [][]T) error {
-	id := tr.ID()
-	step := int64(cfg.Core.Step())
+	id := pr.ID()
+	rankCfg := cfg.Core
+	rankCfg.Workers = 1
+	sum, err := core.BuildFromSlice(local, rankCfg)
+	if err != nil {
+		return fmt.Errorf("parallel: rank %d local build: %w", id, err)
+	}
+	localParts[id] = sum.Parts()
 
 	// ---- Phase 1: I/O. The local shard is read once, run by run. Under
 	// OverlapIO the charge is deferred and folded into max(I/O, sampling)
 	// after the sampling phase. ----
-	runs := splitRuns(local, cfg.Core.RunLen)
-	var stats runio.Stats
-	stats.ReadOps = int64(len(runs))
-	stats.BytesRead = int64(len(local)) * 8 // cost-model words are 8-byte elements
-	ioTime := cfg.Disk.Time(stats)
+	m := cfg.Core.RunLen
+	runs := (len(local) + m - 1) / m
+	ioTime := cfg.Disk.Time(runio.Stats{
+		ReadOps:   int64(runs),
+		BytesRead: int64(len(local)) * 8, // cost-model words are 8-byte elements
+	})
 	perProc[id].IO = ioTime
 	perProc[id].Overlapped = cfg.OverlapIO
 	if !cfg.OverlapIO {
-		tr.Charge(ioTime)
+		pr.Charge(ioTime)
 	}
 
-	// ---- Phase 2: sampling (the regular samples of each run). ----
-	t0 := tr.Clock()
-	var (
-		sampleLists [][]T
-		leftover    int64
-		minV, maxV  T
-	)
-	for ri, run := range runs {
-		for i, v := range run {
-			if v != v {
-				return fmt.Errorf("%w: element %d of rank %d's run %d", core.ErrNaN, i, id, ri)
-			}
-			if ri == 0 && i == 0 {
-				minV, maxV = v, v
-			} else {
-				minV = min(minV, v)
-				maxV = max(maxV, v)
-			}
+	// ---- Phase 2: sampling. Each run costs the paper's O(m·log s)
+	// multi-selection (Table 2), whichever kernel core ran, so the
+	// simulated times stay the paper's. ----
+	step := cfg.Core.Step()
+	sampledRuns := 0
+	t0 := pr.Clock()
+	for r := 0; r < runs; r++ {
+		n := min(m, len(local)-r*m)
+		if si := n / step; si > 0 {
+			pr.Compute(int64(n) * int64(ceilLog2(si+1)))
+			sampledRuns++
 		}
-		si := len(run) / int(step)
-		leftover += int64(len(run) - si*int(step))
-		if si == 0 {
-			continue
-		}
-		// The run aliases the caller's data, and SampleRun reorders what
-		// it samples.
-		cp := append([]T(nil), run...)
-		samples, err := selection.SampleRun(cp, int(step), cfg.Core.Seed+int64(id))
-		if err != nil {
-			return err
-		}
-		sampleLists = append(sampleLists, samples)
-		// Cost: the paper's O(m·log s) multi-selection per run (Table 2),
-		// whichever kernel ran, so the simulated times stay the paper's.
-		tr.Compute(int64(len(run)) * int64(ceilLog2(si+1)))
 	}
-	perProc[id].Sampling = tr.Clock() - t0
+	perProc[id].Sampling = pr.Clock() - t0
 	if cfg.OverlapIO && ioTime > perProc[id].Sampling {
 		// I/O was the longer leg; the rank stalls for the excess.
-		tr.Charge(ioTime - perProc[id].Sampling)
+		pr.Charge(ioTime - perProc[id].Sampling)
 	}
 
-	// ---- Phase 3: local merge of the r sample lists. ----
-	t0 = tr.Clock()
-	localSamples := merge.KWay(sampleLists)
-	tr.Compute(int64(len(localSamples)) * int64(ceilLog2(len(sampleLists)+1)))
-	perProc[id].LocalMerge = tr.Clock() - t0
-
-	localParts[id] = core.SummaryParts[T]{
-		Samples:  localSamples,
-		Step:     step,
-		Runs:     int64(len(runs)),
-		N:        int64(len(local)),
-		Leftover: leftover,
-		Min:      minV,
-		Max:      maxV,
-	}
+	// ---- Phase 3: local merge of the sampled runs' lists. ----
+	t0 = pr.Clock()
+	localSamples := localParts[id].Samples
+	pr.Compute(int64(len(localSamples)) * int64(ceilLog2(sampledRuns+1)))
+	perProc[id].LocalMerge = pr.Clock() - t0
 
 	// ---- Phase 4: global merge of the p sorted sample lists. ----
-	if err := tr.Barrier(); err != nil {
+	if err := pr.Barrier(); err != nil {
 		return err
 	}
-	t0 = tr.Clock()
-	block, err := globalMerge(tr, cfg.Merge, localSamples)
+	t0 = pr.Clock()
+	block, err := globalMerge(pr, cfg.Merge, localSamples)
 	if err != nil {
 		return err
 	}
-	if err := tr.Barrier(); err != nil {
+	if err := pr.Barrier(); err != nil {
 		return err
 	}
-	perProc[id].GlobalMerge = tr.Clock() - t0
+	perProc[id].GlobalMerge = pr.Clock() - t0
 	globalBlocks[id] = block
 	return nil
 }

@@ -249,7 +249,7 @@ func TestQuickParallelEquivalence(t *testing.T) {
 			xs[i] = r.Int63n(10_000)
 		}
 		cfg := Config{
-			Core:  core.Config{RunLen: 200, SampleSize: 20, Seed: seed},
+			Core:  core.Config{RunLen: 200, SampleSize: 20},
 			Procs: p, Merge: algo,
 			Model: simnet.DefaultCostModel(),
 			Disk:  runio.DefaultDiskModel(),

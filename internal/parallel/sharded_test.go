@@ -3,7 +3,6 @@ package parallel
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -37,20 +36,52 @@ func shardDatasets(xs []int64, shards, runLen int, t *testing.T) []runio.Dataset
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]runio.Dataset[int64], len(pieces))
+	return memoryDatasets(pieces)
+}
+
+func memoryDatasets[T int64 | float64](pieces [][]T) []runio.Dataset[T] {
+	out := make([]runio.Dataset[T], len(pieces))
 	for i, p := range pieces {
 		out[i] = runio.NewMemoryDataset(p, 8)
 	}
 	return out
 }
 
+// runBothAlgos runs the simulated machine over pieces, one rank per piece,
+// under each merge algorithm the piece count allows (bitonic needs a power
+// of two), and checks the summary bytes against want, the sequential
+// build's.
+func runBothAlgos[T interface{ int64 | float64 }](t *testing.T, pieces [][]T, cfg core.Config, want []byte) {
+	t.Helper()
+	for _, algo := range []MergeAlgo{BitonicMerge, SampleMerge} {
+		p := len(pieces)
+		if algo == BitonicMerge && p&(p-1) != 0 {
+			continue
+		}
+		res, err := Run(pieces, simConfig(cfg, p, algo))
+		if err != nil {
+			t.Fatalf("%v/ranks=%d: simulated Run: %v", algo, p, err)
+		}
+		if !bytes.Equal(summaryBytes(t, res.Summary), want) {
+			t.Errorf("%v/ranks=%d: simulated summary bytes differ from sequential build", algo, p)
+		}
+	}
+}
+
+func simConfig(cfg core.Config, p int, algo MergeAlgo) Config {
+	return Config{
+		Core: cfg, Procs: p, Merge: algo,
+		Model: simnet.DefaultCostModel(), Disk: runio.DefaultDiskModel(),
+	}
+}
+
 // The engine's determinism contract: the summary bytes are identical across
-// shard counts 1/2/3/8, both merge algorithms, and both transports (the
-// real in-process engine via BuildSharded and the simulated machine via
-// Run), always matching the sequential build over the concatenated data.
+// shard counts 1/2/3/8, through BuildSharded and through the simulated
+// machine (Run) under both merge algorithms, always matching the
+// sequential build over the concatenated data.
 func TestShardDeterminismAcrossCountsAlgosTransports(t *testing.T) {
 	const runLen, sampleSize = 500, 50
-	cfg := core.Config{RunLen: runLen, SampleSize: sampleSize, Seed: 42}
+	cfg := core.Config{RunLen: runLen, SampleSize: sampleSize}
 	xs := datagen.Generate(datagen.NewUniform(9, 1<<48), 24*runLen)
 
 	seq, err := core.BuildFromSlice(xs, cfg)
@@ -59,45 +90,28 @@ func TestShardDeterminismAcrossCountsAlgosTransports(t *testing.T) {
 	}
 	want := summaryBytes(t, seq)
 
-	for _, algo := range []MergeAlgo{BitonicMerge, SampleMerge} {
-		for _, shards := range []int{1, 2, 3, 8} {
-			if algo == BitonicMerge && shards&(shards-1) != 0 {
-				continue // bitonic requires a power of two; validated below
-			}
-			name := fmt.Sprintf("%v/shards=%d", algo, shards)
-
-			// Real transport.
-			got, err := BuildSharded(shardDatasets(xs, shards, runLen, t), cfg,
-				ShardOptions{Shards: shards, Merge: algo})
-			if err != nil {
-				t.Fatalf("%s: BuildSharded: %v", name, err)
-			}
-			if !bytes.Equal(summaryBytes(t, got), want) {
-				t.Errorf("%s: real-transport summary bytes differ from sequential build", name)
-			}
-
-			// Simulated transport over the same run-aligned shards.
-			pieces, err := ShardSlices(xs, shards, runLen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(pieces, Config{
-				Core: cfg, Procs: shards, Merge: algo,
-				Model: simnet.DefaultCostModel(), Disk: runio.DefaultDiskModel(),
-			})
-			if err != nil {
-				t.Fatalf("%s: simulated Run: %v", name, err)
-			}
-			if !bytes.Equal(summaryBytes(t, res.Summary), want) {
-				t.Errorf("%s: simulated-transport summary bytes differ from sequential build", name)
-			}
+	for _, shards := range []int{1, 2, 3, 8} {
+		got, err := BuildSharded(shardDatasets(xs, shards, runLen, t), cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: BuildSharded: %v", shards, err)
 		}
+		if !bytes.Equal(summaryBytes(t, got), want) {
+			t.Errorf("shards=%d: sharded summary bytes differ from sequential build", shards)
+		}
+
+		// The simulated machine over the same run-aligned shards.
+		pieces, err := ShardSlices(xs, shards, runLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runBothAlgos(t, pieces, cfg, want)
 	}
 }
 
-// The engine is generic: float64 keys through both merge algorithms,
-// including the bitonic pad path (pads are the global max sample, not an
-// int64 sentinel).
+// The engine is generic: float64 keys, on the simulated machine through
+// both merge algorithms, including the bitonic pad path (pads are the
+// global max sample, not an int64 sentinel). A NaN in one shard fails
+// both builds with ErrNaN.
 func TestBuildShardedFloat64(t *testing.T) {
 	const runLen = 256
 	cfg := core.Config{RunLen: runLen, SampleSize: 32}
@@ -111,21 +125,26 @@ func TestBuildShardedFloat64(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := summaryBytes(t, seq)
+	pieces, err := ShardSlices(xs, 4, runLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BuildSharded(memoryDatasets(pieces), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(summaryBytes(t, got), want) {
+		t.Error("float64 sharded summary differs from sequential")
+	}
+	runBothAlgos(t, pieces, cfg, want)
+
+	pieces[2][runLen+7] = math.NaN()
+	if _, err := BuildSharded(memoryDatasets(pieces), cfg); !errors.Is(err, core.ErrNaN) {
+		t.Errorf("BuildSharded with a NaN: err = %v, want ErrNaN", err)
+	}
 	for _, algo := range []MergeAlgo{BitonicMerge, SampleMerge} {
-		pieces, err := ShardSlices(xs, 4, runLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		datasets := make([]runio.Dataset[float64], len(pieces))
-		for i, p := range pieces {
-			datasets[i] = runio.NewMemoryDataset(p, 8)
-		}
-		got, err := BuildSharded(datasets, cfg, ShardOptions{Merge: algo})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if !bytes.Equal(summaryBytes(t, got), want) {
-			t.Errorf("%v: float64 sharded summary differs from sequential", algo)
+		if _, err := Run(pieces, simConfig(cfg, len(pieces), algo)); !errors.Is(err, core.ErrNaN) {
+			t.Errorf("%v: Run with a NaN: err = %v, want ErrNaN", algo, err)
 		}
 	}
 }
@@ -149,14 +168,18 @@ func TestBuildShardedMaxDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := summaryBytes(t, seq)
-	got, err := BuildSharded(shardDatasets(xs, 4, runLen, t), cfg,
-		ShardOptions{Merge: BitonicMerge})
+	got, err := BuildSharded(shardDatasets(xs, 4, runLen, t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(summaryBytes(t, got), want) {
 		t.Error("summary with MaxInt64 duplicates differs from sequential build")
 	}
+	pieces, err := ShardSlices(xs, 4, runLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runBothAlgos(t, pieces, cfg, want)
 }
 
 // Ragged tails: a last shard that is not run-aligned still matches the
@@ -170,8 +193,7 @@ func TestBuildShardedRaggedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := summaryBytes(t, seq)
-	got, err := BuildSharded(shardDatasets(xs, 3, runLen, t), cfg,
-		ShardOptions{Merge: SampleMerge})
+	got, err := BuildSharded(shardDatasets(xs, 3, runLen, t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +210,18 @@ func TestBuildShardedMoreShardsThanRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildSharded(shardDatasets(xs, 8, runLen, t), cfg,
-		ShardOptions{Merge: BitonicMerge}) // trailing shards are empty
+	got, err := BuildSharded(shardDatasets(xs, 8, runLen, t), cfg) // trailing shards are empty
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(summaryBytes(t, got), summaryBytes(t, seq)) {
 		t.Error("mostly-empty shards differ from sequential build")
 	}
+	pieces, err := ShardSlices(xs, 8, runLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runBothAlgos(t, pieces, cfg, summaryBytes(t, seq)) // empty ranks
 }
 
 func TestBuildShardedValidation(t *testing.T) {
@@ -205,23 +231,15 @@ func TestBuildShardedValidation(t *testing.T) {
 		runio.NewMemoryDataset([]int64{4, 5, 6}, 8),
 		runio.NewMemoryDataset([]int64{7, 8, 9}, 8),
 	}
-	if _, err := BuildSharded(ds, cfg, ShardOptions{Merge: BitonicMerge}); !errors.Is(err, core.ErrConfig) {
-		t.Errorf("bitonic with 3 shards: err = %v, want ErrConfig", err)
-	}
-	if _, err := BuildSharded(ds, cfg, ShardOptions{Shards: 2}); !errors.Is(err, core.ErrConfig) {
-		t.Errorf("shard/dataset mismatch: err = %v, want ErrConfig", err)
-	}
-	if _, err := BuildSharded[int64](nil, cfg, ShardOptions{}); !errors.Is(err, core.ErrConfig) {
+	if _, err := BuildSharded[int64](nil, cfg); !errors.Is(err, core.ErrConfig) {
 		t.Errorf("no datasets: err = %v, want ErrConfig", err)
 	}
-	if _, err := BuildSharded(ds, core.Config{}, ShardOptions{}); !errors.Is(err, core.ErrConfig) {
+	if _, err := BuildSharded(ds, core.Config{}); !errors.Is(err, core.ErrConfig) {
 		t.Errorf("bad core config: err = %v, want ErrConfig", err)
 	}
 }
 
-// A failing shard must abort the whole machine promptly instead of
-// deadlocking the peers at the merge barrier, and the build reports the
-// root cause, not the peers' aborts.
+// A failing shard fails the build, and the error names the root cause.
 func TestBuildShardedLocalError(t *testing.T) {
 	cfg := core.Config{RunLen: 100, SampleSize: 10}
 	good := datagen.Generate(datagen.NewUniform(1, 1000), 300)
@@ -229,11 +247,11 @@ func TestBuildShardedLocalError(t *testing.T) {
 		runio.NewMemoryDataset(good, 8),
 		&failingDataset{},
 	}
-	_, err := BuildSharded(ds, cfg, ShardOptions{Merge: SampleMerge})
+	_, err := BuildSharded(ds, cfg)
 	if err == nil {
 		t.Fatal("expected an error from the failing shard")
 	}
-	if errors.Is(err, errAborted) || !strings.Contains(err.Error(), "shard disk on fire") {
+	if !strings.Contains(err.Error(), "shard disk on fire") {
 		t.Errorf("err = %v, want only the failing shard's root cause", err)
 	}
 }
@@ -285,21 +303,24 @@ func TestShardSlices(t *testing.T) {
 // of panicking (regression: sampleMerge indexed an empty splitter list).
 func TestBuildShardedZeroSamples(t *testing.T) {
 	cfg := core.Config{RunLen: 1 << 16, SampleSize: 1 << 10}
-	xs := datagen.Generate(datagen.NewUniform(3, 1000), 50) // one tiny run per shard
+	xs := datagen.Generate(datagen.NewUniform(3, 1000), 50) // one tiny run
 	seq, err := core.BuildFromSlice(xs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []MergeAlgo{BitonicMerge, SampleMerge} {
-		got, err := BuildSharded(shardDatasets(xs, 2, 1<<16, t), cfg, ShardOptions{Merge: algo})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if got.N() != seq.N() || got.SampleCount() != 0 {
-			t.Errorf("%v: N=%d samples=%d, want N=%d samples=0", algo, got.N(), got.SampleCount(), seq.N())
-		}
-		if got.Min() != seq.Min() || got.Max() != seq.Max() {
-			t.Errorf("%v: extrema [%d,%d] vs sequential [%d,%d]", algo, got.Min(), got.Max(), seq.Min(), seq.Max())
-		}
+	got, err := BuildSharded(shardDatasets(xs, 2, 1<<16, t), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got.N() != seq.N() || got.SampleCount() != 0 {
+		t.Errorf("N=%d samples=%d, want N=%d samples=0", got.N(), got.SampleCount(), seq.N())
+	}
+	if got.Min() != seq.Min() || got.Max() != seq.Max() {
+		t.Errorf("extrema [%d,%d] vs sequential [%d,%d]", got.Min(), got.Max(), seq.Min(), seq.Max())
+	}
+	pieces, err := ShardSlices(xs, 2, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runBothAlgos(t, pieces, cfg, summaryBytes(t, seq))
 }

@@ -14,10 +14,9 @@
 // tests) while their reported times are the model's. The parallel time of
 // a run is the maximum clock over processors.
 //
-// Proc is the simulated implementation of internal/parallel's Transport
-// interface — the parallel algorithms are written against that interface
-// and this machine supplies their cost accounting; the sibling real
-// in-process transport runs the same algorithms with no cost model.
+// internal/parallel runs the paper's global merge algorithms (bitonic
+// merge-split and PSRS-style sample merge) directly on Proc, and this
+// machine supplies their cost accounting.
 package simnet
 
 import (

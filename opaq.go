@@ -42,13 +42,13 @@
 // # Sharded builds
 //
 // BuildSharded scales the build across per-shard datasets: each shard
-// runs the full local sample phase concurrently and the per-shard sample
-// lists are globally merged by the paper's Section 3 parallel formulation
-// (PSRS-style sample merge, or a bitonic merge-split network). With
-// run-aligned shards the result is bit-identical to a sequential Build
-// over the concatenated data. ParallelRun executes the same algorithms on
-// the simulated machine of the paper's evaluation instead, reporting
-// modeled phase times.
+// runs the full local sample phase concurrently and the shard summaries
+// are merged in one k-way pass. With run-aligned shards the result is
+// bit-identical to a sequential Build over the concatenated data.
+// ParallelRun executes the paper's Section 3 parallel formulation
+// (PSRS-style sample merge, or a bitonic merge-split network) on the
+// simulated machine of the paper's evaluation instead, reporting modeled
+// phase times.
 //
 // # Serving
 //

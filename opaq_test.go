@@ -289,7 +289,7 @@ func TestPublicAPIConcurrentBuildDeterminism(t *testing.T) {
 	for i := range xs {
 		xs[i] = int64((i * 2654435761) % 1_000_003)
 	}
-	cfg := opaq.Config{RunLen: 4000, SampleSize: 200, Seed: 3}
+	cfg := opaq.Config{RunLen: 4000, SampleSize: 200}
 	var want []int64
 	for _, w := range []int{1, 2, 7} {
 		c := cfg
@@ -432,10 +432,10 @@ func TestPublicAPIGenericPersistence(t *testing.T) {
 }
 
 // BuildSharded through the public surface: byte-identical to the
-// sequential build across shard counts and both merge algorithms.
+// sequential build across shard counts.
 func TestPublicAPIBuildSharded(t *testing.T) {
 	const runLen = 1000
-	cfg := opaq.Config{RunLen: runLen, SampleSize: 100, Seed: 11}
+	cfg := opaq.Config{RunLen: runLen, SampleSize: 100}
 	xs := make([]int64, 24*runLen)
 	for i := range xs {
 		xs[i] = int64((i * 2654435761) % 1_000_003)
@@ -448,24 +448,21 @@ func TestPublicAPIBuildSharded(t *testing.T) {
 	if err := opaq.SaveSummaryInt64(&want, seq); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		shards int
-		merge  opaq.MergeAlgo
-	}{{1, opaq.SampleMerge}, {3, opaq.SampleMerge}, {8, opaq.SampleMerge}, {4, opaq.BitonicMerge}} {
-		got, err := opaq.BuildShardedFromSlice(xs, cfg, opaq.ShardOptions{Shards: tc.shards, Merge: tc.merge})
+	for _, shards := range []int{1, 3, 8, 4} {
+		got, err := opaq.BuildShardedFromSlice(xs, cfg, shards)
 		if err != nil {
-			t.Fatalf("shards=%d merge=%v: %v", tc.shards, tc.merge, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		var buf bytes.Buffer
 		if err := opaq.SaveSummaryInt64(&buf, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), want.Bytes()) {
-			t.Errorf("shards=%d merge=%v: summary bytes differ from sequential build", tc.shards, tc.merge)
+			t.Errorf("shards=%d: summary bytes differ from sequential build", shards)
 		}
 	}
 
-	// Explicit per-shard datasets (the transport-level entry point).
+	// Explicit per-shard datasets.
 	pieces, err := opaq.ShardSlices(xs, 4, runLen)
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +471,7 @@ func TestPublicAPIBuildSharded(t *testing.T) {
 	for i, p := range pieces {
 		datasets[i] = opaq.NewMemoryDataset(p, 8)
 	}
-	got, err := opaq.BuildSharded(datasets, cfg, opaq.ShardOptions{Merge: opaq.SampleMerge})
+	got, err := opaq.BuildSharded(datasets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +519,7 @@ func TestShardedFloat32ModeledStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := opaq.Config{RunLen: runLen, SampleSize: 1 << 6}
-	sum, err := opaq.BuildSharded(datasets, cfg, opaq.ShardOptions{Merge: opaq.SampleMerge})
+	sum, err := opaq.BuildSharded(datasets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

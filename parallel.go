@@ -20,16 +20,16 @@ type ParallelResult[T cmp.Ordered] = parallel.Result[T]
 // parallel.PhaseTimes.
 type PhaseTimes = parallel.PhaseTimes
 
-// MergeAlgo selects the global sample-merge algorithm; see
-// parallel.MergeAlgo.
+// MergeAlgo selects the simulated machine's global sample-merge
+// algorithm (ParallelConfig.Merge); see parallel.MergeAlgo.
 type MergeAlgo = parallel.MergeAlgo
 
 // The two global merge algorithms of the paper's Section 3.
 const (
 	// BitonicMerge is the bitonic network with merge-split (power-of-two
-	// shard counts).
+	// processor counts).
 	BitonicMerge = parallel.BitonicMerge
-	// SampleMerge is splitter-based merging (any shard count).
+	// SampleMerge is splitter-based merging (any processor count).
 	SampleMerge = parallel.SampleMerge
 )
 

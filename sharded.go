@@ -7,40 +7,33 @@ import (
 	"opaq/internal/runio"
 )
 
-// ShardOptions configures a sharded build; see parallel.ShardOptions.
-type ShardOptions = parallel.ShardOptions
-
-// BuildSharded runs the sample phase over the per-shard datasets
-// concurrently — one engine rank per dataset, connected by the real
-// in-process transport — and merges the per-shard sample lists into one
-// global Summary with opts.Merge (SampleMerge for any shard count,
-// BitonicMerge for powers of two). Each shard's local phase is the full
-// build pipeline, so cfg.Workers applies per shard and shards may be
-// disk-resident run files.
+// BuildSharded builds one Summary over the per-shard datasets: each shard
+// runs the full build pipeline in its own goroutine (cfg.Workers applies
+// per shard, and shards may be disk-resident run files), and the shard
+// summaries are merged in one k-way pass.
 //
 // When every shard but the last holds a whole number of runs
 // (Count % cfg.RunLen == 0), the result is bit-identical to a sequential
 // Build over the concatenation of the shards — the deterministic-sharding
 // guarantee the engine is tested on. See parallel.BuildSharded.
-func BuildSharded[T cmp.Ordered](datasets []Dataset[T], cfg Config, opts ShardOptions) (*Summary[T], error) {
-	return parallel.BuildSharded(datasets, cfg, opts)
+func BuildSharded[T cmp.Ordered](datasets []Dataset[T], cfg Config) (*Summary[T], error) {
+	return parallel.BuildSharded(datasets, cfg)
 }
 
 // BuildShardedFromSlice is BuildSharded over an in-memory slice: the slice
-// is cut into opts.Shards run-aligned contiguous pieces (MemoryShards), so
-// the result is bit-identical to BuildFromSlice(xs, cfg) for every shard
+// is cut into shards run-aligned contiguous pieces (MemoryShards), so the
+// result is bit-identical to BuildFromSlice(xs, cfg) for every shard
 // count. Intended for tests, examples and moderate inputs; large inputs
 // should shard into run files and use BuildSharded directly.
-func BuildShardedFromSlice[T cmp.Ordered](xs []T, cfg Config, opts ShardOptions) (*Summary[T], error) {
+func BuildShardedFromSlice[T cmp.Ordered](xs []T, cfg Config, shards int) (*Summary[T], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	datasets, err := MemoryShards(xs, max(opts.Shards, 1), cfg.RunLen)
+	datasets, err := MemoryShards(xs, max(shards, 1), cfg.RunLen)
 	if err != nil {
 		return nil, err
 	}
-	opts.Shards = len(datasets)
-	return BuildSharded(datasets, cfg, opts)
+	return BuildSharded(datasets, cfg)
 }
 
 // MemoryShards cuts xs into run-aligned contiguous shards (ShardSlices) and
