@@ -84,10 +84,10 @@ func BenchmarkBuildSummary(b *testing.B) {
 }
 
 // BenchmarkBuildWorkers sweeps Config.Workers over a disk-resident run
-// file, making the speedup of the concurrent sample-phase pipeline (and
-// its bit-identical output) visible in the perf trajectory. Workers=1 is
-// the sequential baseline; higher counts overlap prefetching I/O with
-// concurrent multi-selection.
+// file, making the speedup of the concurrent sample phase (and its
+// bit-identical output) visible in the perf trajectory. Workers=1 drains
+// the scan on one goroutine; higher counts prefetch runs and sample them
+// on that many goroutines at once.
 func BenchmarkBuildWorkers(b *testing.B) {
 	const n = 2_000_000
 	path := filepath.Join(b.TempDir(), "bench.run")

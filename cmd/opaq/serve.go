@@ -8,12 +8,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
 	"opaq"
+	"opaq/internal/engine"
 )
 
 // cmdServe runs the live quantile service: a registry of per-tenant
@@ -64,21 +64,6 @@ func cmdServe(args []string) error {
 			return fmt.Errorf("-max-pending needs a seal trigger to ever drain: set -epoch, -epoch-bytes or -epoch-interval")
 		}
 	}
-	if *maxPending > 0 {
-		// Rotation seals only completed runs: each stripe can pin up to
-		// RunLen−1 elements in a partial buffer that no seal drains. A
-		// bound at or below that capacity could be crossed by partials
-		// alone and 429 every ingest forever.
-		effStripes := *stripes
-		if effStripes == 0 {
-			effStripes = runtime.GOMAXPROCS(0)
-		}
-		floor := int64(effStripes) * int64(*m-1) * 8
-		if *maxPending <= floor {
-			return fmt.Errorf("-max-pending %d can never drain: %d stripes × (m−1) partial-run elements pin up to %d bytes that no rotation seals; raise -max-pending above that or lower -m/-stripes",
-				*maxPending, effStripes, floor)
-		}
-	}
 	retention := opaq.EngineRetention{Kind: opaq.RetainAll}
 	if *window > 0 {
 		retention = opaq.EngineRetention{Kind: opaq.RetainLastK, K: *window}
@@ -99,6 +84,13 @@ func cmdServe(args []string) error {
 		// -max-pending stays an HTTP-layer bound here: the handler heals
 		// (rotates) before shedding, which engine-side admission — built
 		// for writers that bypass HTTP — deliberately does not.
+	}
+	if *maxPending > 0 {
+		// A bound the tenants' partial runs alone can cross would 429
+		// every ingest forever; admin creates get the same check.
+		if err := engine.CheckPendingBound[int64](defaults, "-max-pending", *maxPending); err != nil {
+			return fmt.Errorf("%w; raise -max-pending or lower -m/-stripes", err)
+		}
 	}
 
 	reg, err := opaq.NewEngineRegistry(opaq.EngineRegistryOptions[int64]{

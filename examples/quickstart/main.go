@@ -24,9 +24,9 @@ func main() {
 		amounts[i] = rng.Int63n(1_000_000)
 	}
 
-	// Workers: 0 runs the sample phase as a concurrent pipeline across all
-	// cores (runs are prefetched while earlier ones are sampled); the
-	// summary is bit-identical to a sequential build.
+	// Workers: 0 samples runs on one goroutine per core (runs are
+	// prefetched while earlier ones are sampled); the summary is
+	// bit-identical to a one-worker build.
 	cfg := opaq.Config{RunLen: 250_000, SampleSize: 1000, Workers: 0}
 	sum, err := opaq.BuildFromSlice(amounts, cfg)
 	if err != nil {

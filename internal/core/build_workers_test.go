@@ -13,7 +13,7 @@ import (
 )
 
 // workerMatrix is the worker-count sweep every determinism test runs:
-// sequential, small pool, odd pool, and whatever the host offers.
+// one worker, two, an odd count, and whatever the host offers.
 func workerMatrix() []int {
 	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
 }
@@ -64,8 +64,8 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestStreamBuilderMatchesConcurrentBuild pins the cross-path guarantee:
-// push-based streaming, sequential pull, and the concurrent pipeline all
-// produce the same bits.
+// push-based streaming and Build at every worker count produce the same
+// bits.
 func TestStreamBuilderMatchesConcurrentBuild(t *testing.T) {
 	xs := datagen.Generate(datagen.NewUniform(7, 1<<30), 25_000) // ragged tail
 	cfg := Config{RunLen: 2048, SampleSize: 128}
@@ -107,8 +107,8 @@ func (e *errReader) Count() int64 { return int64(e.runs * e.m) }
 func (e *errReader) RunLen() int  { return e.m }
 func (e *errReader) Close() error { return nil }
 
-// TestBuildConcurrentPropagatesReadError checks the pipeline shuts down
-// cleanly and surfaces a mid-scan read failure at every worker count.
+// TestBuildConcurrentPropagatesReadError checks Build's workers shut down
+// cleanly and surface a mid-scan read failure at every worker count.
 func TestBuildConcurrentPropagatesReadError(t *testing.T) {
 	for _, w := range workerMatrix() {
 		cfg := Config{RunLen: 64, SampleSize: 8, Workers: w}
@@ -119,8 +119,8 @@ func TestBuildConcurrentPropagatesReadError(t *testing.T) {
 	}
 }
 
-// TestBuildConcurrentEmpty checks the empty-dataset path through the
-// pipeline.
+// TestBuildConcurrentEmpty checks the empty-dataset path at every worker
+// count.
 func TestBuildConcurrentEmpty(t *testing.T) {
 	for _, w := range workerMatrix() {
 		cfg := Config{RunLen: 64, SampleSize: 8, Workers: w}
@@ -163,7 +163,7 @@ func TestConfigWorkersValidation(t *testing.T) {
 }
 
 // eofCheckReader wraps a reader and records whether NextRun is called again
-// after EOF (the pipeline must not).
+// after EOF (Build must not).
 type eofCheckReader struct {
 	inner runio.RunReader[int64]
 	eof   bool
@@ -185,7 +185,7 @@ func (r *eofCheckReader) Count() int64 { return r.inner.Count() }
 func (r *eofCheckReader) RunLen() int  { return r.inner.RunLen() }
 func (r *eofCheckReader) Close() error { return r.inner.Close() }
 
-// TestBuildConcurrentStopsAtEOF ensures the producer stops reading once the
+// TestBuildConcurrentStopsAtEOF ensures Build stops reading once the
 // stream ends.
 func TestBuildConcurrentStopsAtEOF(t *testing.T) {
 	xs := datagen.Generate(datagen.NewUniform(31, 1<<30), 10_000)

@@ -11,11 +11,11 @@ import (
 // OPAQ summaries are mergeable without information loss (MergeAll: the
 // sample multiset, counts and extrema are order-independent), adjacent
 // summaries can be pre-merged at any time without changing a single
-// answer. CompactSummaries does so binary-buddy style, the size-tiered
-// scheme of LSM trees and binomial heaps: summaries whose element counts
-// share a power-of-two tier merge pairwise, each merged pair lands one
-// tier up and may cascade into its neighbor, and the fixpoint holds
-// O(log N) summaries.
+// answer. PlanBuddiesBy plans this binary-buddy style, the size-tiered
+// scheme of LSM trees and binomial heaps, and MergeSpans executes the
+// plan: summaries whose element counts share a power-of-two tier merge
+// pairwise, each merged pair lands one tier up and may cascade into its
+// neighbor, and the fixpoint holds O(log N) summaries.
 //
 // Only ADJACENT summaries merge, so a chronologically ordered set stays
 // chronologically ordered — each output covers a contiguous span of the
@@ -35,32 +35,25 @@ func SizeTier(n int64) int {
 	return bits.Len64(uint64(n)) - 1
 }
 
-// PlanBuddies computes a greedy binary-buddy compaction plan over an
-// ordered (oldest-first) list of element counts. Scanning left to right,
-// an adjacent pair merges when the older entry's tier is at or below the
-// newer entry's — same-tier buddies (the binary-counter core) and
-// undersized older entries that would otherwise stall behind a larger
-// newer neighbor both fold — and passes repeat until a fixpoint. At the
-// fixpoint tiers strictly decrease from oldest to newest, so the plan
-// holds at most one entry per occupied tier: ≤ log₂(ΣN)+1 entries.
+// PlanBuddiesBy computes a greedy binary-buddy compaction plan over an
+// ordered (oldest-first) list of entries. Scanning left to right, an
+// adjacent pair merges when the older entry's tier (SizeTier of size) is
+// at or below the newer entry's — same-tier buddies (the binary-counter
+// core) and undersized older entries that would otherwise stall behind a
+// larger newer neighbor both fold — and passes repeat until a fixpoint.
+// Without a gate, tiers strictly decrease from oldest to newest at the
+// fixpoint, so the plan holds at most one entry per occupied tier:
+// ≤ log₂(ΣN)+1 entries.
+//
+// Entries carry arbitrary bookkeeping E: size extracts the element count
+// the tier rule compares, fold combines two entries' bookkeeping when
+// their spans merge, and gate — when non-nil — may veto an otherwise
+// eligible merge (an engine uses it to cap a merged epoch's covered time
+// or seal span so retention fidelity survives compaction).
 //
 // The result is the ordered list of half-open index spans [start, end)
-// into ns, covering all of ns; a span of width 1 is an entry left alone.
-// A nil or empty ns yields an empty plan.
-func PlanBuddies(ns []int64) [][2]int {
-	return PlanBuddiesBy(ns,
-		func(n int64) int64 { return n },
-		func(a, b int64) int64 { return a + b },
-		nil)
-}
-
-// PlanBuddiesBy is the generalized planner behind PlanBuddies: entries
-// carry arbitrary bookkeeping E, size extracts the element count the
-// tier rule compares, fold combines two entries' bookkeeping when their
-// spans merge, and gate — when non-nil — may veto an otherwise eligible
-// merge (an engine uses it to cap a merged epoch's covered time or seal
-// span so retention fidelity survives compaction). The greedy passes,
-// the tier rule and the fixpoint iteration are exactly PlanBuddies'.
+// into items, covering all of items; a span of width 1 is an entry left
+// alone. A nil or empty items yields an empty plan.
 //
 // A gate weakens the fixpoint: vetoed pairs may leave adjacent
 // non-decreasing tiers, so the depth bound becomes "logarithmic per
@@ -101,9 +94,8 @@ func PlanBuddiesBy[E any](items []E, size func(E) int64, fold func(a, b E) E, ga
 // reassembled with MergeAll into a single summary covering the span's
 // union; width-1 spans are passed through by reference. Summaries must
 // be non-nil and share a step; the inputs are not modified. It is the
-// execute step shared by CompactSummaries and callers that plan with
-// PlanBuddiesBy under extra constraints (an engine gating merged spans
-// for retention fidelity).
+// execute step for a plan from PlanBuddiesBy (an engine gating merged
+// spans for retention fidelity).
 //
 // The merged output answers every quantile, rank and selectivity query
 // byte-identically to the unmerged set — compaction changes the merge
@@ -122,24 +114,4 @@ func MergeSpans[T cmp.Ordered](sums []*Summary[T], spans [][2]int) ([]*Summary[T
 		out[i] = m
 	}
 	return out, nil
-}
-
-// CompactSummaries plans with PlanBuddies over the summaries' element
-// counts and executes with MergeSpans. The returned spans index the
-// ORIGINAL slice so callers tracking per-summary metadata (epoch IDs,
-// seal times) can fold it along the same boundaries.
-func CompactSummaries[T cmp.Ordered](sums []*Summary[T]) ([]*Summary[T], [][2]int, error) {
-	ns := make([]int64, len(sums))
-	for i, s := range sums {
-		ns[i] = s.N()
-	}
-	spans := PlanBuddies(ns)
-	if len(spans) == len(sums) {
-		return sums, spans, nil
-	}
-	out, err := MergeSpans(sums, spans)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, spans, nil
 }

@@ -24,6 +24,27 @@ func TestSizeTier(t *testing.T) {
 	}
 }
 
+// planBuddies plans over plain element counts: identity size, sum fold,
+// no gate.
+func planBuddies(ns []int64) [][2]int {
+	return PlanBuddiesBy(ns,
+		func(n int64) int64 { return n },
+		func(a, b int64) int64 { return a + b },
+		nil)
+}
+
+// compactSummaries plans with planBuddies over the summaries' element
+// counts and executes the plan with MergeSpans.
+func compactSummaries(sums []*Summary[int64]) ([]*Summary[int64], [][2]int, error) {
+	ns := make([]int64, len(sums))
+	for i, s := range sums {
+		ns[i] = s.N()
+	}
+	spans := planBuddies(ns)
+	out, err := MergeSpans(sums, spans)
+	return out, spans, err
+}
+
 // foldPlan applies a plan to counts, returning the compacted counts.
 func foldPlan(ns []int64, spans [][2]int) []int64 {
 	out := make([]int64, len(spans))
@@ -67,7 +88,7 @@ func TestPlanBuddiesCounter(t *testing.T) {
 	var counts []int64
 	for s := 1; s <= 1000; s++ {
 		counts = append(counts, seal)
-		spans := PlanBuddies(counts)
+		spans := planBuddies(counts)
 		counts = checkPlanShape(t, counts, spans)
 		if limit := bits.Len(uint(s)) + 1; len(counts) > limit {
 			t.Fatalf("after %d seals: %d entries exceed log bound %d (%v)", s, len(counts), limit, counts)
@@ -86,7 +107,7 @@ func TestPlanBuddiesRagged(t *testing.T) {
 		n := int64(1 + rng.Intn(1<<12))
 		total += n
 		counts = append(counts, n)
-		spans := PlanBuddies(counts)
+		spans := planBuddies(counts)
 		counts = checkPlanShape(t, counts, spans)
 		if limit := bits.Len64(uint64(total)) + 1; len(counts) > limit {
 			t.Fatalf("after %d ragged seals (ΣN=%d): %d entries exceed log bound %d", s+1, total, len(counts), limit)
@@ -95,11 +116,11 @@ func TestPlanBuddiesRagged(t *testing.T) {
 }
 
 func TestPlanBuddiesEmpty(t *testing.T) {
-	if got := PlanBuddies(nil); len(got) != 0 {
-		t.Fatalf("PlanBuddies(nil) = %v, want empty", got)
+	if got := planBuddies(nil); len(got) != 0 {
+		t.Fatalf("planBuddies(nil) = %v, want empty", got)
 	}
-	if got := PlanBuddies([]int64{7}); len(got) != 1 || got[0] != [2]int{0, 1} {
-		t.Fatalf("PlanBuddies([7]) = %v, want [[0 1]]", got)
+	if got := planBuddies([]int64{7}); len(got) != 1 || got[0] != [2]int{0, 1} {
+		t.Fatalf("planBuddies([7]) = %v, want [[0 1]]", got)
 	}
 }
 
@@ -135,7 +156,7 @@ func summaryBytes(t testing.TB, s *Summary[int64]) []byte {
 
 // TestCompactSummariesEquivalence pins compaction's core contract: the
 // merge of the compacted set is byte-identical to the merge of the
-// original set, and the returned spans mirror PlanBuddies.
+// original set, and the returned spans mirror the plan.
 func TestCompactSummariesEquivalence(t *testing.T) {
 	cfg := Config{RunLen: 64, SampleSize: 8}
 	rng := rand.New(rand.NewSource(9))
@@ -144,7 +165,7 @@ func TestCompactSummariesEquivalence(t *testing.T) {
 		xs[i] = rng.Int63n(1 << 40)
 	}
 	sums := buildChunks(t, xs, 17, cfg)
-	compacted, spans, err := CompactSummaries(sums)
+	compacted, spans, err := compactSummaries(sums)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +199,7 @@ func TestCompactSummariesEquivalence(t *testing.T) {
 
 // TestMergeAllAssociativityQuick is the property-based satellite: any
 // bracketing of the same run set — pairwise Merge folds in an arbitrary
-// random order, MergeAll flat, or CompactSummaries followed by MergeAll —
+// random order, MergeAll flat, or compaction followed by MergeAll —
 // yields a byte-identical summary. testing/quick drives the dataset, the
 // chunking and the bracketing.
 func TestMergeAllAssociativityQuick(t *testing.T) {
@@ -217,9 +238,9 @@ func TestMergeAllAssociativityQuick(t *testing.T) {
 		}
 
 		// Compaction is just another bracketing.
-		compacted, _, err := CompactSummaries(sums)
+		compacted, _, err := compactSummaries(sums)
 		if err != nil {
-			t.Fatalf("CompactSummaries: %v", err)
+			t.Fatalf("compactSummaries: %v", err)
 		}
 		viaCompact, err := MergeAll(compacted)
 		if err != nil {

@@ -58,12 +58,13 @@ type Config struct {
 	// positive. For estimating q quantiles with good bounds the paper
 	// recommends s ≥ 2q.
 	SampleSize int
-	// Workers bounds the concurrency of the sample phase. 0 (the default)
-	// uses runtime.GOMAXPROCS(0); 1 forces the plain sequential scan; any
-	// larger value runs a prefetching producer feeding that many sampling
-	// workers. The resulting Summary is bit-identical for every setting —
-	// only wall-clock time and peak memory (≈ 2·Workers runs in flight
-	// instead of one) change. Must not be negative.
+	// Workers is the number of goroutines Build drains the scan with,
+	// each sampling whole runs into its own StreamBuilder. 0 (the
+	// default) uses runtime.GOMAXPROCS(0). Above 1 the reader is also
+	// prefetched that many runs ahead. The resulting Summary is
+	// bit-identical for every setting (see Build for the one −0/+0
+	// caveat) — only wall-clock time and peak memory (≈ 2·Workers runs in
+	// flight instead of one) change. Must not be negative.
 	Workers int
 }
 

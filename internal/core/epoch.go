@@ -55,12 +55,7 @@ func MergeAll[T cmp.Ordered](sums []*Summary[T]) (*Summary[T], error) {
 		if out.n == 0 {
 			out.min, out.max = s.min, s.max
 		} else {
-			if s.min < out.min {
-				out.min = s.min
-			}
-			if s.max > out.max {
-				out.max = s.max
-			}
+			out.min, out.max = min(out.min, s.min), max(out.max, s.max)
 		}
 		out.runs += s.runs
 		out.n += s.n

@@ -3,8 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"opaq/internal/datagen"
@@ -96,6 +99,63 @@ func TestBuildMatchesMultiSelectBytes(t *testing.T) {
 		if got := savedBytes(t, streamed); !bytes.Equal(got, want) {
 			t.Errorf("%s: streamed summary differs from the multi-selection build", name)
 		}
+	}
+}
+
+// TestBuildStringKeysAcrossWorkers sends string runs, which keep the
+// seeded multi-selection, through Build at several worker counts and
+// through StreamBuilder.AddBatch: duplicate-heavy keys, several runs and
+// a ragged tail. Every path must give the same parts, and the merged
+// samples must be each run's sorted keys at ranks k·step−1.
+func TestBuildStringKeysAcrossWorkers(t *testing.T) {
+	cfg := Config{RunLen: 512, SampleSize: 32}
+	step := cfg.Step()
+	rng := rand.New(rand.NewSource(17))
+	xs := make([]string, 7*cfg.RunLen+300)
+	for i := range xs {
+		xs[i] = fmt.Sprintf("key-%02d", rng.Intn(40))
+	}
+	var want []string
+	for run := xs; len(run) > 0; run = run[min(cfg.RunLen, len(run)):] {
+		sorted := slices.Sorted(slices.Values(run[:min(cfg.RunLen, len(run))]))
+		for k := step; k <= len(sorted); k += step {
+			want = append(want, sorted[k-1])
+		}
+	}
+	slices.Sort(want)
+
+	var parts []SummaryParts[string]
+	for _, w := range []int{1, 2, 7} {
+		cfg.Workers = w
+		sum, err := BuildFromSlice(xs, cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		parts = append(parts, sum.Parts())
+	}
+	sb, err := NewStreamBuilder[string](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.AddBatch(xs); err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := sb.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts = append(parts, streamed.Parts())
+
+	for i, p := range parts {
+		if !reflect.DeepEqual(p, parts[0]) {
+			t.Errorf("path %d (workers 1, 2, 7, stream): parts differ from workers=1", i)
+		}
+	}
+	if got := parts[0].Samples; !slices.Equal(got, want) {
+		t.Fatalf("samples differ from each run's sorted keys at ranks k·step−1:\n got %v\nwant %v", got, want)
+	}
+	if p := parts[0]; p.N != int64(len(xs)) || p.Runs != 8 || p.Min != "key-00" || p.Max != "key-39" {
+		t.Fatalf("parts: n=%d runs=%d min=%q max=%q", p.N, p.Runs, p.Min, p.Max)
 	}
 }
 

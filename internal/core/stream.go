@@ -10,17 +10,18 @@ import (
 
 // StreamBuilder ingests elements one at a time (or in arbitrary batches)
 // and maintains an OPAQ summary over everything seen so far. It is the
-// push-based counterpart of Build for callers that do not have their data
-// behind a RunReader — e.g. a metrics pipeline observing latencies.
+// push-based face of the sample phase for callers that do not have their
+// data behind a RunReader — e.g. a metrics pipeline observing latencies —
+// and the per-worker state Build folds a scan into.
 //
 // Internally it buffers up to RunLen elements; each full buffer becomes
-// one run and is sampled exactly as the pull-based sample phase would —
-// with selection.SampleRun, and a string run i seeds its RNG from the
-// same run-index derivation Build uses — so Summary() is bit-identical
-// to running Build over the same element sequence at any Config.Workers
-// setting. The buffered tail (a partial run) is folded in on Summary()
-// with the same ragged-run accounting Build uses, at the cost of sampling
-// a copy of it. NaN keys are rejected with ErrNaN.
+// one run and goes through the same per-run fold as Build's runs — with
+// selection.SampleRun, and a string run i seeds its RNG from the same
+// run-index derivation Build uses — so Summary() is bit-identical to
+// running Build over the same element sequence at any Config.Workers
+// setting. Summary() folds the buffered tail (a partial run) in as a
+// ragged run of its own, at the cost of sampling a copy of it. NaN keys
+// are rejected with ErrNaN.
 //
 // # Sealing
 //
@@ -35,10 +36,10 @@ type StreamBuilder[T cmp.Ordered] struct {
 	cfg Config
 	buf []T
 
-	// State of whole runs flushed since the last Seal.
+	// State of the runs folded in since the last Seal.
 	lists    [][]T // per-run sorted sample lists
-	runs     int64 // whole runs
-	runN     int64 // elements in those runs (runs·RunLen)
+	runs     int64 // runs folded in
+	runN     int64 // elements in those runs
 	leftover int64 // elements of those runs not covered by a sub-run
 	runMin   T     // extrema over those runs; valid when runs > 0
 	runMax   T
@@ -133,35 +134,55 @@ func (b *StreamBuilder[T]) N() int64 { return b.runN + int64(len(b.buf)) }
 // a Seal would leave behind for the next epoch.
 func (b *StreamBuilder[T]) Buffered() int { return len(b.buf) }
 
-// flush samples the buffered run, folds it into the whole-run state and
-// clears the buffer.
+// flush folds the full buffer in as the builder's next run and clears
+// the buffer.
 func (b *StreamBuilder[T]) flush() error {
-	step := b.cfg.Step()
-	si := len(b.buf) / step
-	b.leftover += int64(len(b.buf) - si*step)
-	b.runN += int64(len(b.buf))
-	if b.runs == 0 {
-		b.runMin, b.runMax = b.bufMin, b.bufMax
-	} else {
-		if b.bufMin < b.runMin {
-			b.runMin = b.bufMin
-		}
-		if b.bufMax > b.runMax {
-			b.runMax = b.bufMax
-		}
+	if err := b.fold(b.buf, b.bufMin, b.bufMax, runSeed(b.seq)); err != nil {
+		return err
 	}
-	b.runs++
 	b.seq++
-	if si > 0 {
-		samples, err := selection.SampleRun(b.buf, step, runSeed(b.seq-1))
-		if err != nil {
-			return err
-		}
-		b.lists = append(b.lists, samples)
-	}
 	// SampleRun reorders the run in place but its sample list is a fresh
 	// slice, so the run buffer is dead here and can be refilled in place.
 	b.buf = b.buf[:0]
+	return nil
+}
+
+// addRun folds in one whole run of a scan: it rejects NaN, takes the
+// run's extrema and samples the run in place, with no copy, under the
+// seed of its scan index idx. run is reordered and not retained.
+func (b *StreamBuilder[T]) addRun(run []T, idx int64) error {
+	lo, hi := run[0], run[0]
+	for i, v := range run {
+		if v != v {
+			return fmt.Errorf("%w: element %d of run %d", ErrNaN, i, idx)
+		}
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return b.fold(run, lo, hi, runSeed(idx))
+}
+
+// fold is the per-run step of the sample phase: it adds a non-empty run
+// with extrema lo and hi to the whole-run state, including its regular
+// samples at ranks k·step−1 when it spans at least one sub-run. run is
+// reordered in place; the sample list is a fresh slice.
+func (b *StreamBuilder[T]) fold(run []T, lo, hi T, seed int64) error {
+	step := b.cfg.Step()
+	si := len(run) / step // samples this run contributes
+	if si > 0 {
+		samples, err := selection.SampleRun(run, step, seed)
+		if err != nil {
+			return fmt.Errorf("core: sample phase select: %w", err)
+		}
+		b.lists = append(b.lists, samples)
+	}
+	if b.runs == 0 {
+		b.runMin, b.runMax = lo, hi
+	} else {
+		b.runMin, b.runMax = min(b.runMin, lo), max(b.runMax, hi)
+	}
+	b.runs++
+	b.runN += int64(len(run))
+	b.leftover += int64(len(run) - si*step)
 	return nil
 }
 
@@ -203,53 +224,24 @@ func (b *StreamBuilder[T]) Seal() *Summary[T] {
 // is consumed as a (ragged) run of its own, exactly as Build treats a
 // short final run.
 func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
-	if b.N() == 0 {
-		// Identical to Build over an empty reader: the canonical empty
-		// summary (ErrEmpty from Bounds, zero-valued extrema), not an error.
-		return emptySummary[T](int64(b.cfg.Step())), nil
-	}
-	// Fold the tail into a copy of the state so ingestion can continue.
-	lists := b.lists
-	runs, leftover := b.runs, b.leftover
-	minV, maxV := b.runMin, b.runMax
-	if runs == 0 {
-		minV, maxV = b.bufMin, b.bufMax
-	}
+	// Fold the tail into a copy of the state and seal the copy, so
+	// ingestion can continue. The copy's list slice is clipped, so the
+	// fold's append reallocates instead of writing the tail's samples into
+	// the builder's spare capacity: Summary leaves the builder untouched.
+	c := *b
+	c.lists = b.lists[:len(b.lists):len(b.lists)]
 	if len(b.buf) > 0 {
-		step := b.cfg.Step()
-		si := len(b.buf) / step
-		leftover += int64(len(b.buf) - si*step)
-		runs++
-		if si > 0 {
-			// The tail must be copied (ingestion continues into b.buf), but
-			// the copy is pure scratch: SampleRun reorders it and returns a
-			// fresh sample list, so it goes straight back to the pool.
-			cp := append(getSamples[T](len(b.buf)), b.buf...)
-			samples, err := selection.SampleRun(cp, step, runSeed(b.seq))
-			putSamples(cp)
-			if err != nil {
-				return nil, err
-			}
-			lists = append(lists[:len(lists):len(lists)], samples)
+		tail := b.buf
+		if len(tail) >= b.cfg.Step() {
+			// SampleRun reorders the tail, which ingestion keeps filling,
+			// so it samples a scratch copy; the sample list is a fresh
+			// slice, so the copy goes straight back to the pool.
+			tail = append(getSamples[T](len(b.buf)), b.buf...)
+			defer putSamples(tail)
 		}
-		if b.bufMin < minV {
-			minV = b.bufMin
-		}
-		if b.bufMax > maxV {
-			maxV = b.bufMax
+		if err := c.fold(tail, b.bufMin, b.bufMax, runSeed(b.seq)); err != nil {
+			return nil, err
 		}
 	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	return &Summary[T]{
-		samples:  merge.KWayInto(getSamples[T](total), lists),
-		step:     int64(b.cfg.Step()),
-		runs:     runs,
-		n:        b.N(),
-		leftover: leftover,
-		min:      minV,
-		max:      maxV,
-	}, nil
+	return c.Seal(), nil
 }

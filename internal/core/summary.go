@@ -277,22 +277,15 @@ func Merge[T cmp.Ordered](a, b *Summary[T]) (*Summary[T], error) {
 	}
 	merged = append(merged, a.samples[i:]...)
 	merged = append(merged, b.samples[j:]...)
-	out := &Summary[T]{
+	return &Summary[T]{
 		samples:  merged,
 		step:     a.step,
 		runs:     a.runs + b.runs,
 		n:        a.n + b.n,
 		leftover: a.leftover + b.leftover,
-		min:      a.min,
-		max:      a.max,
-	}
-	if b.min < out.min {
-		out.min = b.min
-	}
-	if b.max > out.max {
-		out.max = b.max
-	}
-	return out, nil
+		min:      min(a.min, b.min),
+		max:      max(a.max, b.max),
+	}, nil
 }
 
 // CDF returns deterministic bounds on the empirical cumulative

@@ -264,6 +264,26 @@ const noDeadline = int64(1<<63 - 1)
 // engine instance in a process gets a distinct etag base.
 var etagSeq atomic.Uint64
 
+// CheckPendingBound rejects, with ErrConfig, a bound on unsealed bytes
+// (Options.MaxPending, HandlerOptions.MaxPendingBytes) that is at or
+// below the bytes o's partial runs can pin. Rotations seal only completed
+// runs, so each stripe (Stripes 0 means GOMAXPROCS) can hold up to
+// RunLen−1 elements that no rotation drains. A bound at or below that
+// floor could be crossed by partials alone and then reject or shed every
+// ingest forever. name labels the bound in the error.
+func CheckPendingBound[T cmp.Ordered](o Options, name string, bound int64) error {
+	stripes := o.Stripes
+	if stripes == 0 {
+		stripes = runtime.GOMAXPROCS(0)
+	}
+	floor := int64(stripes) * int64(o.Config.RunLen-1) * int64(runio.ElemSize[T]())
+	if bound <= floor {
+		return fmt.Errorf("%w: %s %d can never drain: %d stripes × (RunLen−1) partial-run elements pin up to %d bytes that no rotation seals",
+			core.ErrConfig, name, bound, stripes, floor)
+	}
+	return nil
+}
+
 // New returns an engine with freshly initialized stripes. Engines with an
 // EpochPolicy.Interval own a rotation timer and must be Closed.
 func New[T cmp.Ordered](opts Options) (*Engine[T], error) {
@@ -290,15 +310,10 @@ func New[T cmp.Ordered](opts Options) (*Engine[T], error) {
 		return nil, fmt.Errorf("%w: MaxPending must be non-negative, got %d", core.ErrConfig, opts.MaxPending)
 	}
 	if opts.MaxPending > 0 {
-		elemSize := int64(runio.ElemSize[T]())
-		// Rotations seal only completed runs: each stripe can pin up to
-		// RunLen−1 elements in a partial buffer forever. A bound at or
-		// below that capacity could be crossed by partials alone and then
-		// reject every ingest with nothing ever draining.
-		if floor := int64(p) * int64(opts.Config.RunLen-1) * elemSize; opts.MaxPending <= floor {
-			return nil, fmt.Errorf("%w: MaxPending %d can never drain: %d stripes × (RunLen−1) partial-run elements pin up to %d bytes that no rotation seals",
-				core.ErrConfig, opts.MaxPending, p, floor)
+		if err := CheckPendingBound[T](opts, "MaxPending", opts.MaxPending); err != nil {
+			return nil, err
 		}
+		elemSize := int64(runio.ElemSize[T]())
 		// A count/bytes seal trigger that fires only ABOVE the admission
 		// bound is a livelock: admission rejects before the trigger is
 		// reached and, with no wall-clock timer and no explicit Rotate,

@@ -74,9 +74,11 @@ type HandlerOptions struct {
 	// bound must exceed Stripes·(RunLen−1)·elemSize: rotations seal only
 	// completed runs, so partial buffers can pin that many bytes forever,
 	// and a smaller bound crossed by partials alone would never drain
-	// (every ingest shed, no run ever completing). The engine also needs
-	// a seal trigger (EpochPolicy) or explicit Rotate calls for pending
-	// state to drain at all.
+	// (every ingest shed, no run ever completing). POST /admin/tenants
+	// answers 400 for a tenant whose options break this (see
+	// CheckPendingBound). The engine also needs a seal trigger
+	// (EpochPolicy) or explicit Rotate calls for pending state to drain
+	// at all.
 	MaxPendingBytes int64
 	// RetryAfter is the Retry-After hint on 429 responses, rounded up to
 	// whole seconds. 0 means adaptive: the hint is derived from the
@@ -133,21 +135,17 @@ type handler[T cmp.Ordered] struct {
 
 // NewHandler returns the single-engine HTTP API. parse converts request
 // keys from their decimal string form. Protection limits are the
-// HandlerOptions zero-value defaults; use NewHandlerOpts to tune them.
+// HandlerOptions zero-value defaults; use NewHandlerCodec to tune them.
 func NewHandler[T cmp.Ordered](e *Engine[T], parse ParseKey[T]) http.Handler {
-	return NewHandlerOpts(e, parse, HandlerOptions{})
+	return NewHandlerCodec(e, parse, nil, HandlerOptions{})
 }
 
-// NewHandlerOpts is NewHandler with explicit protection limits.
-func NewHandlerOpts[T cmp.Ordered](e *Engine[T], parse ParseKey[T], opts HandlerOptions) http.Handler {
-	return NewHandlerCodec(e, parse, nil, opts)
-}
-
-// NewHandlerCodec is NewHandlerOpts plus a codec enabling the binary
-// ingest path: POST /ingest with Content-Type application/octet-stream
-// carries runio ingest frames (see runio.AppendDataFrame) instead of
-// JSON, decoding straight into the engine with zero per-element
-// allocations. A nil codec answers binary ingests with 415.
+// NewHandlerCodec is NewHandler with explicit protection limits plus a
+// codec enabling the binary ingest path: POST /ingest with Content-Type
+// application/octet-stream carries runio ingest frames (see
+// runio.AppendDataFrame) instead of JSON, decoding straight into the
+// engine with zero per-element allocations. A nil codec answers binary
+// ingests with 415.
 func NewHandlerCodec[T cmp.Ordered](e *Engine[T], parse ParseKey[T], codec runio.Codec[T], opts HandlerOptions) http.Handler {
 	h := &handler[T]{single: e, parse: parse, codec: codec, opts: opts}
 	mux := http.NewServeMux()
@@ -726,6 +724,11 @@ func (h *handler[T]) adminCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts, err := req.options(h.reg.opts.Defaults)
+	if err == nil && h.opts.MaxPendingBytes > 0 {
+		// A tenant whose partial runs alone can cross the shedding bound
+		// would be shed with 429 forever.
+		err = CheckPendingBound[T](opts, "MaxPendingBytes", h.opts.MaxPendingBytes)
+	}
 	if err != nil {
 		WriteError(w, err)
 		return

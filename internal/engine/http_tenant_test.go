@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -296,5 +297,56 @@ func TestHTTPBackpressure(t *testing.T) {
 	}
 	if eng.N() != before {
 		t.Fatalf("oversized body ingested %d keys", eng.N()-before)
+	}
+}
+
+// TestHTTPAdminCreateRejectsUndrainableTenant: with MaxPendingBytes set,
+// admin create refuses a tenant whose partial runs alone can cross the
+// bound (stripes × (m−1) × 8 bytes for int64), because such a tenant is
+// shed with 429 forever once they do. A rejected create answers 400 and
+// leaves neither a tenant nor an options sidecar behind.
+func TestHTTPAdminCreateRejectsUndrainableTenant(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := NewRegistry(RegistryOptions[int64]{
+		Defaults: Options{
+			Config:  core.Config{RunLen: 4096, SampleSize: 64},
+			Stripes: 1,
+			Epoch:   EpochPolicy{MaxElems: 4096},
+		},
+		CheckpointDir: dir,
+		Codec:         runio.Int64Codec{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	srv := httptest.NewServer(NewRegistryHandler(reg, Int64Key, HandlerOptions{MaxPendingBytes: 65536}))
+	t.Cleanup(srv.Close)
+
+	for _, body := range []string{
+		`{"name":"big","m":1048576,"s":1024}`, // 1 × 1048575 × 8 bytes
+		`{"name":"wide","stripes":64}`,        // 64 × 4095 × 8 bytes
+	} {
+		resp := postJSON(t, srv.URL+"/admin/tenants", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("create %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	// 2 × 4095 × 8 = 65520 bytes, just inside the bound.
+	resp := postJSON(t, srv.URL+"/admin/tenants", `{"name":"ok","stripes":2}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create ok: status %d, want 201", resp.StatusCode)
+	}
+
+	list := getJSON(t, srv.URL+"/admin/tenants", http.StatusOK)["tenants"].([]any)
+	if len(list) != 1 || list[0].(map[string]any)["name"] != "ok" {
+		t.Fatalf("tenants after creates: %v, want only ok", list)
+	}
+	for _, name := range []string{"big", "wide"} {
+		if _, err := os.Stat(reg.optionsPath(name)); !os.IsNotExist(err) {
+			t.Errorf("rejected tenant %q left an options sidecar (stat: %v)", name, err)
+		}
 	}
 }

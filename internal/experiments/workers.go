@@ -13,12 +13,12 @@ import (
 )
 
 // WorkerSweep is an extension experiment beyond the paper's evaluation: it
-// measures the real (wall-clock) build time of the concurrent sample-phase
-// pipeline over a disk-resident run file as the worker count grows. This is
-// the practical counterpart of the paper's Section 4 future work — the
+// measures the real (wall-clock) build time of the concurrent sample phase
+// over a disk-resident run file as the worker count grows. This is the
+// practical counterpart of the paper's Section 4 future work — the
 // simulated "overlap" experiment predicts the gain; this one measures it on
-// actual hardware, where the producer prefetches runs from disk while the
-// worker pool multi-selects them.
+// actual hardware, where runs are prefetched from disk while the workers
+// sample them.
 func WorkerSweep(scale int) (*Table, error) {
 	n := int64(scaleN(8_000_000, scale))
 	cfg := core.Config{RunLen: 1 << 16, SampleSize: 1 << 10}
@@ -34,9 +34,9 @@ func WorkerSweep(scale int) (*Table, error) {
 		return nil, err
 	}
 
-	// Even on one core the pipeline can win: the producer's disk waits
-	// overlap the workers' multi-selection. Sweep 1, 2, 4, … up to
-	// GOMAXPROCS (always including 2 so the concurrent path is exercised).
+	// Even on one core two workers can win: the prefetcher's disk waits
+	// overlap the workers' sampling. Sweep 1, 2, 4, … up to GOMAXPROCS
+	// (always including 2 so prefetching is exercised).
 	maxW := runtime.GOMAXPROCS(0)
 	workerCounts := []int{1, 2}
 	for w := 4; w < maxW; w *= 2 {

@@ -9,13 +9,8 @@ package merge
 
 import (
 	"cmp"
-	"errors"
 	"slices"
 )
-
-// ErrUnsorted is returned by validating entry points when an input list is
-// found to be out of order.
-var ErrUnsorted = errors.New("merge: input list is not sorted")
 
 // KWay merges the sorted slices in lists into a single sorted slice using a
 // binary tournament heap: O(N log k) comparisons for N total elements across
@@ -58,24 +53,6 @@ func KWayInto[T cmp.Ordered](dst []T, lists [][]T) []T {
 		dst = append(dst, v)
 	}
 }
-
-// KWayValidated is KWay but first verifies each input is sorted, returning
-// ErrUnsorted (wrapped) naming the offending list otherwise.
-func KWayValidated[T cmp.Ordered](lists [][]T) ([]T, error) {
-	for i, l := range lists {
-		if !IsSorted(l) {
-			return nil, &unsortedError{list: i}
-		}
-	}
-	return KWay(lists), nil
-}
-
-type unsortedError struct{ list int }
-
-func (e *unsortedError) Error() string {
-	return "merge: input list " + itoa(e.list) + " is not sorted"
-}
-func (e *unsortedError) Unwrap() error { return ErrUnsorted }
 
 // IsSorted reports whether xs is in non-decreasing order.
 func IsSorted[T cmp.Ordered](xs []T) bool {
@@ -211,20 +188,4 @@ func (lt *mergeHeap[T]) pop() (T, bool) {
 		lt.siftDown(0)
 	}
 	return v, true
-}
-
-// itoa is a tiny strconv.Itoa to keep the error path allocation-free in the
-// common case; inputs are small non-negative list indices.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

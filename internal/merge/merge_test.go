@@ -1,7 +1,6 @@
 package merge
 
 import (
-	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -95,17 +94,6 @@ func TestKWayDoesNotModifyInputs(t *testing.T) {
 	KWay([][]int64{a, b})
 	assertEqual(t, a, []int64{1, 3})
 	assertEqual(t, b, []int64{2, 4})
-}
-
-func TestKWayValidated(t *testing.T) {
-	if _, err := KWayValidated([][]int64{{1, 2}, {3, 1}}); !errors.Is(err, ErrUnsorted) {
-		t.Fatalf("error = %v, want ErrUnsorted", err)
-	}
-	got, err := KWayValidated([][]int64{{1, 2}, {0, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqual(t, got, []int64{0, 1, 2, 3})
 }
 
 func TestIsSorted(t *testing.T) {

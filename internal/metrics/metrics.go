@@ -41,11 +41,6 @@ func NewOracle[T cmp.Ordered](xs []T) *Oracle[T] {
 	return &Oracle[T]{sorted: s}
 }
 
-// NewOracleFromSorted wraps an already-sorted slice without copying.
-func NewOracleFromSorted[T cmp.Ordered](sorted []T) *Oracle[T] {
-	return &Oracle[T]{sorted: sorted}
-}
-
 // N returns the dataset size.
 func (o *Oracle[T]) N() int { return len(o.sorted) }
 

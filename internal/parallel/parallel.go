@@ -23,9 +23,8 @@
 // resulting bounds are bit-identical to a sequential OPAQ over the
 // concatenated data (tests assert this). The merges exist because each
 // list sits in another processor's memory; in one process they compute
-// what one k-way merge does, so BuildSharded builds each shard with core's
-// full pipeline in its own goroutine and merges the shard summaries with
-// core.MergeAll.
+// what one k-way merge does, so BuildSharded runs core.Build on each shard
+// in its own goroutine and merges the shard summaries with core.MergeAll.
 package parallel
 
 import (

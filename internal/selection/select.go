@@ -231,11 +231,6 @@ func partition3[T cmp.Ordered](xs []T, lo, hi, pivot int) (lt, gt int) {
 	return lt, gt
 }
 
-// Median reorders xs and returns its lower median (rank ⌊(len-1)/2⌋).
-func Median[T cmp.Ordered](xs []T, rng *rand.Rand) (T, error) {
-	return Select(xs, (len(xs)-1)/2, rng)
-}
-
 // sortedCopy returns a sorted copy of xs; shared test/reference helper.
 func sortedCopy[T cmp.Ordered](xs []T) []T {
 	out := make([]T, len(xs))

@@ -140,27 +140,6 @@ func TestSelectPartitionsAroundRank(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	cases := []struct {
-		xs   []int64
-		want int64
-	}{
-		{[]int64{3}, 3},
-		{[]int64{2, 1}, 1}, // lower median
-		{[]int64{3, 1, 2}, 2},
-		{[]int64{4, 1, 3, 2}, 2},
-	}
-	for _, c := range cases {
-		got, err := Median(append([]int64(nil), c.xs...), testRNG())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("Median(%v) = %d, want %d", c.xs, got, c.want)
-		}
-	}
-}
-
 func TestSelectFloat64(t *testing.T) {
 	xs := []float64{3.5, -1.25, 0, 7.75, 2.5}
 	got, err := Select(xs, 2, testRNG())

@@ -30,10 +30,11 @@
 //
 // # Concurrency and element types
 //
-// Config.Workers turns the build into a staged pipeline: a prefetching
-// producer overlaps disk I/O with a pool of sampling workers (0 means
-// GOMAXPROCS, 1 forces the sequential scan). The resulting Summary is
-// bit-identical for every worker count. The whole disk-facing surface —
+// Config.Workers sets how many goroutines drain the build's scan (0 means
+// GOMAXPROCS). Each samples whole runs into its own StreamBuilder, the
+// builders' summaries are merged at the end, and above one worker the
+// reader is prefetched so disk I/O overlaps the sampling. The resulting
+// Summary is bit-identical for every worker count. The whole disk-facing surface —
 // OpenFile, WriteFile, Sort, SaveSummary, LoadSummary — is generic over a
 // Codec describing the element encoding; Int64Codec, Float64Codec,
 // Uint64Codec and the 32-bit variants are provided, and the OpenInt64File

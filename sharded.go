@@ -8,7 +8,7 @@ import (
 )
 
 // BuildSharded builds one Summary over the per-shard datasets: each shard
-// runs the full build pipeline in its own goroutine (cfg.Workers applies
+// runs a full core Build in its own goroutine (cfg.Workers applies
 // per shard, and shards may be disk-resident run files), and the shard
 // summaries are merged in one k-way pass.
 //
