@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"opaq/internal/engine"
 )
 
 // Client-side defaults. Three attempts with doubling backoff ride out a
@@ -170,9 +172,37 @@ func (c *WorkerClient) GetBodyTag(ctx context.Context, url, ifNoneMatch string) 
 		return 0, nil, "", err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return 0, nil, "", err
 	}
 	return resp.StatusCode, b, resp.Header.Get("ETag"), nil
+}
+
+// readBody reads r to EOF into one buffer sized from the sender's declared
+// length, trusted up to engine.DefaultMaxBodyBytes, so a body of that
+// length costs one allocation, and the raw summary a gather-cache entry
+// keeps pins no spare capacity its byte count would miss. An unknown or
+// larger length reads as io.ReadAll does, and a wrong one still reads the
+// whole body: the length only sizes the buffer.
+func readBody(r io.Reader, length int64) ([]byte, error) {
+	if length <= 0 || length > engine.DefaultMaxBodyBytes {
+		return io.ReadAll(r)
+	}
+	// The spare byte lets the read that reports EOF land without growing
+	// the buffer.
+	b := make([]byte, 0, length+1)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }

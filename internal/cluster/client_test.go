@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"opaq/internal/engine"
 )
 
 // TestWorkerClientHonorsContext is the retry-backoff regression test: a
@@ -120,5 +124,34 @@ func TestWorkerClientConditionalGet(t *testing.T) {
 	}
 	if conditional.Load() != 2 {
 		t.Fatalf("server saw %d conditional requests, want 2", conditional.Load())
+	}
+}
+
+// TestWorkerClientReadBodySized pins readBody, which both the relayed
+// ingest body and a fetched summary go through: with the sender's length
+// it reads a body in one allocation, and a missing, wrong or uncapped
+// length still yields the whole body.
+func TestWorkerClientReadBodySized(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 1<<15) // 512 KiB
+	rd := bytes.NewReader(nil)
+	allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(body)
+		if _, err := readBody(rd, int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("readBody with Content-Length: %.1f allocs/op, want 1", allocs)
+	}
+	for _, length := range []int64{-1, 0, 1, int64(len(body)) - 1, int64(len(body)) + 7, engine.DefaultMaxBodyBytes + 1} {
+		got, err := readBody(bytes.NewReader(body), length)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("length %d: read %d bytes, err %v; want the whole %d-byte body", length, len(got), err, len(body))
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	capped := http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), 1<<10)
+	if _, err := readBody(capped, int64(len(body))); !errors.As(err, &tooLarge) {
+		t.Fatalf("body past the cap: err %v, want *http.MaxBytesError", err)
 	}
 }

@@ -269,8 +269,7 @@ func (c *Coordinator[T]) Handler() http.Handler {
 func (c *Coordinator[T]) ingest(tenant string, w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := c.reqCtx(r.Context())
 	defer cancel()
-	r.Body = http.MaxBytesReader(w, r.Body, maxProxyBody)
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxProxyBody), r.ContentLength)
 	if err != nil {
 		engine.WriteError(w, fmt.Errorf("%w: reading body: %w", engine.ErrBadRequest, err))
 		return

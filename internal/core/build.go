@@ -15,9 +15,11 @@ import (
 // returning the Summary used by the quantile phase. This is the algorithm
 // of Figure 1 in the paper: for each run, extract the s regular sample
 // points, then merge the per-run sorted sample lists. selection.SampleRun
-// extracts them: runs of fixed-width numeric keys are radix-sorted in
-// place, and string runs keep the paper's O(m log s) multi-selection. Runs
-// are reordered in place. A NaN key fails the build with ErrNaN.
+// extracts them: runs of fixed-width numeric keys are radix-selected in
+// place, sorting only the radix buckets that hold a sample rank, and
+// string runs keep the paper's O(m log s) multi-selection. Runs are
+// reordered in place and left partitioned around their samples. A NaN key
+// fails the build with ErrNaN.
 //
 // The scan is drained by cfg.EffectiveWorkers() goroutines, each folding
 // whole runs into a private StreamBuilder; the builders' summaries are

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -84,6 +87,53 @@ func TestStreamBuilderMatchesConcurrentBuild(t *testing.T) {
 		built := buildWith(t, xs, cfg, w)
 		if !reflect.DeepEqual(streamed.Parts(), built.Parts()) {
 			t.Errorf("workers=%d: stream and build summaries diverged", w)
+		}
+	}
+}
+
+// TestBuildFromFileMatchesSlice builds over a run file, whose reader fills
+// each run straight from the file for the built-in codecs, and over the
+// same keys in memory: at Workers 1, 2 and 7 the two summaries must save
+// to the same bytes. The keys end in a ragged run and hold no zero, so
+// the −0/+0 caveat does not apply.
+func TestBuildFromFileMatchesSlice(t *testing.T) {
+	cfg := Config{RunLen: 2048, SampleSize: 128}
+	xs := datagen.Generate(datagen.NewUniform(21, 1<<40), 30_000)
+	fs := make([]float64, len(xs))
+	f32 := make([]float32, len(xs))
+	for i, x := range xs {
+		fs[i] = float64(x)/3 - 1e11 - 0.5
+		f32[i] = float32(fs[i])
+	}
+	t.Run("int64", func(t *testing.T) { checkFileMatchesSlice(t, xs, runio.Int64Codec{}, cfg) })
+	t.Run("float64", func(t *testing.T) { checkFileMatchesSlice(t, fs, runio.Float64Codec{}, cfg) })
+	t.Run("float32", func(t *testing.T) { checkFileMatchesSlice(t, f32, runio.Float32Codec{}, cfg) })
+}
+
+func checkFileMatchesSlice[T cmp.Ordered](t *testing.T, xs []T, codec runio.Codec[T], cfg Config) {
+	path := filepath.Join(t.TempDir(), "keys.run")
+	if err := runio.WriteFile(path, codec, xs); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := runio.OpenFile(path, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(s *Summary[T], err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", cfg.Workers, err)
+		}
+		var buf bytes.Buffer
+		if err := SaveSummary(&buf, s, codec); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, w := range []int{1, 2, 7} {
+		cfg.Workers = w
+		if !bytes.Equal(save(BuildFromDataset[T](ds, cfg)), save(BuildFromSlice(xs, cfg))) {
+			t.Errorf("workers=%d: file and slice builds save different bytes", w)
 		}
 	}
 }

@@ -8,10 +8,12 @@
 //     run the s regular sample points — the elements of exact local ranks
 //     m/s, 2m/s, …, m — are extracted, and the r sorted sample lists are
 //     merged into one sorted list. The paper extracts them with an
-//     O(m log s) multi-selection; selection.SampleRun instead radix-sorts
-//     runs of fixed-width numeric keys in place, which puts the same order
+//     O(m log s) multi-selection; selection.SampleRun instead radix-selects
+//     runs of fixed-width numeric keys in place, descending only into the
+//     radix buckets that hold a sample rank, which puts the same order
 //     statistics at the same ranks in a few linear passes. String runs
-//     keep the multi-selection.
+//     keep the multi-selection. Either way a run is left partitioned
+//     around its samples, not sorted.
 //  2. Quantile phase: for a quantile of rank ψ = ⌈φ·n⌉, two indices into
 //     the sorted sample list give deterministic bounds e_l ≤ e_φ ≤ e_u with
 //     at most n/s data elements between the true quantile and either bound

@@ -18,7 +18,7 @@ import (
 
 // multiSelectBuild is the sample phase as the paper states it, kept as a
 // reference: every run of xs multi-selected at ranks k·step−1 with its
-// run-index RNG, the sample lists merged, nothing radix-sorted.
+// run-index RNG, the sample lists merged, nothing radix-selected.
 func multiSelectBuild(t *testing.T, xs []int64, cfg Config) *Summary[int64] {
 	t.Helper()
 	step := cfg.Step()
@@ -63,7 +63,7 @@ func savedBytes(t *testing.T, s *Summary[int64]) []byte {
 	return buf.Bytes()
 }
 
-// TestBuildMatchesMultiSelectBytes pins that the radix-sorted sample phase
+// TestBuildMatchesMultiSelectBytes pins that the radix-selected sample phase
 // saves the same checkpoint bytes as a multi-selection build, for int64
 // keys: uniform, duplicate-heavy and narrow-range inputs with a ragged
 // tail, at one and several workers and through the StreamBuilder.

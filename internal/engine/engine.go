@@ -264,6 +264,14 @@ const noDeadline = int64(1<<63 - 1)
 // engine instance in a process gets a distinct etag base.
 var etagSeq atomic.Uint64
 
+// stripeCount resolves Stripes: 0 means GOMAXPROCS.
+func (o Options) stripeCount() int {
+	if o.Stripes == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return o.Stripes
+}
+
 // CheckPendingBound rejects, with ErrConfig, a bound on unsealed bytes
 // (Options.MaxPending, HandlerOptions.MaxPendingBytes) that is at or
 // below the bytes o's partial runs can pin. Rotations seal only completed
@@ -272,10 +280,7 @@ var etagSeq atomic.Uint64
 // floor could be crossed by partials alone and then reject or shed every
 // ingest forever. name labels the bound in the error.
 func CheckPendingBound[T cmp.Ordered](o Options, name string, bound int64) error {
-	stripes := o.Stripes
-	if stripes == 0 {
-		stripes = runtime.GOMAXPROCS(0)
-	}
+	stripes := o.stripeCount()
 	floor := int64(stripes) * int64(o.Config.RunLen-1) * int64(runio.ElemSize[T]())
 	if bound <= floor {
 		return fmt.Errorf("%w: %s %d can never drain: %d stripes × (RunLen−1) partial-run elements pin up to %d bytes that no rotation seals",
@@ -299,10 +304,7 @@ func New[T cmp.Ordered](opts Options) (*Engine[T], error) {
 	if err := opts.Compaction.Validate(); err != nil {
 		return nil, err
 	}
-	p := opts.Stripes
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
+	p := opts.stripeCount()
 	if p < 1 {
 		return nil, fmt.Errorf("%w: Stripes must be non-negative, got %d", core.ErrConfig, opts.Stripes)
 	}

@@ -717,6 +717,35 @@ func (c tenantConfigJSON) options(defaults Options) (Options, error) {
 	return o, nil
 }
 
+// Admin-create limits. Every stripe allocates a RunLen-element run buffer
+// up front and every snapshot rebuild builds a histogram of Buckets
+// boundaries, so a tenant created over HTTP may ask for no more than
+// maxCreateStripes stripes, maxCreateRunBytes of run buffers in all, and
+// maxQuantiles buckets, the resolution /quantiles is capped at.
+const (
+	maxCreateStripes  = 1024
+	maxCreateRunBytes = 256 << 20
+)
+
+// checkCreateLimits rejects, with core.ErrConfig, options past the
+// admin-create limits.
+func checkCreateLimits[T cmp.Ordered](o Options) error {
+	stripes := o.stripeCount()
+	if stripes > maxCreateStripes {
+		return fmt.Errorf("%w: %d stripes, at most %d", core.ErrConfig, stripes, maxCreateStripes)
+	}
+	// Divided, not multiplied, so a huge RunLen cannot overflow past it.
+	perStripe := max(stripes, 1) * runio.ElemSize[T]()
+	if o.Config.RunLen > maxCreateRunBytes/perStripe {
+		return fmt.Errorf("%w: %d stripes × RunLen %d × %d-byte keys exceed %d bytes of run buffers",
+			core.ErrConfig, stripes, o.Config.RunLen, runio.ElemSize[T](), maxCreateRunBytes)
+	}
+	if o.Buckets > maxQuantiles {
+		return fmt.Errorf("%w: %d histogram buckets, at most %d", core.ErrConfig, o.Buckets, maxQuantiles)
+	}
+	return nil
+}
+
 func (h *handler[T]) adminCreate(w http.ResponseWriter, r *http.Request) {
 	var req tenantConfigJSON
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -724,6 +753,9 @@ func (h *handler[T]) adminCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts, err := req.options(h.reg.opts.Defaults)
+	if err == nil {
+		err = checkCreateLimits[T](opts)
+	}
 	if err == nil && h.opts.MaxPendingBytes > 0 {
 		// A tenant whose partial runs alone can cross the shedding bound
 		// would be shed with 429 forever.

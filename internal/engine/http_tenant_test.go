@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -348,5 +349,52 @@ func TestHTTPAdminCreateRejectsUndrainableTenant(t *testing.T) {
 		if _, err := os.Stat(reg.optionsPath(name)); !os.IsNotExist(err) {
 			t.Errorf("rejected tenant %q left an options sidecar (stat: %v)", name, err)
 		}
+	}
+}
+
+// TestHTTPAdminCreateSizeLimits: admin create answers 400 for a tenant
+// past any size limit (more than 1,024 stripes, run buffers above
+// 256 MiB, more than 4,096 histogram buckets) and leaves neither a
+// tenant nor an options sidecar behind; a tenant at the stripe and bucket
+// limits is created. The run-buffer limit is checked at its edge directly,
+// since a tenant there allocates 256 MiB.
+func TestHTTPAdminCreateSizeLimits(t *testing.T) {
+	reg, srv := newRegistryServer(t, HandlerOptions{})
+	probes := map[string]string{
+		"stripes": `{"name":"stripes","stripes":1025,"m":64,"s":32}`,
+		"runs":    `{"name":"runs","stripes":2,"m":16777280,"s":64}`, // 2 × (16 Mi + 64) × 8 bytes
+		"huge":    `{"name":"huge","m":1099511627776,"s":1}`,         // 8 TiB per stripe
+		"buckets": `{"name":"buckets","buckets":4097}`,
+	}
+	for name, body := range probes {
+		resp := postJSON(t, srv.URL+"/admin/tenants", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("create %s: status %d, want 400", body, resp.StatusCode)
+		}
+		if _, err := os.Stat(reg.optionsPath(name)); !os.IsNotExist(err) {
+			t.Errorf("rejected tenant %q left an options sidecar (stat: %v)", name, err)
+		}
+	}
+	resp := postJSON(t, srv.URL+"/admin/tenants", `{"name":"edge","stripes":1024,"m":64,"s":32,"buckets":4096}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create at the limits: status %d, want 201", resp.StatusCode)
+	}
+	list := getJSON(t, srv.URL+"/admin/tenants", http.StatusOK)["tenants"].([]any)
+	if len(list) != 1 || list[0].(map[string]any)["name"] != "edge" {
+		t.Fatalf("tenants after creates: %v, want only edge", list)
+	}
+
+	edge := Options{Config: core.Config{RunLen: 32768, SampleSize: 64}, Stripes: 1024}
+	if err := checkCreateLimits[int64](edge); err != nil {
+		t.Fatalf("1024 stripes × 32768 × 8 bytes = 256 MiB: %v, want nil", err)
+	}
+	edge.Config.RunLen++
+	if err := checkCreateLimits[int64](edge); !errors.Is(err, core.ErrConfig) {
+		t.Fatalf("one key past 256 MiB: %v, want ErrConfig", err)
+	}
+	if err := checkCreateLimits[int32](edge); err != nil {
+		t.Fatalf("int32 keys at 128 MiB: %v, want nil", err)
 	}
 }

@@ -277,13 +277,19 @@ func SplitDataPayload(payload []byte, elemSize int) (tenant string, elems []byte
 }
 
 // DecodeFrameElems appends the elements encoded in elems (a data payload's
-// element region) to dst and returns it. With a pre-grown dst the steady
-// state performs zero allocations — the binary ingest path's per-element
-// cost is one codec decode, not one parse.
+// element region) to dst and returns it. dst is grown once, to hold the
+// whole frame, so decoding allocates at most once and, into a pre-grown
+// dst, not at all — the binary ingest path's per-element cost is one codec
+// decode, not one parse.
 func DecodeFrameElems[T any](codec Codec[T], elems []byte, dst []T) ([]T, error) {
 	size := codec.Size()
 	if len(elems)%size != 0 {
 		return dst, fmt.Errorf("%w: %d element bytes not a multiple of %d", ErrFrame, len(elems), size)
+	}
+	if n := len(elems) / size; cap(dst)-len(dst) < n {
+		// One make rather than slices.Grow, which allocates twice when
+		// built with the race detector.
+		dst = append(make([]T, 0, len(dst)+n), dst...)
 	}
 	if bulk, ok := codec.(BulkCodec[T]); ok {
 		return bulk.DecodeElems(dst, elems), nil

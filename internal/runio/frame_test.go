@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,37 @@ func TestDecodeFrameElemsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("DecodeFrameElems into pre-grown dst: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestDecodeFrameElemsGrowsOnce decodes a 65,536-key frame into a nil dst:
+// the slice is grown once, to the frame's element count, not append by
+// append.
+func TestDecodeFrameElemsGrowsOnce(t *testing.T) {
+	codec := Int64Codec{}
+	xs := make([]int64, 1<<16)
+	for i := range xs {
+		xs[i] = int64(i) * 5
+	}
+	frame, err := AppendDataFrame(nil, codec, "t", xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, elems, err := SplitDataPayload(frame[FrameHeaderSize:len(frame)-4], codec.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	allocs := testing.AllocsPerRun(20, func() {
+		if got, err = DecodeFrameElems(codec, elems, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("DecodeFrameElems into nil dst: %.1f allocs/op, want 1", allocs)
+	}
+	if !slices.Equal(got, xs) {
+		t.Fatalf("decoded %d keys, want the frame's %d", len(got), len(xs))
 	}
 }
 

@@ -2,11 +2,13 @@ package runio
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"time"
+	"unsafe"
 )
 
 // Stats accumulates I/O accounting for a reader or writer. The parallel
@@ -55,9 +57,11 @@ func (d DiskModel) Time(s Stats) time.Duration {
 // RunReader delivers a dataset as consecutive runs. NextRun returns the
 // next run (at most the configured run length; only the final run may be
 // shorter) and io.EOF after the last run. Implementations may reuse the
-// returned slice's backing array between calls only if documented; both
-// implementations here hand out freshly owned slices because OPAQ's sample
-// phase reorders runs in place.
+// returned slice's backing array between calls only if documented; the
+// file and memory readers here hand out freshly owned slices, because
+// OPAQ's sample phase reorders runs in place, and a file reader fills each
+// one straight from the file wherever the element's codec allows (see
+// FileDataset.Runs).
 //
 // A reader owns whatever resource backs the scan (for file-backed datasets,
 // an open descriptor). Consumers that abandon a scan before io.EOF must
@@ -129,8 +133,20 @@ func (d *FileDataset[T]) Stats() Stats { return d.stats }
 // Path returns the underlying file path.
 func (d *FileDataset[T]) Path() string { return d.path }
 
-// Runs implements Dataset: it opens a fresh sequential scan.
+// Runs implements Dataset: it opens a fresh sequential scan. For the six
+// built-in codecs on a little-endian host, a run's records are the
+// elements' own memory layout, so each run is read from the file straight
+// into the run's memory: one copy out of the kernel and no per-element
+// Decode. Other codecs, and every codec on a big-endian host, read through
+// a 1 MiB buffer and decode each element.
 func (d *FileDataset[T]) Runs(m int) (RunReader[T], error) {
+	return d.scan(0, int64(d.hdr.count), m, &d.stats)
+}
+
+// scan opens a sequential scan of the count elements from element start
+// on, with runs of m elements, accounting to stats. It picks the read path
+// once, so buffered read-ahead and direct reads never mix within a scan.
+func (d *FileDataset[T]) scan(start, count int64, m int, stats *Stats) (RunReader[T], error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("runio: run length must be positive, got %d", m)
 	}
@@ -138,20 +154,31 @@ func (d *FileDataset[T]) Runs(m int) (RunReader[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("runio: open %s: %w", d.path, err)
 	}
-	if _, err := f.Seek(headerSize, io.SeekStart); err != nil {
+	if _, err := f.Seek(headerSize+start*int64(d.codec.Size()), io.SeekStart); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("runio: seek past header: %w", err)
+		return nil, fmt.Errorf("runio: seek to scan start: %w", err)
 	}
-	return &fileRunReader[T]{
-		f:     f,
-		br:    bufio.NewReaderSize(f, 1<<20),
-		stats: &d.stats,
-		count: int64(d.hdr.count),
-		m:     m,
-		left:  int64(d.hdr.count),
-		ebuf:  make([]byte, m*d.codec.Size()),
-		codec: d.codec,
-	}, nil
+	r := &fileRunReader[T]{f: f, stats: stats, count: count, m: m, left: count, codec: d.codec}
+	if !rawCodec(d.codec) {
+		r.br = bufio.NewReaderSize(f, 1<<20)
+		r.ebuf = make([]byte, m*d.codec.Size())
+	}
+	return r, nil
+}
+
+// littleEndian reports whether this host stores integers little-endian,
+// the byte order of every built-in codec's records.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// rawCodec reports whether c's record of an element is the element's
+// in-memory representation on this host: true for the six built-in
+// fixed-width codecs on a little-endian host.
+func rawCodec[T any](c Codec[T]) bool {
+	switch any(c).(type) {
+	case Int64Codec, Float64Codec, Uint64Codec, Int32Codec, Uint32Codec, Float32Codec:
+		return littleEndian
+	}
+	return false
 }
 
 // Verify re-reads the whole file and checks the payload CRC, returning
@@ -180,6 +207,10 @@ func (d *FileDataset[T]) Verify() error {
 	return nil
 }
 
+// fileRunReader is a scan over a run file or a section of one. With a
+// raw codec (see rawCodec) br and ebuf are nil and NextRun reads each run
+// straight into its own memory; otherwise it reads through br into ebuf
+// and decodes each element.
 type fileRunReader[T any] struct {
 	f     *os.File
 	br    *bufio.Reader
@@ -202,15 +233,20 @@ func (r *fileRunReader[T]) NextRun() ([]T, error) {
 	if int64(n) > r.left {
 		n = int(r.left)
 	}
-	want := n * r.codec.Size()
-	if _, err := io.ReadFull(r.br, r.ebuf[:want]); err != nil {
+	sz := r.codec.Size()
+	want := n * sz
+	run := make([]T, n)
+	var err error
+	if r.br == nil {
+		_, err = io.ReadFull(r.f, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(run))), want))
+	} else if _, err = io.ReadFull(r.br, r.ebuf[:want]); err == nil {
+		for i := range run {
+			run[i] = r.codec.Decode(r.ebuf[i*sz:])
+		}
+	}
+	if err != nil {
 		r.Close()
 		return nil, fmt.Errorf("%w: truncated run (want %d bytes): %v", ErrCorrupt, want, err)
-	}
-	run := make([]T, n)
-	sz := r.codec.Size()
-	for i := 0; i < n; i++ {
-		run[i] = r.codec.Decode(r.ebuf[i*sz:])
 	}
 	r.left -= int64(n)
 	r.stats.ReadOps++

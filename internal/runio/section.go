@@ -1,11 +1,6 @@
 package runio
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"os"
-)
+import "fmt"
 
 // ShardRanges cuts n elements into shards contiguous [start, end) ranges
 // in which every range but the last covers a whole number of runLen-element
@@ -74,28 +69,8 @@ func (s *FileSection[T]) Count() int64 { return s.end - s.start }
 // Stats implements Dataset.
 func (s *FileSection[T]) Stats() Stats { return s.stats }
 
-// Runs implements Dataset: a fresh sequential scan of the section.
+// Runs implements Dataset: a fresh sequential scan of the section, read
+// as FileDataset.Runs reads the whole file.
 func (s *FileSection[T]) Runs(m int) (RunReader[T], error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("runio: run length must be positive, got %d", m)
-	}
-	f, err := os.Open(s.d.path)
-	if err != nil {
-		return nil, fmt.Errorf("runio: open %s: %w", s.d.path, err)
-	}
-	off := headerSize + s.start*int64(s.d.codec.Size())
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("runio: seek to section start: %w", err)
-	}
-	return &fileRunReader[T]{
-		f:     f,
-		br:    bufio.NewReaderSize(f, 1<<20),
-		stats: &s.stats,
-		count: s.Count(),
-		m:     m,
-		left:  s.Count(),
-		ebuf:  make([]byte, m*s.d.codec.Size()),
-		codec: s.d.codec,
-	}, nil
+	return s.d.scan(s.start, s.Count(), m, &s.stats)
 }

@@ -39,10 +39,12 @@ func referenceSample[T cmp.Ordered](t testing.TB, run []T, step int) []T {
 }
 
 // checkSampleRun runs SampleRun on a copy of run and checks it against
-// referenceSample: equal values (==), the multiset of bit patterns kept,
-// and, where the run yields samples, a sorted run that the samples are
-// read from, with −0 before +0 (the larger bit pattern first among equal
-// values).
+// referenceSample: equal values (==); the run left a permutation of its
+// input, by bit pattern; each sample's bits equal to the run's element at
+// its rank; and the run partitioned around every sample rank in (value,
+// bit pattern) order, which puts −0 before +0 (the larger bit pattern
+// first among equal values). Over a permutation, that partition pins each
+// sample to the bit pattern a full sort puts at its rank.
 func checkSampleRun[T cmp.Ordered](t *testing.T, name string, run []T, step int, bits func(T) uint64) {
 	t.Helper()
 	got := slices.Clone(run)
@@ -70,18 +72,27 @@ func checkSampleRun[T cmp.Ordered](t *testing.T, name string, run []T, step int,
 	if !slices.Equal(bitsOf(got), bitsOf(run)) {
 		t.Fatalf("%s: SampleRun changed the run's multiset", name)
 	}
-	if len(want) == 0 {
-		return
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] || (got[i] == got[i-1] && bits(got[i]) > bits(got[i-1])) {
-			t.Fatalf("%s: run not sorted at %d: %v (%#x) after %v (%#x)",
-				name, i, got[i], bits(got[i]), got[i-1], bits(got[i-1]))
+	less := func(a, b T) bool { return a < b || (a == b && bits(a) > bits(b)) }
+	for k, v := range samples {
+		r := (k+1)*step - 1
+		if bits(v) != bits(got[r]) {
+			t.Fatalf("%s: sample %d is not the run's element %d", name, k, r)
+		}
+		if k > 0 && less(v, samples[k-1]) {
+			t.Fatalf("%s: sample %d (%v, %#x) below sample %d (%v, %#x)",
+				name, k, v, bits(v), k-1, samples[k-1], bits(samples[k-1]))
 		}
 	}
-	for k, v := range samples {
-		if bits(v) != bits(got[(k+1)*step-1]) {
-			t.Fatalf("%s: sample %d is not the sorted run's element %d", name, k, (k+1)*step-1)
+	// Each element lies between the samples at the ranks enclosing its
+	// position: the last rank at or before it and the first at or after.
+	for i, v := range got {
+		if k := (i+1)/step - 1; k >= 0 && less(v, samples[k]) {
+			t.Fatalf("%s: element %d (%v, %#x) below sample %d (%v, %#x)",
+				name, i, v, bits(v), k, samples[k], bits(samples[k]))
+		}
+		if k := (i+step)/step - 1; k < len(samples) && less(samples[k], v) {
+			t.Fatalf("%s: element %d (%v, %#x) above sample %d (%v, %#x)",
+				name, i, v, bits(v), k, samples[k], bits(samples[k]))
 		}
 	}
 }
@@ -157,7 +168,7 @@ var (
 	}
 )
 
-// TestSampleRunMatchesRegularSample checks, for all six radix-sorted key
+// TestSampleRunMatchesRegularSample checks, for all six radix-selected key
 // types, that SampleRun selects the same values as RegularSample on
 // random, duplicate-heavy, all-equal, sorted, reverse-sorted and ragged
 // runs, and on runs sized around the insertion-sort cutoff.
@@ -215,8 +226,8 @@ func checkSampleRunCases[T cmp.Ordered](t *testing.T, kt keyType[T]) {
 // TestSampleRunExtremes runs SampleRun over runs drawn from each type's
 // extreme values: the integer limits, 0 and ±1; for floats ±Inf, ±MaxFloat,
 // subnormals, the smallest normal and mixed ±0. Beyond the values matching
-// RegularSample's, the run must be left sorted with every −0 before every
-// +0, bit for bit.
+// RegularSample's, the run must be left partitioned around every sample
+// rank with −0 before +0, bit for bit.
 func TestSampleRunExtremes(t *testing.T) {
 	t.Run("int32", func(t *testing.T) { checkSampleRunExtremes(t, int32Keys) })
 	t.Run("uint32", func(t *testing.T) { checkSampleRunExtremes(t, uint32Keys) })
@@ -261,7 +272,8 @@ func TestSampleRunArgs(t *testing.T) {
 
 // FuzzSampleRun turns arbitrary bytes into NaN-free int64 and float64
 // runs — 2-byte words when narrow, so duplicates are common, 8-byte words
-// otherwise — and checks SampleRun against RegularSample.
+// otherwise — and checks SampleRun against RegularSample and its
+// partition postcondition.
 func FuzzSampleRun(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(1), false)
 	f.Add(make([]byte, 512), uint8(3), true)

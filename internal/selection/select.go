@@ -13,10 +13,12 @@
 // select the median, split, and recurse on both halves for log s levels,
 // giving O(m log s) total work (Section 2.1 of the paper).
 //
-// SampleRun is the sample phase's entry point. It radix-sorts runs of
-// fixed-width numeric keys in place instead, which puts the same order
-// statistics at the same ranks in a few linear passes, and multi-selects
-// everything else.
+// SampleRun is the sample phase's entry point. It radix-selects runs of
+// fixed-width numeric keys in place instead: an MSD radix sort that only
+// descends into buckets holding a sample rank, which puts the same order
+// statistics at the same ranks in a few linear passes and leaves the run
+// partitioned around them, as the multi-selection does, not sorted. It
+// multi-selects everything else.
 //
 // All functions operate in place and reorder their input slice.
 package selection
