@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"opaq/internal/runio"
@@ -15,25 +16,32 @@ import (
 // returning the Summary used by the quantile phase. This is the algorithm
 // of Figure 1 in the paper: for each run, extract the s regular sample
 // points, then merge the per-run sorted sample lists. selection.SampleRun
-// extracts them: runs of fixed-width numeric keys are radix-selected in
-// place, sorting only the radix buckets that hold a sample rank, and
-// string runs keep the paper's O(m log s) multi-selection. Runs are
-// reordered in place and left partitioned around their samples. A NaN key
-// fails the build with ErrNaN.
+// extracts them: runs of fixed-width numeric keys are radix-selected,
+// sorting only the radix buckets that hold a sample rank, and string runs
+// keep the paper's O(m log s) multi-selection. Runs are reordered in place
+// and left partitioned around their samples. A NaN key fails the build
+// with ErrNaN.
 //
 // The scan is drained by cfg.EffectiveWorkers() goroutines, each folding
-// whole runs into a private StreamBuilder; the builders' summaries are
-// merged with MergeAll. Workers take runs from rr one at a time under a
-// lock, which stops all reads at EOF or at the first error. With more
-// than one worker rr is read ahead by runio.Prefetch (unless it already
-// prefetches), which overlaps I/O with the sampling — the paper's
-// Section 4 future work ("we can significantly reduce the total execution
-// time by overlapping the I/O and the computation"). A run's samples are
+// whole runs into a private StreamBuilder. Each worker owns one run-sized
+// scratch buffer, allocated for the build when it takes its first run,
+// which lets the radix selection scatter its first two levels out of
+// place instead of permuting in place: the runs are the build's own, so
+// the scratch costs one run per worker and nothing outlives Build.
+// Workers take runs from rr one at a time under a lock, which stops all
+// reads at EOF or at the first error. With more than one worker rr is
+// read ahead by runio.Prefetch (unless it already prefetches), which
+// overlaps I/O with the sampling — the paper's Section 4 future work ("we
+// can significantly reduce the total execution time by overlapping the
+// I/O and the computation").
+//
+// After the scan, every run's sample list is merged in scan order:
+// contiguous ranges of runs are merged concurrently, one per worker, and
+// the partials are then merged (see mergeLists). A run's samples are
 // exact order statistics of that run alone (a string run seeds its RNG
-// from its scan index), and the merge is order-independent, so the
-// Summary is bit-identical for every worker count. The one exception is
-// a float sample list holding both −0 and +0: those compare equal, and
-// their order in the merged list may follow the run-to-worker assignment.
+// from its scan index), and equal samples — −0 and +0 included — keep
+// their scan order, as a StreamBuilder over the same keys keeps them, so
+// the Summary is bit-identical for every worker count.
 //
 // Runs shorter than cfg.RunLen are handled exactly: a short run of length
 // m' contributes ⌊m'·s/m⌋ sample points at the same sub-run spacing, and
@@ -90,6 +98,7 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 		return nil, 0, false
 	}
 	builders := make([]*StreamBuilder[T], workers)
+	scans := make([][]int64, workers) // the scan index of each of builders[w].lists
 	var wg sync.WaitGroup
 	for w := range builders {
 		b := &StreamBuilder[T]{cfg: cfg}
@@ -97,14 +106,21 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var scratch []T
 			for {
 				run, idx, ok := take()
 				if !ok {
 					return
 				}
-				if err := b.addRun(run, idx); err != nil {
+				if scratch == nil {
+					scratch = make([]T, cfg.RunLen)
+				}
+				if err := b.addRun(run, idx, scratch); err != nil {
 					stop(err)
 					return
+				}
+				if len(b.lists) > len(scans[w]) {
+					scans[w] = append(scans[w], idx)
 				}
 			}
 		}()
@@ -113,11 +129,20 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	sums := make([]*Summary[T], workers)
+	// Fold every builder into the first, with the sample lists placed at
+	// their runs' scan indices, and seal it across the workers.
+	lists := make([][]T, next)
+	acc := builders[0]
 	for w, b := range builders {
-		sums[w] = b.Seal()
+		for i, l := range b.lists {
+			lists[scans[w][i]] = l
+		}
+		if w > 0 && b.runs > 0 {
+			acc.count(b.runs, b.runN, b.leftover, b.runMin, b.runMax)
+		}
 	}
-	return MergeAll(sums)
+	acc.lists = slices.DeleteFunc(lists, func(l []T) bool { return l == nil })
+	return acc.seal(workers), nil
 }
 
 // runSeed derives the selection RNG seed for the run with 0-based index

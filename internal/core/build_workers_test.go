@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -94,8 +96,7 @@ func TestStreamBuilderMatchesConcurrentBuild(t *testing.T) {
 // TestBuildFromFileMatchesSlice builds over a run file, whose reader fills
 // each run straight from the file for the built-in codecs, and over the
 // same keys in memory: at Workers 1, 2 and 7 the two summaries must save
-// to the same bytes. The keys end in a ragged run and hold no zero, so
-// the −0/+0 caveat does not apply.
+// to the same bytes. The keys end in a ragged run.
 func TestBuildFromFileMatchesSlice(t *testing.T) {
 	cfg := Config{RunLen: 2048, SampleSize: 128}
 	xs := datagen.Generate(datagen.NewUniform(21, 1<<40), 30_000)
@@ -134,6 +135,81 @@ func checkFileMatchesSlice[T cmp.Ordered](t *testing.T, xs []T, codec runio.Code
 		cfg.Workers = w
 		if !bytes.Equal(save(BuildFromDataset[T](ds, cfg)), save(BuildFromSlice(xs, cfg))) {
 			t.Errorf("workers=%d: file and slice builds save different bytes", w)
+		}
+	}
+}
+
+// TestBuildSignedZerosAcrossWorkers pins the order of equal samples that
+// differ in their bits: float runs whose samples hold both −0 and +0, in
+// shares that vary from run to run, must save the same bytes from Build at
+// Workers 1, 2, 3 and 7, build after build whatever worker samples which
+// run, as from a StreamBuilder over the same keys.
+func TestBuildSignedZerosAcrossWorkers(t *testing.T) {
+	cfg := Config{RunLen: 2048, SampleSize: 64}
+	rng := rand.New(rand.NewSource(23))
+	fs := make([]float64, 80*cfg.RunLen+777) // 80 runs and a ragged one
+	for run := 0; run*cfg.RunLen < len(fs); run++ {
+		negShare := rng.Float64() // of this run's zeros, the share of −0
+		for i := run * cfg.RunLen; i < min((run+1)*cfg.RunLen, len(fs)); i++ {
+			switch {
+			case rng.Intn(2) == 0:
+				fs[i] = rng.NormFloat64()
+			case rng.Float64() < negShare:
+				fs[i] = math.Copysign(0, -1)
+			default:
+				fs[i] = 0
+			}
+		}
+	}
+	f32 := make([]float32, len(fs))
+	for i, f := range fs {
+		f32[i] = float32(f)
+	}
+	t.Run("float64", func(t *testing.T) { checkSignedZeros(t, fs, runio.Float64Codec{}, cfg) })
+	t.Run("float32", func(t *testing.T) { checkSignedZeros(t, f32, runio.Float32Codec{}, cfg) })
+}
+
+func checkSignedZeros[T float32 | float64](t *testing.T, xs []T, codec runio.Codec[T], cfg Config) {
+	save := func(s *Summary[T]) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := SaveSummary(&buf, s, codec); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	sb, err := NewStreamBuilder[T](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.AddBatch(xs); err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := sb.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var neg, pos bool
+	for _, v := range streamed.Samples() {
+		if v == 0 {
+			neg = neg || math.Signbit(float64(v))
+			pos = pos || !math.Signbit(float64(v))
+		}
+	}
+	if !neg || !pos {
+		t.Fatalf("the samples hold −0: %v, +0: %v; the keys must put both among them", neg, pos)
+	}
+	want := save(streamed)
+	for _, w := range []int{1, 2, 3, 7} {
+		cfg.Workers = w
+		for rep := range 10 {
+			built, err := BuildFromSlice(xs, cfg)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			if !bytes.Equal(save(built), want) {
+				t.Errorf("workers=%d, build %d: saves different bytes than the StreamBuilder", w, rep)
+			}
 		}
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-
-	"opaq/internal/merge"
 )
 
 // MergeAll combines any number of summaries built with the same step into
@@ -19,6 +17,12 @@ import (
 // non-nil so the result's step is defined; all-empty inputs yield the
 // canonical empty summary.
 func MergeAll[T cmp.Ordered](sums []*Summary[T]) (*Summary[T], error) {
+	return mergeAll(sums, 1)
+}
+
+// mergeAll is MergeAll with the sample lists merged across workers (see
+// mergeLists).
+func mergeAll[T cmp.Ordered](sums []*Summary[T], workers int) (*Summary[T], error) {
 	// The reference step comes from the first non-empty summary — empty
 	// ones are skipped below, so they must not dictate compatibility. An
 	// all-empty input falls back to the first non-nil summary's step for
@@ -64,13 +68,6 @@ func MergeAll[T cmp.Ordered](sums []*Summary[T]) (*Summary[T], error) {
 	if out.n == 0 {
 		return emptySummary[T](step), nil
 	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	// Draw the output from the merge-buffer pool: a serving engine rebuilds
-	// a snapshot on every version bump, and the previous snapshot's stripe
-	// summaries come back through RecycleSummary.
-	out.samples = merge.KWayInto(getSamples[T](total), lists)
+	out.samples = mergeLists(lists, workers)
 	return out, nil
 }

@@ -3,57 +3,74 @@ package core
 import (
 	"cmp"
 	"sync"
+
+	"opaq/internal/merge"
 )
 
-// parallelMergeFloor is the fan-in below which MergeAllParallel degrades
-// to the sequential k-way merge: splitting a handful of lists across
-// goroutines costs more in scheduling than the heap saves.
+// parallelMergeFloor is the fan-in below which a merge across workers
+// degrades to one sequential k-way merge: splitting a handful of lists
+// across goroutines costs more in scheduling than the heap saves.
 const parallelMergeFloor = 8
 
-// MergeAllParallel is MergeAll fanned out across workers: the input is
-// split into contiguous chunks, each chunk is k-way merged concurrently,
-// and the chunk partials are merged into the final summary — a two-level
-// merge tree whose leaves run in parallel. The result is identical to
-// MergeAll over the same slice (the sample multiset, counts and extrema
-// are order-independent, and equal samples are indistinguishable values),
-// so callers may use whichever fits their core budget; the serving
-// engine uses it to rebuild the frozen-prefix summary of a deep epoch
-// ring cold, where the fan-in is the whole retained window.
+// MergeAllParallel is MergeAll fanned out across workers: the sample
+// lists are split into contiguous ranges, each range is k-way merged
+// concurrently, and the partials are merged into the final summary — a
+// two-level merge tree whose leaves run in parallel (see mergeLists). The
+// result is identical to MergeAll over the same slice, so callers may use
+// whichever fits their core budget; the serving engine uses it to rebuild
+// the frozen-prefix summary of a deep epoch ring cold, where the fan-in is
+// the whole retained window.
 //
-// Chunk partials are drawn from and returned to the merge-buffer pool;
-// only the final summary's buffer escapes. workers ≤ 1 (or a fan-in too
-// small to split) is exactly MergeAll.
+// Partials are drawn from and returned to the merge-buffer pool; only the
+// final summary's buffer escapes. workers ≤ 1 (or a fan-in too small to
+// split) is exactly MergeAll.
 func MergeAllParallel[T cmp.Ordered](sums []*Summary[T], workers int) (*Summary[T], error) {
-	if workers > len(sums)/2 {
-		workers = len(sums) / 2
+	return mergeAll(sums, workers)
+}
+
+// mergeLists merges sorted lists into one buffer drawn from the
+// merge-buffer pool, ties going to the lower list index, so equal values
+// keep the order of their lists. A serving engine rebuilds a snapshot on
+// every version bump, and the previous snapshot's stripe summaries come
+// back to the pool through RecycleSummary.
+//
+// Across workers, the lists are split into contiguous ranges, one per
+// worker and at least two lists each; each range is merged on its own
+// goroutine, and the partials are merged in range order. A tie between
+// ranges goes to the lower one, whose lists come first, so the result is
+// the same list at every worker count. The partials go back to the pool.
+func mergeLists[T cmp.Ordered](lists [][]T, workers int) []T {
+	k := min(workers, len(lists)/2)
+	if k <= 1 || len(lists) < parallelMergeFloor {
+		return merge.KWayInto(getSamples[T](sampleCount(lists)), lists)
 	}
-	if workers <= 1 || len(sums) < parallelMergeFloor {
-		return MergeAll(sums)
-	}
-	partials := make([]*Summary[T], workers)
-	errs := make([]error, workers)
+	partials := make([][]T, k)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Contiguous even split; every chunk is non-empty because
-		// workers ≤ len(sums)/2.
-		lo, hi := w*len(sums)/workers, (w+1)*len(sums)/workers
+	for c := range k {
+		// Contiguous even split; every range is non-empty because
+		// k ≤ len(lists)/2.
+		lo, hi := c*len(lists)/k, (c+1)*len(lists)/k
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			partials[w], errs[w] = MergeAll(sums[lo:hi])
-		}(w, lo, hi)
+			partials[c] = merge.KWayInto(getSamples[T](sampleCount(lists[lo:hi])), lists[lo:hi])
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out, err := MergeAll(partials)
-	// The partials are exclusively ours (MergeAll never aliases its
-	// inputs), so their buffers go back to the pool for the next pass.
+	out := merge.KWayInto(getSamples[T](sampleCount(partials)), partials)
+	// The partials are exclusively ours (KWayInto never aliases its
+	// inputs), so their buffers go back to the pool for the next merge.
 	for _, p := range partials {
-		RecycleSummary(p)
+		putSamples(p)
 	}
-	return out, err
+	return out
+}
+
+// sampleCount returns the total length of lists.
+func sampleCount[T any](lists [][]T) int {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	return total
 }

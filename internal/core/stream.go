@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 
-	"opaq/internal/merge"
 	"opaq/internal/selection"
 )
 
@@ -137,7 +136,7 @@ func (b *StreamBuilder[T]) Buffered() int { return len(b.buf) }
 // flush folds the full buffer in as the builder's next run and clears
 // the buffer.
 func (b *StreamBuilder[T]) flush() error {
-	if err := b.fold(b.buf, b.bufMin, b.bufMax, runSeed(b.seq)); err != nil {
+	if err := b.fold(b.buf, b.bufMin, b.bufMax, runSeed(b.seq), nil); err != nil {
 		return err
 	}
 	b.seq++
@@ -149,8 +148,10 @@ func (b *StreamBuilder[T]) flush() error {
 
 // addRun folds in one whole run of a scan: it rejects NaN, takes the
 // run's extrema and samples the run in place, with no copy, under the
-// seed of its scan index idx. run is reordered and not retained.
-func (b *StreamBuilder[T]) addRun(run []T, idx int64) error {
+// seed of its scan index idx, scattering through scratch if it is at
+// least as long as run (see selection.SampleRun). run and scratch are
+// reordered and not retained.
+func (b *StreamBuilder[T]) addRun(run []T, idx int64, scratch []T) error {
 	lo, hi := run[0], run[0]
 	for i, v := range run {
 		if v != v {
@@ -158,32 +159,39 @@ func (b *StreamBuilder[T]) addRun(run []T, idx int64) error {
 		}
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	return b.fold(run, lo, hi, runSeed(idx))
+	return b.fold(run, lo, hi, runSeed(idx), scratch)
 }
 
 // fold is the per-run step of the sample phase: it adds a non-empty run
 // with extrema lo and hi to the whole-run state, including its regular
 // samples at ranks k·step−1 when it spans at least one sub-run. run is
-// reordered in place; the sample list is a fresh slice.
-func (b *StreamBuilder[T]) fold(run []T, lo, hi T, seed int64) error {
+// reordered in place, through scratch if that is at least as long as
+// run; the sample list is a fresh slice.
+func (b *StreamBuilder[T]) fold(run []T, lo, hi T, seed int64, scratch []T) error {
 	step := b.cfg.Step()
 	si := len(run) / step // samples this run contributes
 	if si > 0 {
-		samples, err := selection.SampleRun(run, step, seed)
+		samples, err := selection.SampleRun(run, scratch, step, seed)
 		if err != nil {
 			return fmt.Errorf("core: sample phase select: %w", err)
 		}
 		b.lists = append(b.lists, samples)
 	}
+	b.count(1, int64(len(run)), int64(len(run)-si*step), lo, hi)
+	return nil
+}
+
+// count adds runs whole runs, n elements in all of which leftover lie
+// outside every sub-run, with extrema lo and hi, to the whole-run state.
+func (b *StreamBuilder[T]) count(runs, n, leftover int64, lo, hi T) {
 	if b.runs == 0 {
 		b.runMin, b.runMax = lo, hi
 	} else {
 		b.runMin, b.runMax = min(b.runMin, lo), max(b.runMax, hi)
 	}
-	b.runs++
-	b.runN += int64(len(run))
-	b.leftover += int64(len(run) - si*step)
-	return nil
+	b.runs += runs
+	b.runN += n
+	b.leftover += leftover
 }
 
 // Seal detaches the whole runs accumulated since the previous Seal as an
@@ -196,16 +204,16 @@ func (b *StreamBuilder[T]) fold(run []T, lo, hi T, seed int64) error {
 //
 // When no whole run has completed since the last Seal, the canonical empty
 // summary is returned (N() == 0) and the builder is unchanged.
-func (b *StreamBuilder[T]) Seal() *Summary[T] {
+func (b *StreamBuilder[T]) Seal() *Summary[T] { return b.seal(1) }
+
+// seal is Seal with the sample lists merged across workers (see
+// mergeLists); the merge, and so the Summary, is the same at every count.
+func (b *StreamBuilder[T]) seal(workers int) *Summary[T] {
 	if b.runs == 0 {
 		return emptySummary[T](int64(b.cfg.Step()))
 	}
-	total := 0
-	for _, l := range b.lists {
-		total += len(l)
-	}
 	s := &Summary[T]{
-		samples:  merge.KWayInto(getSamples[T](total), b.lists),
+		samples:  mergeLists(b.lists, workers),
 		step:     int64(b.cfg.Step()),
 		runs:     b.runs,
 		n:        b.runN,
@@ -234,12 +242,12 @@ func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 		tail := b.buf
 		if len(tail) >= b.cfg.Step() {
 			// SampleRun reorders the tail, which ingestion keeps filling,
-			// so it samples a scratch copy; the sample list is a fresh
-			// slice, so the copy goes straight back to the pool.
+			// so it samples a copy; the sample list is a fresh slice, so
+			// the copy goes straight back to the pool.
 			tail = append(getSamples[T](len(b.buf)), b.buf...)
 			defer putSamples(tail)
 		}
-		if err := c.fold(tail, b.bufMin, b.bufMax, runSeed(b.seq)); err != nil {
+		if err := c.fold(tail, b.bufMin, b.bufMax, runSeed(b.seq), nil); err != nil {
 			return nil, err
 		}
 	}

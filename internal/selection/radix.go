@@ -18,16 +18,21 @@ import (
 // it is smaller. The run is not sorted.
 //
 // Runs of int32, uint32, int64, uint64, float32 and float64 are
-// radix-selected in place (see radixSelect): an MSD radix sort that only
-// descends into buckets holding a sample rank, which costs a few passes
-// over the run instead of MultiSelect's ⌈log₂ s⌉+1 partition levels and
-// needs no scratch buffer. Such runs are ordered by their keys' bit
-// patterns, so among equal floats −0 comes before +0, and each sample is
-// the very element a full sort would put at its rank; such runs must not
-// contain NaN. Every other key type, strings included, is multi-selected
-// with an RNG seeded from seed, which only changes how the run is
-// reordered: the samples are exact order statistics either way.
-func SampleRun[T cmp.Ordered](run []T, step int, seed int64) ([]T, error) {
+// radix-selected (see radixSelect): an MSD radix sort that only descends
+// into buckets holding a sample rank, which costs a few passes over the
+// run instead of MultiSelect's ⌈log₂ s⌉+1 partition levels. With a nil
+// scratch, or one shorter than run, the selection runs in place. With a
+// scratch at least as long as run, which the caller must be able to
+// spare, its first two levels scatter out of place through the scratch
+// instead (see radixScatter), which is faster; the scratch's contents are
+// left unspecified. Such runs are ordered by their keys' bit patterns, so
+// among equal floats −0 comes before +0, and each sample is the very
+// element a full sort would put at its rank, on either path; such runs
+// must not contain NaN. Every other key type, strings included, ignores
+// the scratch and is multi-selected with an RNG seeded from seed, which
+// only changes how the run is reordered: the samples are exact order
+// statistics either way. Nothing is allocated but the sample list.
+func SampleRun[T cmp.Ordered](run, scratch []T, step int, seed int64) ([]T, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("selection: SampleRun requires step > 0, got %d", step)
 	}
@@ -35,7 +40,7 @@ func SampleRun[T cmp.Ordered](run []T, step int, seed int64) ([]T, error) {
 	if s == 0 {
 		return nil, nil
 	}
-	if radixSelectNumeric(run, step) {
+	if radixSelectNumeric(run, scratch, step) {
 		out := make([]T, s)
 		for k := range out {
 			out[k] = run[(k+1)*step-1]
@@ -58,24 +63,25 @@ const (
 	floatOrder                    // IEEE-754: flip all bits of negatives, the sign bit of the rest
 )
 
-// radixSelectNumeric radix-selects the sample ranks of run in place when
+// radixSelectNumeric radix-selects the sample ranks of run, through
+// scratch when it is at least as long as run and in place otherwise, when
 // T is one of the six fixed-width numeric key types and reports whether it
 // did. Other types, including named types over the same kinds, report
-// false and are left untouched.
-func radixSelectNumeric[T cmp.Ordered](run []T, step int) bool {
-	switch xs := any(run).(type) {
+// false and are left untouched, as is scratch.
+func radixSelectNumeric[T cmp.Ordered](run, scratch []T, step int) bool {
+	switch any(run).(type) {
 	case []int32:
-		selectKeys(keysOf[uint32](xs), signedOrder, step)
+		selectKeys(keysOf[uint32](run), keysOf[uint32](scratch), signedOrder, step)
 	case []uint32:
-		selectKeys(xs, unsignedOrder, step)
+		selectKeys(keysOf[uint32](run), keysOf[uint32](scratch), unsignedOrder, step)
 	case []float32:
-		selectKeys(keysOf[uint32](xs), floatOrder, step)
+		selectKeys(keysOf[uint32](run), keysOf[uint32](scratch), floatOrder, step)
 	case []int64:
-		selectKeys(keysOf[uint64](xs), signedOrder, step)
+		selectKeys(keysOf[uint64](run), keysOf[uint64](scratch), signedOrder, step)
 	case []uint64:
-		selectKeys(xs, unsignedOrder, step)
+		selectKeys(keysOf[uint64](run), keysOf[uint64](scratch), unsignedOrder, step)
 	case []float64:
-		selectKeys(keysOf[uint64](xs), floatOrder, step)
+		selectKeys(keysOf[uint64](run), keysOf[uint64](scratch), floatOrder, step)
 	default:
 		return false
 	}
@@ -92,10 +98,10 @@ func keysOf[K radixKey, T any](xs []T) []K {
 }
 
 // selectKeys maps keys in place to unsigned words whose order is the keys'
-// order, radix-selects the words at ranks k·step−1 and maps them back.
-// Both maps are bijections on bit patterns, so the run ends up holding its
-// own values.
-func selectKeys[K radixKey](keys []K, order keyOrder, step int) {
+// order, radix-selects the words at ranks k·step−1 — through scratch if it
+// is at least as long as keys — and maps them back. Both maps are
+// bijections on bit patterns, so the run ends up holding its own values.
+func selectKeys[K radixKey](keys, scratch []K, order keyOrder, step int) {
 	top := uint(bits.Len64(uint64(^K(0)))) - 1
 	sign := K(1) << top
 	switch order {
@@ -108,7 +114,11 @@ func selectKeys[K radixKey](keys []K, order keyOrder, step int) {
 			keys[i] = k ^ (-(k >> top) | sign)
 		}
 	}
-	radixSelect(keys, 0, step)
+	if len(scratch) >= len(keys) {
+		radixScatter(keys, scratch[:len(keys)], step)
+	} else {
+		radixSelect(keys, 0, step)
+	}
 	switch order {
 	case signedOrder:
 		for i := range keys {
@@ -131,37 +141,23 @@ const radixCutoff = 48
 // ascending sort would put there, with keys partitioned around it. It is
 // an MSD radix sort over 8-bit digits that permutes each level in place
 // (American flag sort) but recurses into a bucket, or insertion-sorts a
-// small one, only when the bucket holds a wanted rank; other buckets stay
-// as the partition left them, already on the right side of every wanted
-// rank. Each call first ORs together every key's XOR with the first one,
-// which both detects an all-equal bucket and skips the leading digits no
-// key differs in, so it recurses at most once per byte of K.
+// small one, only when the bucket holds a wanted rank (see descend);
+// other buckets stay as the partition left them, already on the right
+// side of every wanted rank. Each call starts at the top digit some key
+// differs in (see topDigit), so it recurses at most once per byte of K.
 func radixSelect[K radixKey](keys []K, off, step int) {
 	if len(keys) <= radixCutoff {
 		insertionSort(keys)
 		return
 	}
-	var diff K
-	for _, k := range keys[1:] {
-		diff |= k ^ keys[0]
-	}
-	if diff == 0 {
+	shift, ok := topDigit(keys)
+	if !ok {
 		return
 	}
-	shift := uint(bits.Len64(uint64(diff))-1) &^ 7
-
 	// next[d] is where the next key with digit d goes; end[d] closes
 	// bucket d.
 	var next, end [256]int
-	for _, k := range keys {
-		end[byte(k>>shift)]++
-	}
-	sum := 0
-	for d, c := range end {
-		next[d] = sum
-		sum += c
-		end[d] = sum
-	}
+	countDigits(keys, shift, &next, &end)
 	// Cycle leader: carry each misplaced key to the next free slot of its
 	// bucket, pick up the key found there, and go on until one belongs in
 	// the slot the cycle started from.
@@ -177,9 +173,112 @@ func radixSelect[K radixKey](keys []K, off, step int) {
 			next[d]++
 		}
 	}
-	if shift == 0 {
+	if shift > 0 {
+		descend(keys, &end, off, step)
+	}
+}
+
+// radixScatter is radixSelect over keys, a whole run, with its first two
+// levels done out of place through scratch, which is as long as keys.
+// Level 1 scatters keys into scratch by their top differing digit. Level 2
+// scatters each bucket that holds a wanted rank back into keys by the
+// bucket's own top differing digit, and copies every other bucket back as
+// it is. A scatter writes each key straight to the next free slot of its
+// bucket, so no write waits on the one before it as in the in-place cycle
+// leader. Below level 2, buckets holding a wanted rank are selected in
+// place, as radixSelect does.
+func radixScatter[K radixKey](keys, scratch []K, step int) {
+	if len(keys) <= radixCutoff {
+		insertionSort(keys)
 		return
 	}
+	shift, ok := topDigit(keys)
+	if !ok {
+		return
+	}
+	var next, end [256]int
+	countDigits(keys, shift, &next, &end)
+	scatter(scratch, keys, shift, &next)
+	r := step - 1 // the first wanted rank at or after lo
+	lo := 0
+	for _, hi := range end {
+		if r < hi {
+			scatterBack(keys[lo:hi], scratch[lo:hi], lo, step)
+			for r < hi {
+				r += step
+			}
+		} else {
+			copy(keys[lo:hi], scratch[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// scatterBack is level 2 of radixScatter: it fills dst, a bucket of the
+// run starting at offset off, from src, the same bucket in the scratch,
+// scattering by src's top differing digit and then selecting in place
+// each of dst's buckets that holds a wanted rank. A bucket too small to
+// count, or all-equal, is copied back as it is and insertion-sorted if
+// small.
+func scatterBack[K radixKey](dst, src []K, off, step int) {
+	shift, ok := uint(0), false
+	if len(src) > radixCutoff {
+		shift, ok = topDigit(src)
+	}
+	if !ok {
+		copy(dst, src)
+		insertionSort(dst)
+		return
+	}
+	var next, end [256]int
+	countDigits(src, shift, &next, &end)
+	scatter(dst, src, shift, &next)
+	if shift > 0 {
+		descend(dst, &end, off, step)
+	}
+}
+
+// topDigit returns the shift of the most significant 8-bit digit in which
+// some key differs from keys[0], or false if every key is equal. It ORs
+// together every key's XOR with the first one, which both detects an
+// all-equal bucket and skips the leading digits no key differs in.
+func topDigit[K radixKey](keys []K) (uint, bool) {
+	var diff K
+	for _, k := range keys[1:] {
+		diff |= k ^ keys[0]
+	}
+	return uint(bits.Len64(uint64(diff))-1) &^ 7, diff != 0
+}
+
+// countDigits sets end[d] to where the bucket of keys whose digit at shift
+// is d ends, and next[d] to where it starts.
+func countDigits[K radixKey](keys []K, shift uint, next, end *[256]int) {
+	for _, k := range keys {
+		end[byte(k>>shift)]++
+	}
+	sum := 0
+	for d, c := range end {
+		next[d] = sum
+		sum += c
+		end[d] = sum
+	}
+}
+
+// scatter copies src into dst, each key to the next free slot next holds
+// for its digit at shift.
+func scatter[K radixKey](dst, src []K, shift uint, next *[256]int) {
+	for _, k := range src {
+		d := byte(k >> shift)
+		dst[next[d]] = k
+		next[d]++
+	}
+}
+
+// descend finishes the selection below one level: end closes the level's
+// buckets of keys, which start at offset off of their run, and each bucket
+// holding a wanted rank is radix-selected, or insertion-sorted if small.
+// Other buckets already lie on the right side of every wanted rank.
+func descend[K radixKey](keys []K, end *[256]int, off, step int) {
 	// r is the first wanted rank at or after the current bucket's start,
 	// relative to keys: the rank that ends the sub-run the start lies in.
 	r := (off/step+1)*step - 1 - off

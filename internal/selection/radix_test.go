@@ -38,17 +38,25 @@ func referenceSample[T cmp.Ordered](t testing.TB, run []T, step int) []T {
 	return out
 }
 
-// checkSampleRun runs SampleRun on a copy of run and checks it against
-// referenceSample: equal values (==); the run left a permutation of its
-// input, by bit pattern; each sample's bits equal to the run's element at
-// its rank; and the run partitioned around every sample rank in (value,
-// bit pattern) order, which puts −0 before +0 (the larger bit pattern
-// first among equal values). Over a permutation, that partition pins each
-// sample to the bit pattern a full sort puts at its rank.
+// checkSampleRun runs SampleRun on copies of run along both kernel
+// paths, in place (no scratch) and scattering through a run-sized
+// scratch, and checks each against referenceSample: equal values (==); the
+// run left a permutation of its input, by bit pattern; each sample's bits
+// equal to the run's element at its rank; and the run partitioned around
+// every sample rank in (value, bit pattern) order, which puts −0 before +0
+// (the larger bit pattern first among equal values). Over a permutation,
+// that partition pins each sample to the bit pattern a full sort puts at
+// its rank.
 func checkSampleRun[T cmp.Ordered](t *testing.T, name string, run []T, step int, bits func(T) uint64) {
 	t.Helper()
+	checkSampleRunPath(t, name+"/in-place", run, nil, step, bits)
+	checkSampleRunPath(t, name+"/scatter", run, make([]T, len(run)), step, bits)
+}
+
+func checkSampleRunPath[T cmp.Ordered](t *testing.T, name string, run, scratch []T, step int, bits func(T) uint64) {
+	t.Helper()
 	got := slices.Clone(run)
-	samples, err := SampleRun(got, step, 1)
+	samples, err := SampleRun(got, scratch, step, 1)
 	if err != nil {
 		t.Fatalf("%s: SampleRun: %v", name, err)
 	}
@@ -251,11 +259,11 @@ func checkSampleRunExtremes[T cmp.Ordered](t *testing.T, kt keyType[T]) {
 }
 
 func TestSampleRunArgs(t *testing.T) {
-	if _, err := SampleRun([]int64{1, 2}, 0, 1); err == nil {
+	if _, err := SampleRun([]int64{1, 2}, nil, 0, 1); err == nil {
 		t.Error("SampleRun with step 0 should fail")
 	}
 	run := []int64{3, 1, 2}
-	samples, err := SampleRun(run, 4, 1)
+	samples, err := SampleRun(run, nil, 4, 1)
 	if err != nil || samples != nil {
 		t.Fatalf("SampleRun(len 3, step 4) = %v, %v; want nil, nil", samples, err)
 	}
@@ -264,16 +272,87 @@ func TestSampleRunArgs(t *testing.T) {
 	}
 	// Key types outside the six keep MultiSelect.
 	strs := []string{"d", "b", "a", "c"}
-	samples2, err := SampleRun(strs, 2, 1)
+	samples2, err := SampleRun(strs, nil, 2, 1)
 	if err != nil || !slices.Equal(samples2, []string{"b", "d"}) {
 		t.Fatalf("SampleRun(strings) = %v, %v; want [b d]", samples2, err)
+	}
+}
+
+// TestSampleRunScratchFallback pins the cases where SampleRun leaves its
+// scratch alone: a numeric run longer than the scratch is selected in
+// place and ends exactly as with no scratch, and a string run is
+// multi-selected as before whatever scratch it is given.
+func TestSampleRunScratchFallback(t *testing.T) {
+	keys := benchKeys(5000, true)
+	checkScratchUnused(t, "int64", keys, len(keys)-1, -1)
+	strs := make([]string, 5000)
+	for i, k := range benchKeys(len(strs), false) {
+		strs[i] = fmt.Sprintf("%016x", k)
+	}
+	checkScratchUnused(t, "string", strs, len(strs), "scratch")
+}
+
+// checkScratchUnused samples run with no scratch and with an n-element
+// scratch filled with fill, and checks that the scratch yields the
+// no-scratch samples and run and is left as it was.
+func checkScratchUnused[T cmp.Ordered](t *testing.T, name string, run []T, n int, fill T) {
+	t.Helper()
+	const step = 64
+	want := slices.Clone(run)
+	wantSamples, err := SampleRun(want, nil, step, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := slices.Repeat([]T{fill}, n)
+	got := slices.Clone(run)
+	samples, err := SampleRun(got, scratch, step, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(samples, wantSamples) {
+		t.Errorf("%s: samples with a %d-element scratch differ from none", name, n)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: run left differently with a %d-element scratch than with none", name, n)
+	}
+	if slices.ContainsFunc(scratch, func(v T) bool { return v != fill }) {
+		t.Errorf("%s: the %d-element scratch of a %d-element run was written", name, n, len(run))
+	}
+}
+
+// TestSampleRunAllocs pins SampleRun's allocations to one, the sample
+// list, on both kernel paths.
+func TestSampleRunAllocs(t *testing.T) {
+	keys := benchKeys(1<<14, true)
+	floats := make([]float64, len(keys))
+	for i, k := range keys {
+		floats[i] = float64(k) / (1 << 61)
+	}
+	checkSampleRunAllocs(t, "int64", keys)
+	checkSampleRunAllocs(t, "float64", floats)
+}
+
+func checkSampleRunAllocs[T cmp.Ordered](t *testing.T, name string, src []T) {
+	t.Helper()
+	run := make([]T, len(src))
+	for _, scratch := range [][]T{nil, make([]T, len(src))} {
+		allocs := testing.AllocsPerRun(20, func() {
+			copy(run, src)
+			if _, err := SampleRun(run, scratch, 64, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s, scratch of %d: %.1f allocs/op, want 1 (the sample list)", name, len(scratch), allocs)
+		}
 	}
 }
 
 // FuzzSampleRun turns arbitrary bytes into NaN-free int64 and float64
 // runs — 2-byte words when narrow, so duplicates are common, 8-byte words
 // otherwise — and checks SampleRun against RegularSample and its
-// partition postcondition.
+// partition postcondition on both kernel paths, in place and through a
+// run-sized scratch.
 func FuzzSampleRun(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(1), false)
 	f.Add(make([]byte, 512), uint8(3), true)
@@ -318,9 +397,10 @@ func benchKeys(n int, zipf bool) []int64 {
 }
 
 // BenchmarkSampleRun times one run's sample phase with both kernels:
-// SampleRun, and MultiSelect with a fresh per-run RNG as the sample phase
-// ran before SampleRun. Every iteration first copies the pristine run,
-// since both kernels reorder it. Strings take MultiSelect in both.
+// SampleRun, in place and through a run-sized scratch (SampleRunScratch),
+// and MultiSelect with a fresh per-run RNG as the sample phase ran before
+// SampleRun. Every iteration first copies the pristine run, since every
+// kernel reorders it. Strings take MultiSelect in all three.
 func BenchmarkSampleRun(b *testing.B) {
 	for _, size := range []struct{ m, s int }{{65536, 1024}, {2048, 32}} {
 		for _, dist := range []string{"uniform", "zipf"} {
@@ -342,14 +422,19 @@ func BenchmarkSampleRun(b *testing.B) {
 func benchKernels[T cmp.Ordered](b *testing.B, name string, src []T, s int) {
 	run := make([]T, len(src))
 	step := len(src) / s
-	b.Run(name+"/SampleRun", func(b *testing.B) {
-		for b.Loop() {
-			copy(run, src)
-			if _, err := SampleRun(run, step, 1); err != nil {
-				b.Fatal(err)
+	for _, path := range []struct {
+		name    string
+		scratch []T
+	}{{"SampleRun", nil}, {"SampleRunScratch", make([]T, len(src))}} {
+		b.Run(name+"/"+path.name, func(b *testing.B) {
+			for b.Loop() {
+				copy(run, src)
+				if _, err := SampleRun(run, path.scratch, step, 1); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run(name+"/MultiSelect", func(b *testing.B) {
 		for b.Loop() {
 			copy(run, src)

@@ -14,13 +14,15 @@
 // giving O(m log s) total work (Section 2.1 of the paper).
 //
 // SampleRun is the sample phase's entry point. It radix-selects runs of
-// fixed-width numeric keys in place instead: an MSD radix sort that only
-// descends into buckets holding a sample rank, which puts the same order
-// statistics at the same ranks in a few linear passes and leaves the run
-// partitioned around them, as the multi-selection does, not sorted. It
-// multi-selects everything else.
+// fixed-width numeric keys instead: an MSD radix sort that only descends
+// into buckets holding a sample rank, which puts the same order statistics
+// at the same ranks in a few linear passes and leaves the run partitioned
+// around them, as the multi-selection does, not sorted. Given a run-sized
+// scratch it scatters the top two levels out of place through it, and
+// otherwise permutes every level in place. It multi-selects everything
+// else.
 //
-// All functions operate in place and reorder their input slice.
+// All functions reorder their input slice in place.
 package selection
 
 import (
