@@ -29,11 +29,14 @@ import (
 // place instead of permuting in place: the runs are the build's own, so
 // the scratch costs one run per worker and nothing outlives Build.
 // Workers take runs from rr one at a time under a lock, which stops all
-// reads at EOF or at the first error. With more than one worker rr is
-// read ahead by runio.Prefetch (unless it already prefetches), which
-// overlaps I/O with the sampling — the paper's Section 4 future work ("we
-// can significantly reduce the total execution time by overlapping the
-// I/O and the computation").
+// reads at EOF or at the first error. Once a run is sampled, its worker
+// hands it back to rr if rr is a runio.Recycler, so the readers refill
+// the few runs in flight instead of allocating one per run of the scan;
+// nothing retains a run, since its samples are a fresh list. With more
+// than one worker rr is read ahead by runio.Prefetch (unless it already
+// prefetches), which overlaps I/O with the sampling — the paper's Section
+// 4 future work ("we can significantly reduce the total execution time by
+// overlapping the I/O and the computation").
 //
 // After the scan, every run's sample list is merged in scan order:
 // contiguous ranges of runs are merged concurrently, one per worker, and
@@ -64,6 +67,7 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 	// failure — the reader's resources are released (Close is idempotent,
 	// so the EOF self-close is fine).
 	defer rr.Close()
+	rc, _ := rr.(runio.Recycler[T])
 
 	var (
 		mu       sync.Mutex
@@ -118,6 +122,9 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 				if err := b.addRun(run, idx, scratch); err != nil {
 					stop(err)
 					return
+				}
+				if rc != nil {
+					rc.Recycle(run)
 				}
 				if len(b.lists) > len(scans[w]) {
 					scans[w] = append(scans[w], idx)

@@ -328,3 +328,44 @@ func TestBuildConcurrentStopsAtEOF(t *testing.T) {
 		t.Error("NextRun called after EOF")
 	}
 }
+
+// TestBuildRecyclesRuns pins what one Build allocates over a 64-run file
+// and over the same keys in memory, at Workers 2: the runs the readers
+// have out at once — two prefetched, one being read, one per worker —
+// plus each worker's scratch run, the sample lists and their merge, not
+// one run per run of the scan. The workers hand each sampled run back to
+// the reader, which refills it.
+func TestBuildRecyclesRuns(t *testing.T) {
+	cfg := Config{RunLen: 1 << 14, SampleSize: 256, Workers: 2}
+	xs := datagen.Generate(datagen.NewUniform(41, 1<<40), 64*cfg.RunLen)
+	path := filepath.Join(t.TempDir(), "keys.run")
+	if err := runio.WriteFile(path, runio.Int64Codec{}, xs); err != nil {
+		t.Fatal(err)
+	}
+	file, err := runio.OpenFile(path, runio.Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runBytes = 8 << 14
+	samples := uint64(8 * len(xs) / cfg.Step())
+	limit := 7*runBytes + 4*samples
+	for _, c := range []struct {
+		name string
+		ds   runio.Dataset[int64]
+	}{{"file", file}, {"memory", runio.NewMemoryDataset(xs, 8)}} {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := BuildFromDataset(c.ds, cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > limit {
+			t.Errorf("%s: one Build allocated %d KiB, want at most %d KiB (7 runs of %d KiB and 4× the %d KiB of samples)",
+				c.name, least>>10, limit>>10, runBytes>>10, samples>>10)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+
+	"opaq/internal/merge"
 )
 
 // Summary is the product of OPAQ's sample phase: the sorted sample list
@@ -264,21 +266,8 @@ func Merge[T cmp.Ordered](a, b *Summary[T]) (*Summary[T], error) {
 		return nil, fmt.Errorf("%w: step %d vs %d (same RunLen/SampleSize ratio required)",
 			ErrIncompatible, a.step, b.step)
 	}
-	merged := getSamples[T](len(a.samples) + len(b.samples))
-	i, j := 0, 0
-	for i < len(a.samples) && j < len(b.samples) {
-		if b.samples[j] < a.samples[i] {
-			merged = append(merged, b.samples[j])
-			j++
-		} else {
-			merged = append(merged, a.samples[i])
-			i++
-		}
-	}
-	merged = append(merged, a.samples[i:]...)
-	merged = append(merged, b.samples[j:]...)
 	return &Summary[T]{
-		samples:  merged,
+		samples:  merge.Two(getSamples[T](len(a.samples)+len(b.samples)), a.samples, b.samples),
 		step:     a.step,
 		runs:     a.runs + b.runs,
 		n:        a.n + b.n,

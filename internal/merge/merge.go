@@ -23,14 +23,21 @@ func KWay[T cmp.Ordered](lists [][]T) []T {
 // KWayInto is KWay appending into dst, so a caller that recycles merge
 // buffers (sync.Pool or an arena) avoids the per-merge output allocation.
 // dst is grown once up-front; the merged elements never alias the inputs,
-// even in the single-list fast path, which copies.
+// even in the single-list fast path, which copies. Two non-empty lists
+// skip the heap and merge in one loop (see Two), with the same ties.
 func KWayInto[T cmp.Ordered](dst []T, lists [][]T) []T {
 	total := 0
+	var first, second []T // the first two non-empty lists
 	nonEmpty := 0
 	for _, l := range lists {
 		total += len(l)
 		if len(l) > 0 {
 			nonEmpty++
+			if first == nil {
+				first = l
+			} else if second == nil {
+				second = l
+			}
 		}
 	}
 	dst = slices.Grow(dst, total)
@@ -38,11 +45,9 @@ func KWayInto[T cmp.Ordered](dst []T, lists [][]T) []T {
 	case 0:
 		return dst
 	case 1:
-		for _, l := range lists {
-			if len(l) > 0 {
-				return append(dst, l...)
-			}
-		}
+		return append(dst, first...)
+	case 2:
+		return Two(dst, first, second)
 	}
 	lt := newMergeHeap(lists)
 	for {
@@ -99,21 +104,28 @@ func Split[T cmp.Ordered](a, b []T, keepLow bool) []T {
 	return out
 }
 
-// Two merges two sorted slices; the common r=2 and pairwise-merge case.
-func Two[T cmp.Ordered](a, b []T) []T {
-	out := make([]T, 0, len(a)+len(b))
-	i, j := 0, 0
+// Two appends the merge of the sorted slices a and b to dst and returns
+// the extended slice, growing dst at most once. Ties go to a, as KWay
+// breaks them by list index. It is KWayInto's two-list case and
+// core.Merge's kernel.
+func Two[T cmp.Ordered](dst, a, b []T) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(a)+len(b))[:n+len(a)+len(b)]
+	out := dst[n:]
+	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if b[j] < a[i] {
-			out = append(out, b[j])
+			out[k] = b[j]
 			j++
 		} else {
-			out = append(out, a[i])
+			out[k] = a[i]
 			i++
 		}
+		k++
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
+	return dst
 }
 
 // mergeHeap is a binary min-heap of list cursors keyed by each list's current

@@ -1,7 +1,10 @@
 package merge
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -35,7 +38,7 @@ func TestSplitHalvesRecoverMerge(t *testing.T) {
 		}
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		full := Two(a, b)
+		full := Two(nil, a, b)
 		got := append(Split(a, b, true), Split(a, b, false)...)
 		for i := range full {
 			if got[i] != full[i] {
@@ -78,14 +81,76 @@ func TestKWayAllDuplicates(t *testing.T) {
 func TestKWayTwoLists(t *testing.T) {
 	a := []int64{1, 3, 5}
 	b := []int64{2, 4, 6}
-	assertEqual(t, KWay([][]int64{a, b}), Two(a, b))
+	assertEqual(t, KWay([][]int64{a, b}), Two(nil, a, b))
 }
 
 func TestTwo(t *testing.T) {
-	assertEqual(t, Two([]int64{1, 2, 2}, []int64{2, 3}), []int64{1, 2, 2, 2, 3})
-	assertEqual(t, Two(nil, []int64{1}), []int64{1})
-	assertEqual(t, Two([]int64{1}, nil), []int64{1})
-	assertEqual(t, Two[int64](nil, nil), []int64{})
+	assertEqual(t, Two(nil, []int64{1, 2, 2}, []int64{2, 3}), []int64{1, 2, 2, 2, 3})
+	assertEqual(t, Two(nil, nil, []int64{1}), []int64{1})
+	assertEqual(t, Two(nil, []int64{1}, nil), []int64{1})
+	assertEqual(t, Two[int64](nil, nil, nil), []int64{})
+	assertEqual(t, Two([]int64{9}, []int64{1, 3}, []int64{2}), []int64{9, 1, 2, 3})
+}
+
+// TestKWayStableTies pins the tie order of the two-list loop and the heap
+// alike: equal keys keep the order of their lists, so −0 and +0, which
+// compare equal, come out in list order. The merge must equal a stable
+// sort of the lists' concatenation, bit for bit, whether two lists are
+// non-empty or three.
+func TestKWayStableTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	negZero := math.Copysign(0, -1)
+	list := func(n int) []float64 {
+		l := make([]float64, n)
+		for i := range l {
+			switch rng.Intn(3) {
+			case 0:
+				l[i] = negZero
+			case 1:
+				l[i] = 0
+			default:
+				l[i] = float64(rng.Intn(5) - 2)
+			}
+		}
+		slices.SortStableFunc(l, func(a, b float64) int {
+			if a < b {
+				return -1
+			}
+			if a > b {
+				return 1
+			}
+			return 0
+		})
+		return l
+	}
+	for _, lists := range [][][]float64{
+		{list(40), list(37)},
+		{nil, list(50), nil, list(1)},
+		{list(30), list(30), list(30)},
+	} {
+		var want []float64
+		for _, l := range lists {
+			want = append(want, l...)
+		}
+		slices.SortStableFunc(want, func(a, b float64) int {
+			if a < b {
+				return -1
+			}
+			if a > b {
+				return 1
+			}
+			return 0
+		})
+		got := KWay(lists)
+		if len(got) != len(want) {
+			t.Fatalf("%d lists: %d keys, want %d", len(lists), len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d lists: key %d is %v, want %v", len(lists), i, got[i], want[i])
+			}
+		}
+	}
 }
 
 func TestKWayDoesNotModifyInputs(t *testing.T) {
@@ -163,5 +228,27 @@ func assertEqual[T comparable](t *testing.T, got, want []T) {
 		if got[i] != want[i] {
 			t.Fatalf("index %d: got %v, want %v", i, got, want)
 		}
+	}
+}
+
+// BenchmarkKWayInto merges k sorted lists of 32 Ki int64 keys into a
+// reused buffer: two lists take the two-way loop, more take the heap.
+func BenchmarkKWayInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []int{2, 8} {
+		lists := make([][]int64, k)
+		for i := range lists {
+			lists[i] = make([]int64, 32<<10)
+			for j := range lists[i] {
+				lists[i][j] = rng.Int63()
+			}
+			slices.Sort(lists[i])
+		}
+		dst := make([]int64, 0, k*32<<10)
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for b.Loop() {
+				dst = KWayInto(dst[:0], lists)
+			}
+		})
 	}
 }

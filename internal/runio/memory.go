@@ -42,16 +42,18 @@ func (d *MemoryDataset[T]) Runs(m int) (RunReader[T], error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("runio: run length must be positive, got %d", m)
 	}
-	return &memRunReader[T]{d: d, m: m}, nil
+	return &memRunReader[T]{d: d, m: m, spare: spareRuns[T]{m: m}}, nil
 }
 
 type memRunReader[T any] struct {
-	d   *MemoryDataset[T]
-	m   int
-	pos int
+	d     *MemoryDataset[T]
+	m     int
+	pos   int
+	spare spareRuns[T]
 }
 
-// NextRun implements RunReader. Each run is a fresh copy: the sample phase
+// NextRun implements RunReader. Each run is a copy, into a recycled run
+// when the consumer handed one back (see Recycler): the sample phase
 // reorders runs in place, and the dataset must stay scannable.
 func (r *memRunReader[T]) NextRun() ([]T, error) {
 	if r.pos >= len(r.d.data) {
@@ -61,7 +63,7 @@ func (r *memRunReader[T]) NextRun() ([]T, error) {
 	if end > len(r.d.data) {
 		end = len(r.d.data)
 	}
-	run := make([]T, end-r.pos)
+	run := r.spare.get(end - r.pos)
 	copy(run, r.d.data[r.pos:end])
 	r.d.stats.ReadOps++
 	r.d.stats.BytesRead += int64(len(run) * r.d.elemSize)
@@ -69,10 +71,14 @@ func (r *memRunReader[T]) NextRun() ([]T, error) {
 	return run, nil
 }
 
-// Close implements RunReader: an in-memory scan holds no resources, so it
-// only marks the scan exhausted.
+// Recycle implements Recycler.
+func (r *memRunReader[T]) Recycle(run []T) { r.spare.put(run) }
+
+// Close implements RunReader: it marks the scan exhausted and releases
+// its spare runs, the only resource an in-memory scan holds.
 func (r *memRunReader[T]) Close() error {
 	r.pos = len(r.d.data)
+	r.spare.drop()
 	return nil
 }
 

@@ -85,6 +85,15 @@ func errDone[T any](p *PrefetchReader[T]) error {
 	return io.EOF
 }
 
+// Recycle implements Recycler by forwarding run to the wrapped reader, if
+// it recycles. The read-ahead goroutine calls that reader's NextRun while
+// consumers recycle, which Recycler allows.
+func (p *PrefetchReader[T]) Recycle(run []T) {
+	if rc, ok := p.inner.(Recycler[T]); ok {
+		rc.Recycle(run)
+	}
+}
+
 // Stop cancels the prefetcher early (e.g. when the consumer abandons the
 // scan); safe to call multiple times and after exhaustion. Stop does not
 // release the inner reader — use Close for that.

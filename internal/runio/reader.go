@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 	"time"
 	"unsafe"
 )
@@ -58,10 +59,11 @@ func (d DiskModel) Time(s Stats) time.Duration {
 // next run (at most the configured run length; only the final run may be
 // shorter) and io.EOF after the last run. Implementations may reuse the
 // returned slice's backing array between calls only if documented; the
-// file and memory readers here hand out freshly owned slices, because
+// file and memory readers here hand out slices the consumer owns, because
 // OPAQ's sample phase reorders runs in place, and a file reader fills each
 // one straight from the file wherever the element's codec allows (see
-// FileDataset.Runs).
+// FileDataset.Runs). Each is freshly allocated unless the consumer
+// recycled one (see Recycler).
 //
 // A reader owns whatever resource backs the scan (for file-backed datasets,
 // an open descriptor). Consumers that abandon a scan before io.EOF must
@@ -77,6 +79,65 @@ type RunReader[T any] interface {
 	// Close releases the resources backing the scan. It is idempotent and
 	// safe to call after EOF; subsequent NextRun calls return io.EOF.
 	Close() error
+}
+
+// Recycler is implemented by a RunReader that can refill a run its
+// consumer is done with instead of allocating a new one. After
+// Recycle(run), a later NextRun may return run's memory, overwritten, so
+// the consumer must neither touch run again nor recycle it twice. Recycle
+// must be safe to call from any goroutine, also while NextRun runs. The
+// file and memory readers implement it: they ignore a run whose capacity
+// is not their run length, and any run once the scan is closed.
+// PrefetchReader forwards to the reader it wraps.
+type Recycler[T any] interface {
+	Recycle(run []T)
+}
+
+// spareRuns is a reader's free list of recycled runs, shared by its
+// NextRun and its consumers' Recycle calls under a lock. It never holds
+// more runs than the reader allocated at full length, so recycling cannot
+// grow the scan's memory beyond the most runs it had out at once.
+type spareRuns[T any] struct {
+	m    int // the run length; only runs of this capacity are kept
+	mu   sync.Mutex
+	runs [][]T
+	made int // full-length runs allocated; bounds len(runs)
+}
+
+// get returns a run of n ≤ m elements with unspecified contents: a
+// recycled one if any is spare, a new one otherwise.
+func (s *spareRuns[T]) get(n int) []T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := len(s.runs); k > 0 {
+		run := s.runs[k-1][:n]
+		s.runs = s.runs[:k-1]
+		return run
+	}
+	if n == s.m {
+		s.made++
+	}
+	return make([]T, n)
+}
+
+// put keeps run for a later get; see Recycler.
+func (s *spareRuns[T]) put(run []T) {
+	if cap(run) != s.m {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.runs) < s.made {
+		s.runs = append(s.runs, run)
+	}
+}
+
+// drop releases every spare run and turns later puts into no-ops; readers
+// call it when their scan closes.
+func (s *spareRuns[T]) drop() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.runs, s.made = nil, 0
 }
 
 // Dataset abstracts a source of elements that can be scanned as runs any
@@ -158,7 +219,7 @@ func (d *FileDataset[T]) scan(start, count int64, m int, stats *Stats) (RunReade
 		f.Close()
 		return nil, fmt.Errorf("runio: seek to scan start: %w", err)
 	}
-	r := &fileRunReader[T]{f: f, stats: stats, count: count, m: m, left: count, codec: d.codec}
+	r := &fileRunReader[T]{f: f, stats: stats, count: count, m: m, left: count, codec: d.codec, spare: spareRuns[T]{m: m}}
 	if !rawCodec(d.codec) {
 		r.br = bufio.NewReaderSize(f, 1<<20)
 		r.ebuf = make([]byte, m*d.codec.Size())
@@ -210,7 +271,8 @@ func (d *FileDataset[T]) Verify() error {
 // fileRunReader is a scan over a run file or a section of one. With a
 // raw codec (see rawCodec) br and ebuf are nil and NextRun reads each run
 // straight into its own memory; otherwise it reads through br into ebuf
-// and decodes each element.
+// and decodes each element. Either way the run's memory is a recycled run
+// when the consumer handed one back (see Recycler).
 type fileRunReader[T any] struct {
 	f     *os.File
 	br    *bufio.Reader
@@ -221,6 +283,7 @@ type fileRunReader[T any] struct {
 	ebuf  []byte
 	codec Codec[T]
 	done  bool
+	spare spareRuns[T]
 }
 
 // NextRun implements RunReader.
@@ -235,7 +298,7 @@ func (r *fileRunReader[T]) NextRun() ([]T, error) {
 	}
 	sz := r.codec.Size()
 	want := n * sz
-	run := make([]T, n)
+	run := r.spare.get(n)
 	var err error
 	if r.br == nil {
 		_, err = io.ReadFull(r.f, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(run))), want))
@@ -257,14 +320,18 @@ func (r *fileRunReader[T]) NextRun() ([]T, error) {
 	return run, nil
 }
 
-// Close implements RunReader: it releases the scan's file descriptor. The
-// exhausted path (EOF or read error) closes through here too, so an
-// early-exit consumer and a full scan end in the same state.
+// Recycle implements Recycler.
+func (r *fileRunReader[T]) Recycle(run []T) { r.spare.put(run) }
+
+// Close implements RunReader: it releases the scan's file descriptor and
+// spare runs. The exhausted path (EOF or read error) closes through here
+// too, so an early-exit consumer and a full scan end in the same state.
 func (r *fileRunReader[T]) Close() error {
 	if r.done {
 		return nil
 	}
 	r.done = true
+	r.spare.drop()
 	return r.f.Close()
 }
 

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -232,5 +234,182 @@ func BenchmarkFileRunReader(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N)*n*8/(1<<20)/b.Elapsed().Seconds(), "MiB/s")
 		})
+	}
+}
+
+// freshRuns scans d once without recycling and returns copies of its runs.
+func freshRuns[T any](t *testing.T, d Dataset[T], m int) [][]T {
+	t.Helper()
+	rr, err := d.Runs(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rr.Close()
+	var runs [][]T
+	for {
+		run, err := rr.NextRun()
+		if err == io.EOF {
+			return runs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, append([]T(nil), run...))
+	}
+}
+
+// TestRunReaderRecycle checks recycling on the file reader's direct and
+// decode paths and on the memory reader. Every run is scribbled over and
+// handed back; the next NextRun must return exactly the keys a fresh scan
+// returns, in the recycled memory, the short final run included. A run of
+// another capacity is ignored, and so is a run recycled after EOF or
+// Close.
+func TestRunReaderRecycle(t *testing.T) {
+	const n, m = 10*512 + 37, 512
+	xs := make([]int64, n)
+	for i := range xs {
+		xs[i] = int64(i)*0x61c8864680b583eb ^ 0x5a5a
+	}
+	path := filepath.Join(t.TempDir(), "recycle.run")
+	if err := WriteFile(path, Int64Codec{}, xs); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := OpenFile(path, Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := OpenFile[int64](path, decodeOnly[int64]{Int64Codec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		d    Dataset[int64]
+	}{{"direct", direct}, {"decode", decoded}, {"memory", NewMemoryDataset(xs, 8)}} {
+		t.Run(c.name, func(t *testing.T) {
+			want := freshRuns(t, c.d, m)
+			rr, err := c.d.Runs(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc := rr.(Recycler[int64])
+			var prev []int64
+			for i := 0; ; i++ {
+				run, err := rr.NextRun()
+				if err == io.EOF {
+					if i != len(want) {
+						t.Fatalf("EOF after %d runs, want %d", i, len(want))
+					}
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(run, want[i]) {
+					t.Fatalf("run %d differs from a fresh scan's", i)
+				}
+				if prev != nil && &run[0] != &prev[0] {
+					t.Fatalf("run %d is not the run recycled before it", i)
+				}
+				for j := range run {
+					run[j] = -1
+				}
+				// Neither capacity is the run length: both are ignored.
+				rc.Recycle(make([]int64, m-1))
+				rc.Recycle(make([]int64, 1, m+1))
+				rc.Recycle(run)
+				prev = run[:1]
+			}
+			rc.Recycle(make([]int64, m)) // after EOF: harmless
+			rr.Close()
+			rc.Recycle(make([]int64, m)) // after Close: ignored
+			if spare := spareOf(rr); len(spare.runs) != 0 || spare.made != 0 {
+				t.Fatalf("closed scan keeps %d spare runs (made %d)", len(spare.runs), spare.made)
+			}
+		})
+	}
+}
+
+// spareOf returns the free list of a file or memory reader.
+func spareOf[T any](rr RunReader[T]) *spareRuns[T] {
+	switch r := rr.(type) {
+	case *fileRunReader[T]:
+		return &r.spare
+	case *memRunReader[T]:
+		return &r.spare
+	}
+	return nil
+}
+
+// TestPrefetchRecycle checks that PrefetchReader forwards Recycle to the
+// reader it wraps while its goroutine reads ahead: three consumers take
+// runs one at a time, as core.Build's workers do, check each against a
+// fresh scan, scribble over it and recycle it concurrently with the
+// read-ahead. The scan's runs must come in no more arrays than it has
+// runs out at once. Run it under the race detector.
+func TestPrefetchRecycle(t *testing.T) {
+	const n, m, depth, consumers = 40*256 + 9, 256, 2, 3
+	xs := make([]int64, n)
+	for i := range xs {
+		xs[i] = int64(i) * 7
+	}
+	path := filepath.Join(t.TempDir(), "prefetch.run")
+	if err := WriteFile(path, Int64Codec{}, xs); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenFile(path, Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := freshRuns(t, d, m)
+	for rep := 0; rep < 5; rep++ {
+		rr, err := d.Runs(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Prefetch(rr, depth)
+		var (
+			mu   sync.Mutex
+			next int
+			seen = map[*int64]bool{} // the full runs' memory
+			wg   sync.WaitGroup
+		)
+		for c := 0; c < consumers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					mu.Lock()
+					run, err := p.NextRun()
+					i := next
+					next++
+					if len(run) == m {
+						seen[&run[0]] = true
+					}
+					mu.Unlock()
+					if err == io.EOF {
+						return
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !slices.Equal(run, want[i]) {
+						t.Errorf("run %d differs from a fresh scan's", i)
+					}
+					for j := range run {
+						run[j] = -1
+					}
+					p.Recycle(run)
+				}
+			}()
+		}
+		wg.Wait()
+		p.Close()
+		// Out at once: depth runs in the channel, one being read, one
+		// per consumer.
+		if limit := depth + 1 + consumers; len(seen) > limit {
+			t.Fatalf("rep %d: the scan's 40 full runs came in %d arrays, want at most %d", rep, len(seen), limit)
+		}
 	}
 }

@@ -20,7 +20,9 @@ import (
 // Runs of int32, uint32, int64, uint64, float32 and float64 are
 // radix-selected (see radixSelect): an MSD radix sort that only descends
 // into buckets holding a sample rank, which costs a few passes over the
-// run instead of MultiSelect's ⌈log₂ s⌉+1 partition levels. With a nil
+// run instead of MultiSelect's ⌈log₂ s⌉+1 partition levels; a bucket that
+// one key dominates, as a skewed run's popular keys do, is finished with
+// a single three-way split around that key (see splitDominant). With a nil
 // scratch, or one shorter than run, the selection runs in place. With a
 // scratch at least as long as run, which the caller must be able to
 // spare, its first two levels scatter out of place through the scratch
@@ -140,11 +142,13 @@ const radixCutoff = 48
 // place so that every run rank k·step−1 they cover holds the word an
 // ascending sort would put there, with keys partitioned around it. It is
 // an MSD radix sort over 8-bit digits that permutes each level in place
-// (American flag sort) but recurses into a bucket, or insertion-sorts a
-// small one, only when the bucket holds a wanted rank (see descend);
-// other buckets stay as the partition left them, already on the right
-// side of every wanted rank. Each call starts at the top digit some key
-// differs in (see topDigit), so it recurses at most once per byte of K.
+// (American flag sort) but recurses into a bucket, splits it around a
+// dominant key, or insertion-sorts a small one, only when the bucket
+// holds a wanted rank (see descend); other buckets stay as the partition
+// left them, already on the right side of every wanted rank. Each call
+// starts at the top digit some key differs in (see topDigit), so it
+// recurses at most once per byte of K, with at most one split pass per
+// level.
 func radixSelect[K radixKey](keys []K, off, step int) {
 	if len(keys) <= radixCutoff {
 		insertionSort(keys)
@@ -276,8 +280,9 @@ func scatter[K radixKey](dst, src []K, shift uint, next *[256]int) {
 
 // descend finishes the selection below one level: end closes the level's
 // buckets of keys, which start at offset off of their run, and each bucket
-// holding a wanted rank is radix-selected, or insertion-sorted if small.
-// Other buckets already lie on the right side of every wanted rank.
+// holding a wanted rank is split around a dominant key (see splitDominant)
+// or radix-selected, or insertion-sorted if small. Other buckets already
+// lie on the right side of every wanted rank.
 func descend[K radixKey](keys []K, end *[256]int, off, step int) {
 	// r is the first wanted rank at or after the current bucket's start,
 	// relative to keys: the rank that ends the sub-run the start lies in.
@@ -286,7 +291,9 @@ func descend[K radixKey](keys []K, end *[256]int, off, step int) {
 	for _, hi := range end {
 		if r < hi {
 			if n := hi - lo; n > radixCutoff {
-				radixSelect(keys[lo:hi], off+lo, step)
+				if !splitDominant(keys[lo:hi], off+lo, step) {
+					radixSelect(keys[lo:hi], off+lo, step)
+				}
 			} else if n > 1 {
 				insertionSort(keys[lo:hi])
 			}
@@ -296,4 +303,44 @@ func descend[K radixKey](keys []K, end *[256]int, off, step int) {
 		}
 		lo = hi
 	}
+}
+
+// splitDominant finishes a bucket of more than radixCutoff keys, which
+// starts at offset off of its run, in one three-way pass when a single
+// key looks dominant, and reports whether it did. It probes the bucket's
+// first, middle and last keys; if two are equal, it partitions the bucket
+// into the keys below that word, its copies and the keys above it, and
+// radix-selects each side that holds a wanted rank. The copies need no
+// further work, and every key of a side shares the digit that formed the
+// bucket, so the side's selection starts at a lower digit. A skewed run's
+// most popular keys fill buckets that would otherwise pay one more radix
+// level and an all-equal check; a false positive, such as three equal
+// probes among otherwise distinct keys, costs the one partition pass.
+// The words are compared after the key-order map, so −0 and +0 never
+// share a block.
+func splitDominant[K radixKey](keys []K, off, step int) bool {
+	mid, last := len(keys)/2, len(keys)-1
+	var p int
+	switch {
+	case keys[0] == keys[mid] || keys[0] == keys[last]:
+		p = 0
+	case keys[mid] == keys[last]:
+		p = mid
+	default:
+		return false
+	}
+	lt, gt := partition3(keys, 0, len(keys), p)
+	if holdsRank(off, lt, step) {
+		radixSelect(keys[:lt], off, step)
+	}
+	if holdsRank(off+gt, len(keys)-gt, step) {
+		radixSelect(keys[gt:], off+gt, step)
+	}
+	return true
+}
+
+// holdsRank reports whether the n run positions from off on hold a wanted
+// rank k·step−1.
+func holdsRank(off, n, step int) bool {
+	return (off/step+1)*step-1 < off+n
 }

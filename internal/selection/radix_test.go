@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // referenceSample is the sample phase SampleRun replaces: RegularSample
@@ -179,7 +180,8 @@ var (
 // TestSampleRunMatchesRegularSample checks, for all six radix-selected key
 // types, that SampleRun selects the same values as RegularSample on
 // random, duplicate-heavy, all-equal, sorted, reverse-sorted and ragged
-// runs, and on runs sized around the insertion-sort cutoff.
+// runs, on runs dominated by one key, on runs of +0 and −0, and on runs
+// sized around the insertion-sort cutoff.
 func TestSampleRunMatchesRegularSample(t *testing.T) {
 	t.Run("int32", func(t *testing.T) { checkSampleRunCases(t, int32Keys) })
 	t.Run("uint32", func(t *testing.T) { checkSampleRunCases(t, uint32Keys) })
@@ -191,6 +193,7 @@ func TestSampleRunMatchesRegularSample(t *testing.T) {
 
 func checkSampleRunCases[T cmp.Ordered](t *testing.T, kt keyType[T]) {
 	rng := testRNG()
+	width := 8 * int(unsafe.Sizeof(*new(T)))
 	random := func(n int) []T {
 		xs := make([]T, n)
 		for i := range xs {
@@ -202,6 +205,16 @@ func checkSampleRunCases[T cmp.Ordered](t *testing.T, kt keyType[T]) {
 		xs := make([]T, n)
 		for i := range xs {
 			xs[i] = kt.fromSmall(rng.Intn(span) - span/2)
+		}
+		return xs
+	}
+	// hot overwrites a share of random(n) with one key.
+	hot := func(n int, share float64, key T) []T {
+		xs := random(n)
+		for i := range xs {
+			if rng.Float64() < share {
+				xs[i] = key
+			}
 		}
 		return xs
 	}
@@ -217,7 +230,42 @@ func checkSampleRunCases[T cmp.Ordered](t *testing.T, kt keyType[T]) {
 		"reverse":    reversed,
 		"ragged":     random(1037),
 		"one":        random(1),
+		// One key fills most of the run, as the most popular keys fill
+		// their buckets in a skewed run: at the smallest word, so the
+		// split leaves no keys below it, at a middle word, and at the
+		// largest word, so none lie above it.
+		"hot60-min": hot(5000, 0.6, kt.extremes[0]),
+		"hot99-min": hot(5000, 0.99, kt.extremes[0]),
+		"hot60-mid": hot(5000, 0.6, sorted[len(sorted)/2]),
+		"hot99-mid": hot(5000, 0.99, sorted[len(sorted)/2]),
+		"hot60-max": hot(5000, 0.6, kt.extremes[len(kt.extremes)-1]),
+		"hot99-max": hot(5000, 0.99, kt.extremes[len(kt.extremes)-1]),
+		// +0 with scattered −0, and the reverse (for integers, 0 and the
+		// word with only the top bit set).
+		"zeros-neg": slices.Repeat([]T{kt.fromBits(0)}, 5000),
+		"neg-zeros": slices.Repeat([]T{kt.fromBits(1 << (width - 1))}, 5000),
 	}
+	for i, zero := range cases["zeros-neg"] {
+		if rng.Intn(10) == 0 {
+			cases["zeros-neg"][i], cases["neg-zeros"][i] = kt.fromBits(1<<(width-1)), zero
+		}
+	}
+	// A hot key that dominates only below two levels: a quarter of the
+	// run are its copies, and 60 % more keys share its top 16 bits, so
+	// the buckets it lies in are mostly distinct keys until its third
+	// digit sets it apart.
+	hw := kt.bits(sorted[len(sorted)/3])
+	low := uint64(1)<<(width-16) - 1
+	shared := random(5000)
+	for i := range shared {
+		switch u := rng.Float64(); {
+		case u < 0.25:
+			shared[i] = kt.fromBits(hw)
+		case u < 0.85:
+			shared[i] = kt.fromBits(hw&^low | rng.Uint64()&low)
+		}
+	}
+	cases["hot-below-16-bits"] = shared
 	for _, n := range []int{radixCutoff - 1, radixCutoff, radixCutoff + 1, 2 * radixCutoff, 2*radixCutoff + 1} {
 		cases[fmt.Sprintf("len%d", n)] = random(n)
 		// 256·n keys over 2¹⁶ values: below the top digit, buckets of
@@ -254,6 +302,51 @@ func checkSampleRunExtremes[T cmp.Ordered](t *testing.T, kt keyType[T]) {
 		}
 		for _, step := range []int{1, 5} {
 			checkSampleRun(t, fmt.Sprintf("n=%d/step=%d", n, step), run, step, kt.bits)
+		}
+	}
+}
+
+// TestSplitDominant drives the bucket step directly. A bucket whose first,
+// middle and last keys are equal while every other key is distinct is
+// split all the same, and each rank k·step−1 it covers must then hold the
+// word a sort puts there, with the bucket partitioned around it. A bucket
+// whose probes all differ is left to the radix selection, untouched.
+func TestSplitDominant(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) { checkSplitDominant(t, func(r *rand.Rand) uint64 { return r.Uint64() }) })
+	t.Run("uint32", func(t *testing.T) { checkSplitDominant(t, func(r *rand.Rand) uint32 { return r.Uint32() }) })
+}
+
+func checkSplitDominant[K radixKey](t *testing.T, word func(*rand.Rand) K) {
+	rng := testRNG()
+	for _, n := range []int{radixCutoff + 1, 1000} {
+		for _, step := range []int{1, 7, 64} {
+			for _, off := range []int{0, 5, 130} {
+				keys := make([]K, n)
+				for i := range keys {
+					keys[i] = word(rng)
+				}
+				untouched := slices.Clone(keys)
+				if splitDominant(keys, off, step) || !slices.Equal(keys, untouched) {
+					t.Fatalf("n=%d: distinct probes split the bucket or reordered it", n)
+				}
+				p := keys[rng.Intn(n)]
+				keys[0], keys[n/2], keys[n-1] = p, p, p
+				want := slices.Sorted(slices.Values(keys))
+				if !splitDominant(keys, off, step) {
+					t.Fatalf("n=%d: three equal probes did not split", n)
+				}
+				if !slices.Equal(slices.Sorted(slices.Values(keys)), want) {
+					t.Fatalf("n=%d: the split changed the bucket's multiset", n)
+				}
+				for r := (off/step+1)*step - 1 - off; r < n; r += step {
+					if keys[r] != want[r] {
+						t.Fatalf("n=%d, step=%d, off=%d: rank %d holds %#x, want %#x", n, step, off, r, keys[r], want[r])
+					}
+					if slices.Max(keys[:r+1]) != keys[r] || slices.Min(keys[r:]) != keys[r] {
+						t.Fatalf("n=%d, step=%d, off=%d: bucket not partitioned around rank %d", n, step, off, r)
+					}
+				}
+			}
 		}
 	}
 }
@@ -352,12 +445,17 @@ func checkSampleRunAllocs[T cmp.Ordered](t *testing.T, name string, src []T) {
 // runs — 2-byte words when narrow, so duplicates are common, 8-byte words
 // otherwise — and checks SampleRun against RegularSample and its
 // partition postcondition on both kernel paths, in place and through a
-// run-sized scratch.
+// run-sized scratch. A non-zero hot overwrites a share of about hot/256
+// of the keys, chosen by an RNG seeded with hot, with the run's first
+// key, so one key dominates the run.
 func FuzzSampleRun(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(1), false)
-	f.Add(make([]byte, 512), uint8(3), true)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f}, uint8(0), false)
-	f.Fuzz(func(t *testing.T, raw []byte, stepRaw uint8, narrow bool) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(1), false, uint8(0))
+	f.Add(make([]byte, 512), uint8(3), true, uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f}, uint8(0), false, uint8(0))
+	hotRaw := make([]byte, 8*600)
+	rand.New(rand.NewSource(5)).Read(hotRaw)
+	f.Add(hotRaw, uint8(2), false, uint8(200))
+	f.Fuzz(func(t *testing.T, raw []byte, stepRaw uint8, narrow bool, hot uint8) {
 		width := 8
 		if narrow {
 			width = 2
@@ -373,6 +471,14 @@ func FuzzSampleRun(f *testing.F) {
 			}
 			ints = append(ints, v)
 			floats = append(floats, float64Keys.fromBits(uint64(v)))
+		}
+		if hot > 0 {
+			r := rand.New(rand.NewSource(int64(hot)))
+			for i := range ints {
+				if r.Intn(256) < int(hot) {
+					ints[i], floats[i] = ints[0], floats[0]
+				}
+			}
 		}
 		step := 1 + int(stepRaw%16)
 		checkSampleRun(t, "int64", ints, step, int64Keys.bits)
