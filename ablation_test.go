@@ -1,4 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the algorithm's main design choices (run them
+// with go test -run '^$' -bench Ablation):
 //
 //   - multi-selection vs full sort in the sample phase (the paper's
 //     O(m log s) vs the naive O(m log m));
@@ -136,32 +137,5 @@ func BenchmarkAblationExact(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(passes), "passes")
-	})
-}
-
-// BenchmarkAblationSelection compares the randomized selection (with
-// deterministic fallback) against pure median-of-medians on one rank —
-// the [FR75] vs [ea72] choice inside the sample phase.
-func BenchmarkAblationSelection(b *testing.B) {
-	const m = 1 << 18
-	run := datagen.Generate(datagen.NewUniform(5, 1<<62), m)
-	b.Run("randomized", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(2))
-		b.SetBytes(m * 8)
-		for i := 0; i < b.N; i++ {
-			cp := append([]int64(nil), run...)
-			if _, err := selection.Select(cp, m/2, rng); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("deterministic", func(b *testing.B) {
-		b.SetBytes(m * 8)
-		for i := 0; i < b.N; i++ {
-			cp := append([]int64(nil), run...)
-			if _, err := selection.SelectDeterministic(cp, m/2); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }

@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one testing.B benchmark per experiment; see DESIGN.md §4 for the index)
+// (one testing.B benchmark per experiment; `go run ./cmd/benchtab -list`
+// prints the index)
 // plus micro-benchmarks of the core one-pass machinery.
 //
 // Experiment benchmarks run at 1/benchScale of the paper's dataset sizes

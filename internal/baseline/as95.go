@@ -18,10 +18,10 @@ import (
 // The paper's criticism of this algorithm — which Table 7 illustrates — is
 // that it provides no deterministic bound on the error: a split can only
 // divide an interval's count evenly by assumption, so skew inside an
-// interval is invisible. This reimplementation follows the published
-// description at the level of detail the OPAQ paper relies on (interval
-// counts, on-the-fly boundary adjustment) and is documented in DESIGN.md
-// as a substitution.
+// interval is invisible. This is a substitute, not the original code: it
+// follows the published description at the level of detail the OPAQ paper
+// relies on (interval counts, on-the-fly boundary adjustment), so Table 7's
+// [AS95] column measures this reimplementation.
 type AgrawalSwami struct {
 	maxIv  int
 	bounds []int64 // interval upper boundaries, sorted; len = #intervals

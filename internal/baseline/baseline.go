@@ -8,9 +8,10 @@
 //     Maintains a bounded equi-depth histogram whose bucket boundaries are
 //     adjusted on the fly; no a-priori knowledge of the distribution, no
 //     deterministic error bound (the paper's stated limitation of [AS95]).
-//   - P2: the P² algorithm of Jain & Chlamtac ([RC85] in the paper):
-//     constant memory (five markers per quantile), parabolic interpolation,
-//     no error bounds.
+//
+// These are the two estimators the reproduced Table 7 drives. The paper
+// also cites P² ([RC85]) among prior work without error bounds, but its
+// tables never run it, so it is not reimplemented here.
 //
 // All estimators consume a stream of int64 keys (the paper's evaluation
 // uses integer keys) and implement the common Estimator interface, so the

@@ -132,75 +132,6 @@ func TestAS95MonotoneQuantiles(t *testing.T) {
 	}
 }
 
-func TestP2Validation(t *testing.T) {
-	if _, err := NewP2(0); err == nil {
-		t.Fatal("phi=0 should fail")
-	}
-	if _, err := NewP2(1); err == nil {
-		t.Fatal("phi=1 should fail")
-	}
-	p, err := NewP2(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Quantile(0.5); !errors.Is(err, ErrNoData) {
-		t.Fatal("Quantile before data should fail")
-	}
-	p.Add(1)
-	if _, err := p.Quantile(0.9); err == nil {
-		t.Fatal("asking a 0.5-instance for 0.9 should fail")
-	}
-}
-
-func TestP2FewObservations(t *testing.T) {
-	p, _ := NewP2(0.5)
-	p.Add(10)
-	p.Add(30)
-	p.Add(20)
-	got, err := p.Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 20 {
-		t.Errorf("median of {10,20,30} = %d, want 20", got)
-	}
-}
-
-func TestP2AccuracyUniform(t *testing.T) {
-	xs := datagen.Generate(datagen.NewUniform(13, 1_000_000), 200_000)
-	o := metrics.NewOracle(xs)
-	for _, phi := range []float64{0.1, 0.5, 0.9} {
-		p, err := NewP2(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(p, xs)
-		got, err := p.Quantile(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := o.Quantile(phi)
-		rankErr := math.Abs(float64(o.RankLE(got)-o.RankLE(truth))) / float64(len(xs))
-		// P² on uniform data converges to ~1% rank error.
-		if rankErr > 0.03 {
-			t.Errorf("phi=%g: P2 rank error %.4f (got %d, truth %d)", phi, rankErr, got, truth)
-		}
-	}
-}
-
-func TestP2MemoryConstant(t *testing.T) {
-	p, _ := NewP2(0.5)
-	if p.MemoryElems() != 15 {
-		t.Errorf("MemoryElems = %d, want 15", p.MemoryElems())
-	}
-	for i := 0; i < 100_000; i++ {
-		p.Add(int64(i * 7 % 9973))
-	}
-	if p.MemoryElems() != 15 {
-		t.Error("P2 memory grew with the stream")
-	}
-}
-
 // Sanity: each estimator's median of a known permutation of 1..n is close
 // to n/2.
 func TestAllEstimatorsMedianSanity(t *testing.T) {
@@ -214,8 +145,7 @@ func TestAllEstimatorsMedianSanity(t *testing.T) {
 
 	res, _ := NewReservoir(2000, 3)
 	as, _ := NewAgrawalSwami(200)
-	p2, _ := NewP2(0.5)
-	for _, e := range []Estimator{res, as, p2} {
+	for _, e := range []Estimator{res, as} {
 		feed(e, xs)
 		got, err := e.Quantile(0.5)
 		if err != nil {
@@ -224,80 +154,5 @@ func TestAllEstimatorsMedianSanity(t *testing.T) {
 		if math.Abs(float64(got)-float64(n)/2) > float64(n)/20 {
 			t.Errorf("%s median = %d, want ≈%d", e.Name(), got, n/2)
 		}
-	}
-}
-
-func TestP2HistogramValidation(t *testing.T) {
-	if _, err := NewP2Histogram(1); err == nil {
-		t.Fatal("b=1 should fail")
-	}
-	h, err := NewP2Histogram(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Quantile(0.5); !errors.Is(err, ErrNoData) {
-		t.Fatal("Quantile before data should fail")
-	}
-	h.Add(1)
-	if _, err := h.Quantile(0); err == nil {
-		t.Fatal("phi=0 should fail")
-	}
-}
-
-func TestP2HistogramFewObservations(t *testing.T) {
-	h, _ := NewP2Histogram(5)
-	for _, v := range []int64{30, 10, 20} {
-		h.Add(v)
-	}
-	got, err := h.Quantile(0.5)
-	if err != nil || got != 20 {
-		t.Fatalf("median of {10,20,30} = %d, %v", got, err)
-	}
-}
-
-func TestP2HistogramAccuracyUniform(t *testing.T) {
-	xs := datagen.Generate(datagen.NewUniform(29, 1_000_000), 200_000)
-	h, err := NewP2Histogram(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(h, xs)
-	o := metrics.NewOracle(xs)
-	for _, phi := range []float64{0.125, 0.25, 0.5, 0.75, 0.875} {
-		got, err := h.Quantile(phi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := o.Quantile(phi)
-		rankErr := math.Abs(float64(o.RankLE(got)-o.RankLE(truth))) / float64(len(xs))
-		if rankErr > 0.03 {
-			t.Errorf("phi=%g: rank error %.4f (got %d, truth %d)", phi, rankErr, got, truth)
-		}
-	}
-	if h.MemoryElems() != 3*(2*16+1) {
-		t.Errorf("MemoryElems = %d", h.MemoryElems())
-	}
-}
-
-func TestP2HistogramMonotoneCells(t *testing.T) {
-	xs := datagen.Generate(datagen.NewNormal(31, 1e6, 1e5), 100_000)
-	h, _ := NewP2Histogram(8)
-	feed(h, xs)
-	cells := h.Cells()
-	for i := 1; i < len(cells); i++ {
-		if cells[i] < cells[i-1] {
-			t.Fatalf("cell boundaries not monotone at %d: %v", i, cells)
-		}
-	}
-}
-
-func TestP2HistogramMemoryConstant(t *testing.T) {
-	h, _ := NewP2Histogram(12)
-	before := h.MemoryElems()
-	for i := 0; i < 300_000; i++ {
-		h.Add(int64(i*31 + i%7))
-	}
-	if h.MemoryElems() != before {
-		t.Error("P2Histogram memory grew with the stream")
 	}
 }

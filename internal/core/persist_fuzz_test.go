@@ -14,26 +14,32 @@ import (
 // the loader does accept must be a structurally valid summary that
 // answers queries and round-trips through SaveSummary.
 //
-// The seed corpus is built from a real checkpoint (the restore path the
+// The seed corpus is built from real checkpoints (the restore path the
 // engine's Restore/RestoreFile and the registry's restore-on-boot all
-// funnel through) plus targeted corruptions of it: truncations, header
-// bit-flips, an inflated sample count and a damaged checksum.
+// funnel through) plus targeted corruptions of them: truncations, header
+// bit-flips, an inflated sample count and a damaged checksum. One
+// checkpoint holds more than two chunks of samples (see summaryChunk) and
+// is also cut in the middle of its second chunk and exactly at the end of
+// its first and second, so the loader's chunk seams are explored.
 func FuzzLoadSummary(f *testing.F) {
 	codec := runio.Int64Codec{}
-	rng := rand.New(rand.NewSource(1997))
-	xs := make([]int64, 3000)
-	for i := range xs {
-		xs[i] = rng.Int63n(1 << 48)
+	checkpoint := func(keys int) []byte {
+		rng := rand.New(rand.NewSource(1997))
+		xs := make([]int64, keys)
+		for i := range xs {
+			xs[i] = rng.Int63n(1 << 48)
+		}
+		sum, err := BuildFromSlice(xs, Config{RunLen: 256, SampleSize: 32})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveSummary(&buf, sum, codec); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	sum, err := BuildFromSlice(xs, Config{RunLen: 256, SampleSize: 32})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveSummary(&buf, sum, codec); err != nil {
-		f.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := checkpoint(3000)
 
 	f.Add(good)
 	f.Add(good[:len(good)/2]) // truncated mid-samples
@@ -50,6 +56,17 @@ func FuzzLoadSummary(f *testing.F) {
 	f.Add(corrupt(52, 0x7f))          // sample count inflated
 	f.Add(corrupt(len(good)-1, 0x01)) // checksum
 	f.Add(corrupt(70, 0x40))          // a sample value (breaks sortedness or CRC)
+
+	chunk := summaryChunk / codec.Size() * codec.Size()        // sample bytes per chunk
+	seam := len(summaryMagic) + summaryHeader + 2*codec.Size() // where the samples start
+	big := checkpoint(8 * (2*chunk/codec.Size() + 100))        // 8 keys per sample
+	if len(big) < seam+2*chunk+4 {
+		f.Fatalf("big seed is %d bytes, not more than two chunks of samples", len(big))
+	}
+	f.Add(big)
+	f.Add(big[:seam+chunk+chunk/2]) // cut mid second chunk
+	f.Add(big[:seam+chunk])         // cut at the first chunk boundary
+	f.Add(big[:seam+2*chunk])       // cut at the second chunk boundary
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := LoadSummary[int64](bytes.NewReader(data), codec)

@@ -1,11 +1,11 @@
 // Package datagen produces the synthetic key datasets of the paper's
 // evaluation (Section 2.4): uniform and Zipf-distributed 64-bit keys with a
-// forced duplicate fraction of n/10, plus additional adversarial
-// distributions (sorted, reverse-sorted, normal, clustered) used to widen
-// the test matrix beyond the paper.
+// forced duplicate fraction of n/10, plus distributions that widen the test
+// matrix beyond the paper: sorted, reverse-sorted, normal, and self-similar
+// (80/20) keys.
 //
-// All generators are deterministic given a seed, so every experiment in
-// EXPERIMENTS.md is reproducible bit-for-bit. Generators are streaming —
+// All generators are deterministic given a seed, so every experiment
+// cmd/benchtab runs is reproducible bit-for-bit. Generators are streaming —
 // they emit one key at a time — so datasets larger than memory can be
 // written run-by-run through runio.WriteFileFunc.
 package datagen
@@ -176,37 +176,6 @@ func (n *Normal) Next() int64 { return int64(n.rng.NormFloat64()*n.stddev + n.me
 
 // Name implements Generator.
 func (n *Normal) Name() string { return "normal" }
-
-// Clustered draws keys from a mixture of Gaussian clusters — a stand-in for
-// multi-modal real attributes (e.g. prices clustering at round numbers).
-type Clustered struct {
-	rng     *rand.Rand
-	centers []float64
-	spread  float64
-}
-
-// NewClustered places k cluster centers uniformly in [0, domain) and draws
-// keys Gaussian-distributed around a random center.
-func NewClustered(seed int64, k int, domain, spread float64) (*Clustered, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("datagen: cluster count must be positive, got %d", k)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	centers := make([]float64, k)
-	for i := range centers {
-		centers[i] = rng.Float64() * domain
-	}
-	return &Clustered{rng: rng, centers: centers, spread: spread}, nil
-}
-
-// Next implements Generator.
-func (c *Clustered) Next() int64 {
-	ctr := c.centers[c.rng.Intn(len(c.centers))]
-	return int64(c.rng.NormFloat64()*c.spread + ctr)
-}
-
-// Name implements Generator.
-func (c *Clustered) Name() string { return "clustered" }
 
 // WithDuplicates wraps a generator so that, in expectation, the given
 // fraction of emitted keys are duplicates of earlier keys. The paper fixes

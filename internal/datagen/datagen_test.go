@@ -150,25 +150,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestClustered(t *testing.T) {
-	if _, err := NewClustered(1, 0, 100, 1); err == nil {
-		t.Error("k=0 should fail")
-	}
-	c, err := NewClustered(19, 3, 1_000_000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All draws should be near one of three centers: the set of rounded
-	// values to the nearest 100 should be small.
-	buckets := map[int64]bool{}
-	for i := 0; i < 10_000; i++ {
-		buckets[c.Next()/1000] = true
-	}
-	if len(buckets) > 20 {
-		t.Errorf("clustered output spread over %d kilo-buckets; expected tight clusters", len(buckets))
-	}
-}
-
 func TestWithDuplicatesFraction(t *testing.T) {
 	inner := NewUniform(23, 1<<62) // collisions essentially impossible
 	w, err := NewWithDuplicates(29, inner, DuplicateFraction)
@@ -227,7 +208,6 @@ func TestPaperDataset(t *testing.T) {
 
 func TestGeneratorNames(t *testing.T) {
 	z, _ := NewZipf(1, 10, 0.5)
-	c, _ := NewClustered(1, 2, 100, 1)
 	w, _ := NewWithDuplicates(1, NewUniform(1, 10), 0.1)
 	names := map[string]string{
 		NewUniform(1, 10).Name():  "uniform",
@@ -235,7 +215,6 @@ func TestGeneratorNames(t *testing.T) {
 		NewSorted(1).Name():       "sorted",
 		NewReverse(1, 1).Name():   "reverse",
 		NewNormal(1, 0, 1).Name(): "normal",
-		c.Name():                  "clustered",
 		w.Name():                  "uniform+dups",
 	}
 	for got, want := range names {

@@ -145,9 +145,9 @@ func BenchmarkEngineCompactedServe(b *testing.B) {
 // 1000 sealed epochs, then each iteration ingests one element (bumping
 // the version) and immediately queries, forcing a snapshot rebuild per
 // cycle. The full-remerge baseline (DisableFrozenPrefix) k-way-merges the
-// 1001-entry merge set every time — O(retained window); the two-level
-// path folds the stripe tail into the cached frozen prefix — O(unsealed
-// tail). The ratio of the two throughputs is the headline speedup the
+// 1001-entry merge set every time; the two-level path merges only the
+// stripe tail and folds it into the cached frozen prefix with one linear
+// copy. The ratio of the two throughputs is the headline speedup the
 // snapshot benchtab experiment persists.
 func BenchmarkEngineSnapshotUnderIngest(b *testing.B) {
 	const (

@@ -17,9 +17,9 @@ import (
 // sealed epochs, then drive the worst-case serving loop — one ingested
 // element followed by one query, so every query misses the version cache
 // and rebuilds. The full-remerge row (DisableFrozenPrefix) re-merges the
-// whole 1001-entry merge set per rebuild, O(retained window); the
-// two-level row folds the stripes' unsealed tail into the cached
-// frozen-prefix merge, O(tail). Answers are byte-identical by
+// whole 1001-entry merge set per rebuild; the two-level row merges only
+// the stripes' unsealed tail and folds it into the cached frozen-prefix
+// merge with one linear copy. Answers are byte-identical by
 // construction (the prefix-cache equivalence harness in internal/engine
 // enforces it); what changes is the rebuild rate.
 func SnapshotSweep(scale int) (*Table, error) {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sections 2.4 and 3.1). Each experiment returns a Table whose
-// rows mirror the paper's layout, so benchtab output can be compared
-// against the paper side by side; EXPERIMENTS.md records that comparison.
+// rows mirror the paper's layout, so the output of cmd/benchtab can be
+// compared against the paper's tables side by side.
 //
 // A Scale divisor shrinks dataset sizes uniformly so the full suite also
 // runs in CI-sized time budgets; Scale 1 is paper scale.

@@ -140,6 +140,7 @@ func Sort[T cmp.Ordered](inPath, outPath string, codec runio.Codec[T], opts Opti
 	pf := runio.Prefetch(rr, 1)
 	defer pf.Close()
 	st.BucketSizes = make([]int64, k)
+	batches := make([][]T, k) // one run's keys per bucket, appended per run
 	var scattered int64
 	for {
 		run, err := pf.NextRun()
@@ -149,16 +150,20 @@ func Sort[T cmp.Ordered](inPath, outPath string, codec runio.Codec[T], opts Opti
 		if err != nil {
 			return st, err
 		}
-		for _, v := range run {
+		for i, v := range run {
 			if v != v { // NaN: unordered, see doc comment
-				return st, fmt.Errorf("extsort: input element %d is NaN; NaN keys have no total order", scattered)
+				return st, fmt.Errorf("extsort: input element %d is NaN; NaN keys have no total order", scattered+int64(i))
 			}
 			b := searchSplitters(st.Splitters, v) // first splitter ≥ v
-			if err := writers[b].Append(v); err != nil {
+			batches[b] = append(batches[b], v)
+		}
+		scattered += int64(len(run))
+		for b, batch := range batches {
+			if err := writers[b].Append(batch...); err != nil {
 				return st, err
 			}
-			st.BucketSizes[b]++
-			scattered++
+			st.BucketSizes[b] += int64(len(batch))
+			batches[b] = batch[:0]
 		}
 	}
 	for _, w := range writers {
@@ -257,45 +262,6 @@ func readAndSort[T cmp.Ordered](path string, codec runio.Codec[T]) ([]T, error) 
 	}
 	slices.Sort(vals)
 	return vals, nil
-}
-
-// SortSlice is an in-memory convenience over the same partition logic,
-// returning the sorted data and partition statistics; used by the
-// load-balancing example and tests.
-func SortSlice[T cmp.Ordered](xs []T, opts Options) ([]T, Stats[T], error) {
-	var st Stats[T]
-	if opts.Buckets < 1 {
-		return nil, st, fmt.Errorf("extsort: need ≥1 bucket, got %d", opts.Buckets)
-	}
-	st.N = int64(len(xs))
-	if len(xs) == 0 {
-		return nil, st, nil
-	}
-	sum, err := core.BuildFromSlice(xs, opts.Config)
-	if err != nil {
-		return nil, st, err
-	}
-	if st.Splitters, err = splitters(sum, opts.Buckets); err != nil {
-		return nil, st, err
-	}
-	k := opts.Buckets
-	buckets := make([][]T, k)
-	st.BucketSizes = make([]int64, k)
-	for i, v := range xs {
-		if v != v { // NaN: unordered, as in Sort
-			return nil, st, fmt.Errorf("extsort: input element %d is NaN; NaN keys have no total order", i)
-		}
-		b := searchSplitters(st.Splitters, v)
-		buckets[b] = append(buckets[b], v)
-		st.BucketSizes[b]++
-	}
-	out := make([]T, 0, len(xs))
-	for i, bkt := range buckets {
-		slices.Sort(bkt)
-		out = append(out, bkt...)
-		st.MaxBucket = max(st.MaxBucket, st.BucketSizes[i])
-	}
-	return out, st, nil
 }
 
 // splitters derives the k−1 partition boundaries from a summary: the upper

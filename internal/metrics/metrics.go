@@ -60,15 +60,6 @@ func (o *Oracle[T]) Quantile(phi float64) T {
 	return o.sorted[rank-1]
 }
 
-// Dectiles returns the q−1 exact quantiles φ = 1/q … (q−1)/q.
-func (o *Oracle[T]) Dectiles(q int) []T {
-	out := make([]T, q-1)
-	for i := 1; i < q; i++ {
-		out[i-1] = o.Quantile(float64(i) / float64(q))
-	}
-	return out
-}
-
 // RankLE returns the number of elements ≤ x.
 func (o *Oracle[T]) RankLE(x T) int {
 	return sort.Search(len(o.sorted), func(i int) bool { return o.sorted[i] > x })

@@ -19,26 +19,16 @@ import (
 )
 
 // Codec describes how a fixed-width element type is serialized into run
-// files. Implementations must be stateless and safe for concurrent use.
+// files, frames and checkpoints. It works on whole slices, so a caller
+// pays one interface call per batch, not one per element.
+// Implementations must be stateless and safe for concurrent use.
 type Codec[T any] interface {
 	// Size returns the encoded width of one element, in bytes.
 	Size() int
-	// Encode writes v into buf, which has at least Size() bytes.
-	Encode(buf []byte, v T)
-	// Decode reads one element from buf, which has at least Size() bytes.
-	Decode(buf []byte) T
 	// Kind returns the format tag stored in the file header, so a reader
 	// can reject files written with a different element type.
 	Kind() uint16
-}
-
-// BulkCodec is an optional Codec extension: codecs that can encode and
-// decode whole slices without a per-element indirect call. The frame hot
-// path (AppendDataFrame, DecodeFrameElems) uses it when present — on a
-// wire-speed stream the per-element interface dispatch is a measurable
-// fraction of the total — and every codec in this package implements it.
-type BulkCodec[T any] interface {
-	// AppendElems appends each element's wire record to dst.
+	// AppendElems appends each element's record to dst.
 	AppendElems(dst []byte, xs []T) []byte
 	// DecodeElems appends each record in src, whose length must be a
 	// multiple of Size(), to dst.
@@ -62,16 +52,10 @@ type Int64Codec struct{}
 // Size implements Codec.
 func (Int64Codec) Size() int { return 8 }
 
-// Encode implements Codec.
-func (Int64Codec) Encode(buf []byte, v int64) { binary.LittleEndian.PutUint64(buf, uint64(v)) }
-
-// Decode implements Codec.
-func (Int64Codec) Decode(buf []byte) int64 { return int64(binary.LittleEndian.Uint64(buf)) }
-
 // Kind implements Codec.
 func (Int64Codec) Kind() uint16 { return KindInt64 }
 
-// AppendElems implements BulkCodec.
+// AppendElems implements Codec.
 func (Int64Codec) AppendElems(dst []byte, xs []int64) []byte {
 	for _, v := range xs {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
@@ -79,7 +63,7 @@ func (Int64Codec) AppendElems(dst []byte, xs []int64) []byte {
 	return dst
 }
 
-// DecodeElems implements BulkCodec.
+// DecodeElems implements Codec.
 func (Int64Codec) DecodeElems(dst []int64, src []byte) []int64 {
 	for ; len(src) >= 8; src = src[8:] {
 		dst = append(dst, int64(binary.LittleEndian.Uint64(src)))
@@ -93,20 +77,10 @@ type Float64Codec struct{}
 // Size implements Codec.
 func (Float64Codec) Size() int { return 8 }
 
-// Encode implements Codec.
-func (Float64Codec) Encode(buf []byte, v float64) {
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-}
-
-// Decode implements Codec.
-func (Float64Codec) Decode(buf []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf))
-}
-
 // Kind implements Codec.
 func (Float64Codec) Kind() uint16 { return KindFloat64 }
 
-// AppendElems implements BulkCodec.
+// AppendElems implements Codec.
 func (Float64Codec) AppendElems(dst []byte, xs []float64) []byte {
 	for _, v := range xs {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
@@ -114,7 +88,7 @@ func (Float64Codec) AppendElems(dst []byte, xs []float64) []byte {
 	return dst
 }
 
-// DecodeElems implements BulkCodec.
+// DecodeElems implements Codec.
 func (Float64Codec) DecodeElems(dst []float64, src []byte) []float64 {
 	for ; len(src) >= 8; src = src[8:] {
 		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(src)))
@@ -128,16 +102,10 @@ type Uint64Codec struct{}
 // Size implements Codec.
 func (Uint64Codec) Size() int { return 8 }
 
-// Encode implements Codec.
-func (Uint64Codec) Encode(buf []byte, v uint64) { binary.LittleEndian.PutUint64(buf, v) }
-
-// Decode implements Codec.
-func (Uint64Codec) Decode(buf []byte) uint64 { return binary.LittleEndian.Uint64(buf) }
-
 // Kind implements Codec.
 func (Uint64Codec) Kind() uint16 { return KindUint64 }
 
-// AppendElems implements BulkCodec.
+// AppendElems implements Codec.
 func (Uint64Codec) AppendElems(dst []byte, xs []uint64) []byte {
 	for _, v := range xs {
 		dst = binary.LittleEndian.AppendUint64(dst, v)
@@ -145,7 +113,7 @@ func (Uint64Codec) AppendElems(dst []byte, xs []uint64) []byte {
 	return dst
 }
 
-// DecodeElems implements BulkCodec.
+// DecodeElems implements Codec.
 func (Uint64Codec) DecodeElems(dst []uint64, src []byte) []uint64 {
 	for ; len(src) >= 8; src = src[8:] {
 		dst = append(dst, binary.LittleEndian.Uint64(src))
@@ -160,16 +128,10 @@ type Int32Codec struct{}
 // Size implements Codec.
 func (Int32Codec) Size() int { return 4 }
 
-// Encode implements Codec.
-func (Int32Codec) Encode(buf []byte, v int32) { binary.LittleEndian.PutUint32(buf, uint32(v)) }
-
-// Decode implements Codec.
-func (Int32Codec) Decode(buf []byte) int32 { return int32(binary.LittleEndian.Uint32(buf)) }
-
 // Kind implements Codec.
 func (Int32Codec) Kind() uint16 { return KindInt32 }
 
-// AppendElems implements BulkCodec.
+// AppendElems implements Codec.
 func (Int32Codec) AppendElems(dst []byte, xs []int32) []byte {
 	for _, v := range xs {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
@@ -177,7 +139,7 @@ func (Int32Codec) AppendElems(dst []byte, xs []int32) []byte {
 	return dst
 }
 
-// DecodeElems implements BulkCodec.
+// DecodeElems implements Codec.
 func (Int32Codec) DecodeElems(dst []int32, src []byte) []int32 {
 	for ; len(src) >= 4; src = src[4:] {
 		dst = append(dst, int32(binary.LittleEndian.Uint32(src)))
@@ -191,16 +153,10 @@ type Uint32Codec struct{}
 // Size implements Codec.
 func (Uint32Codec) Size() int { return 4 }
 
-// Encode implements Codec.
-func (Uint32Codec) Encode(buf []byte, v uint32) { binary.LittleEndian.PutUint32(buf, v) }
-
-// Decode implements Codec.
-func (Uint32Codec) Decode(buf []byte) uint32 { return binary.LittleEndian.Uint32(buf) }
-
 // Kind implements Codec.
 func (Uint32Codec) Kind() uint16 { return KindUint32 }
 
-// AppendElems implements BulkCodec.
+// AppendElems implements Codec.
 func (Uint32Codec) AppendElems(dst []byte, xs []uint32) []byte {
 	for _, v := range xs {
 		dst = binary.LittleEndian.AppendUint32(dst, v)
@@ -208,7 +164,7 @@ func (Uint32Codec) AppendElems(dst []byte, xs []uint32) []byte {
 	return dst
 }
 
-// DecodeElems implements BulkCodec.
+// DecodeElems implements Codec.
 func (Uint32Codec) DecodeElems(dst []uint32, src []byte) []uint32 {
 	for ; len(src) >= 4; src = src[4:] {
 		dst = append(dst, binary.LittleEndian.Uint32(src))
@@ -222,20 +178,10 @@ type Float32Codec struct{}
 // Size implements Codec.
 func (Float32Codec) Size() int { return 4 }
 
-// Encode implements Codec.
-func (Float32Codec) Encode(buf []byte, v float32) {
-	binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-}
-
-// Decode implements Codec.
-func (Float32Codec) Decode(buf []byte) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(buf))
-}
-
 // Kind implements Codec.
 func (Float32Codec) Kind() uint16 { return KindFloat32 }
 
-// AppendElems implements BulkCodec.
+// AppendElems implements Codec.
 func (Float32Codec) AppendElems(dst []byte, xs []float32) []byte {
 	for _, v := range xs {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
@@ -243,7 +189,7 @@ func (Float32Codec) AppendElems(dst []byte, xs []float32) []byte {
 	return dst
 }
 
-// DecodeElems implements BulkCodec.
+// DecodeElems implements Codec.
 func (Float32Codec) DecodeElems(dst []float32, src []byte) []float32 {
 	for ; len(src) >= 4; src = src[4:] {
 		dst = append(dst, math.Float32frombits(binary.LittleEndian.Uint32(src)))

@@ -198,18 +198,9 @@ func AppendDataFrame[T any](dst []byte, codec Codec[T], tenant string, xs []T) (
 	binary.LittleEndian.PutUint16(tl[:], uint16(len(tenant)))
 	dst = append(dst, tl[:]...)
 	dst = append(dst, tenant...)
-	// Encode elements in place in the grown region: no per-element scratch
-	// buffer, so the whole append is one (amortised-zero) allocation. The
-	// bulk path additionally skips the per-element interface dispatch.
-	if bulk, ok := codec.(BulkCodec[T]); ok {
-		dst = bulk.AppendElems(dst, xs)
-	} else {
-		for _, v := range xs {
-			off := len(dst)
-			dst = dst[:off+size]
-			codec.Encode(dst[off:], v)
-		}
-	}
+	// The elements land in the grown region, so the whole append is one
+	// (amortised-zero) allocation.
+	dst = codec.AppendElems(dst, xs)
 	return sealFrame(dst, start, FrameData, codec.Kind()), nil
 }
 
@@ -279,8 +270,8 @@ func SplitDataPayload(payload []byte, elemSize int) (tenant string, elems []byte
 // DecodeFrameElems appends the elements encoded in elems (a data payload's
 // element region) to dst and returns it. dst is grown once, to hold the
 // whole frame, so decoding allocates at most once and, into a pre-grown
-// dst, not at all — the binary ingest path's per-element cost is one codec
-// decode, not one parse.
+// dst, not at all — the binary ingest path decodes a frame in one codec
+// call, not one parse per element.
 func DecodeFrameElems[T any](codec Codec[T], elems []byte, dst []T) ([]T, error) {
 	size := codec.Size()
 	if len(elems)%size != 0 {
@@ -291,13 +282,7 @@ func DecodeFrameElems[T any](codec Codec[T], elems []byte, dst []T) ([]T, error)
 		// built with the race detector.
 		dst = append(make([]T, 0, len(dst)+n), dst...)
 	}
-	if bulk, ok := codec.(BulkCodec[T]); ok {
-		return bulk.DecodeElems(dst, elems), nil
-	}
-	for off := 0; off < len(elems); off += size {
-		dst = append(dst, codec.Decode(elems[off:off+size]))
-	}
-	return dst, nil
+	return codec.DecodeElems(dst, elems), nil
 }
 
 // DecodeAckPayload decodes an ack-frame payload.

@@ -1,7 +1,6 @@
 package runio
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -197,16 +196,16 @@ func (d *FileDataset[T]) Path() string { return d.path }
 // Runs implements Dataset: it opens a fresh sequential scan. For the six
 // built-in codecs on a little-endian host, a run's records are the
 // elements' own memory layout, so each run is read from the file straight
-// into the run's memory: one copy out of the kernel and no per-element
-// Decode. Other codecs, and every codec on a big-endian host, read through
-// a 1 MiB buffer and decode each element.
+// into the run's memory: one copy out of the kernel and no decode. Other
+// codecs, and every codec on a big-endian host, read each run's records
+// into a run-sized buffer and decode them there.
 func (d *FileDataset[T]) Runs(m int) (RunReader[T], error) {
 	return d.scan(0, int64(d.hdr.count), m, &d.stats)
 }
 
 // scan opens a sequential scan of the count elements from element start
 // on, with runs of m elements, accounting to stats. It picks the read path
-// once, so buffered read-ahead and direct reads never mix within a scan.
+// once, for the whole scan.
 func (d *FileDataset[T]) scan(start, count int64, m int, stats *Stats) (RunReader[T], error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("runio: run length must be positive, got %d", m)
@@ -221,7 +220,6 @@ func (d *FileDataset[T]) scan(start, count int64, m int, stats *Stats) (RunReade
 	}
 	r := &fileRunReader[T]{f: f, stats: stats, count: count, m: m, left: count, codec: d.codec, spare: spareRuns[T]{m: m}}
 	if !rawCodec(d.codec) {
-		r.br = bufio.NewReaderSize(f, 1<<20)
 		r.ebuf = make([]byte, m*d.codec.Size())
 	}
 	return r, nil
@@ -269,13 +267,12 @@ func (d *FileDataset[T]) Verify() error {
 }
 
 // fileRunReader is a scan over a run file or a section of one. With a
-// raw codec (see rawCodec) br and ebuf are nil and NextRun reads each run
-// straight into its own memory; otherwise it reads through br into ebuf
-// and decodes each element. Either way the run's memory is a recycled run
-// when the consumer handed one back (see Recycler).
+// raw codec (see rawCodec) ebuf is nil and NextRun reads each run straight
+// into its own memory; otherwise it reads each run's records into ebuf and
+// decodes them in one codec call. Either way the run's memory is a
+// recycled run when the consumer handed one back (see Recycler).
 type fileRunReader[T any] struct {
 	f     *os.File
-	br    *bufio.Reader
 	stats *Stats // accounting sink (the owning dataset or section)
 	count int64  // total elements this scan delivers
 	m     int
@@ -296,16 +293,13 @@ func (r *fileRunReader[T]) NextRun() ([]T, error) {
 	if int64(n) > r.left {
 		n = int(r.left)
 	}
-	sz := r.codec.Size()
-	want := n * sz
+	want := n * r.codec.Size()
 	run := r.spare.get(n)
 	var err error
-	if r.br == nil {
+	if r.ebuf == nil {
 		_, err = io.ReadFull(r.f, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(run))), want))
-	} else if _, err = io.ReadFull(r.br, r.ebuf[:want]); err == nil {
-		for i := range run {
-			run[i] = r.codec.Decode(r.ebuf[i*sz:])
-		}
+	} else if _, err = io.ReadFull(r.f, r.ebuf[:want]); err == nil {
+		run = r.codec.DecodeElems(run[:0], r.ebuf[:want])
 	}
 	if err != nil {
 		r.Close()

@@ -21,8 +21,8 @@ type decodeOnly[T any] struct{ Codec[T] }
 func scanRuns[T any](t *testing.T, rr RunReader[T], direct bool) [][]T {
 	t.Helper()
 	defer rr.Close()
-	if fr := rr.(*fileRunReader[T]); (fr.br == nil) != direct {
-		t.Fatalf("direct read path = %v, want %v", fr.br == nil, direct)
+	if fr := rr.(*fileRunReader[T]); (fr.ebuf == nil) != direct {
+		t.Fatalf("direct read path = %v, want %v", fr.ebuf == nil, direct)
 	}
 	var runs [][]T
 	for {
@@ -42,10 +42,7 @@ func scanRuns[T any](t *testing.T, rr RunReader[T], direct bool) [][]T {
 func encodeRuns[T any](codec Codec[T], runs [][]T) [][]byte {
 	out := make([][]byte, len(runs))
 	for i, run := range runs {
-		out[i] = make([]byte, len(run)*codec.Size())
-		for j, v := range run {
-			codec.Encode(out[i][j*codec.Size():], v)
-		}
+		out[i] = codec.AppendElems(nil, run)
 	}
 	return out
 }
@@ -57,10 +54,7 @@ func checkReadPaths[T any](t *testing.T, codec Codec[T], n, m int) {
 	rng := rand.New(rand.NewSource(int64(n)))
 	raw := make([]byte, n*codec.Size())
 	rng.Read(raw)
-	xs := make([]T, n)
-	for i := range xs {
-		xs[i] = codec.Decode(raw[i*codec.Size():])
-	}
+	xs := codec.DecodeElems(nil, raw)
 	path := filepath.Join(t.TempDir(), "paths.run")
 	if err := WriteFile(path, codec, xs); err != nil {
 		t.Fatal(err)

@@ -1,21 +1,24 @@
 package runio
 
 import (
-	"bufio"
 	"cmp"
 	"fmt"
 	"hash/crc32"
 	"os"
 )
 
-// Writer streams elements into a run file. It buffers writes, maintains a
-// running CRC32-C of the payload, and patches the header with the final
-// count and checksum on Close.
+// writeChunk caps a Writer's buffer: Append encodes elements into it and
+// writes it out, folding it into the payload CRC, each time it fills. It
+// exceeds any element size the header's uint16 field can record.
+const writeChunk = 1 << 20
+
+// Writer streams elements into a run file. It buffers encoded elements,
+// maintains a running CRC32-C of the payload, and patches the header with
+// the final count and checksum on Close.
 type Writer[T any] struct {
 	f      *os.File
-	bw     *bufio.Writer
 	codec  Codec[T]
-	buf    []byte
+	buf    []byte // encoded elements not yet written
 	count  uint64
 	crc    uint32
 	stats  *Stats
@@ -28,19 +31,12 @@ func NewWriter[T any](path string, codec Codec[T]) (*Writer[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("runio: create %s: %w", path, err)
 	}
-	w := &Writer[T]{
-		f:     f,
-		bw:    bufio.NewWriterSize(f, 1<<20),
-		codec: codec,
-		buf:   make([]byte, codec.Size()),
-		stats: &Stats{},
-	}
 	// Placeholder header; patched on Close.
-	if _, err := w.bw.Write(encodeHeader(header{kind: codec.Kind(), elemSize: uint16(codec.Size())})); err != nil {
+	if _, err := f.Write(encodeHeader(header{kind: codec.Kind(), elemSize: uint16(codec.Size())})); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("runio: write header: %w", err)
 	}
-	return w, nil
+	return &Writer[T]{f: f, codec: codec, stats: &Stats{}}, nil
 }
 
 // Append writes vs to the file in order.
@@ -48,17 +44,33 @@ func (w *Writer[T]) Append(vs ...T) error {
 	if w.closed {
 		return ErrClosed
 	}
-	for _, v := range vs {
-		w.codec.Encode(w.buf, v)
-		if _, err := w.bw.Write(w.buf); err != nil {
-			return fmt.Errorf("runio: append: %w", err)
-		}
-		w.crc = crc32.Update(w.crc, castagnoli, w.buf)
-		w.count++
+	size := w.codec.Size()
+	if w.buf == nil {
+		w.buf = make([]byte, 0, min(len(vs)*size, writeChunk))
 	}
+	w.count += uint64(len(vs))
 	w.stats.WriteOps++
-	w.stats.BytesWritten += int64(len(vs) * w.codec.Size())
+	w.stats.BytesWritten += int64(len(vs) * size)
+	for len(vs) > 0 {
+		k := min(len(vs), (writeChunk-len(w.buf))/size)
+		if k == 0 {
+			if err := w.flush(); err != nil {
+				return fmt.Errorf("runio: append: %w", err)
+			}
+			continue
+		}
+		w.buf = w.codec.AppendElems(w.buf, vs[:k])
+		vs = vs[k:]
+	}
 	return nil
+}
+
+// flush writes the buffered elements to the file.
+func (w *Writer[T]) flush() error {
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf)
+	_, err := w.f.Write(w.buf)
+	w.buf = w.buf[:0]
+	return err
 }
 
 // Count returns the number of elements appended so far.
@@ -74,7 +86,7 @@ func (w *Writer[T]) Close() error {
 		return ErrClosed
 	}
 	w.closed = true
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		w.f.Close()
 		return fmt.Errorf("runio: flush: %w", err)
 	}

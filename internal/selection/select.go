@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // ErrRankOutOfRange is returned (wrapped) when a requested rank does not lie
@@ -79,34 +78,6 @@ func Select[T cmp.Ordered](xs []T, k int, rng *rand.Rand) (T, error) {
 			lo = gt
 		default:
 			return xs[k], nil // k falls inside the run of pivot-equal elements
-		}
-	}
-}
-
-// SelectDeterministic is Select with the median-of-medians pivot rule used
-// from the first iteration, guaranteeing O(len(xs)) worst-case time
-// regardless of input order. It is the algorithm of [ea72] as described in
-// Section 2.1 of the paper.
-func SelectDeterministic[T cmp.Ordered](xs []T, k int) (T, error) {
-	var zero T
-	if k < 0 || k >= len(xs) {
-		return zero, fmt.Errorf("%w: k=%d, len=%d", ErrRankOutOfRange, k, len(xs))
-	}
-	lo, hi := 0, len(xs)
-	for {
-		if hi-lo <= smallCutoff {
-			insertionSort(xs[lo:hi])
-			return xs[k], nil
-		}
-		pivot := medianOfMediansPivot(xs, lo, hi)
-		lt, gt := partition3(xs, lo, hi, pivot)
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return xs[k], nil
 		}
 	}
 }
@@ -189,7 +160,9 @@ func medianOfMediansPivot[T cmp.Ordered](xs []T, lo, hi int) int {
 
 // selectInPlaceDeterministic is the recursive worker behind
 // medianOfMediansPivot: it reorders xs[lo:hi) so xs[k] has rank k-lo within
-// that range, using the deterministic pivot rule throughout.
+// that range, using the deterministic pivot rule throughout — the
+// algorithm of [ea72] as described in Section 2.1 of the paper, with
+// O(hi−lo) worst-case time regardless of input order.
 func selectInPlaceDeterministic[T cmp.Ordered](xs []T, lo, hi, k int) {
 	for {
 		if hi-lo <= smallCutoff {
@@ -233,12 +206,4 @@ func partition3[T cmp.Ordered](xs []T, lo, hi, pivot int) (lt, gt int) {
 		}
 	}
 	return lt, gt
-}
-
-// sortedCopy returns a sorted copy of xs; shared test/reference helper.
-func sortedCopy[T cmp.Ordered](xs []T) []T {
-	out := make([]T, len(xs))
-	copy(out, xs)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

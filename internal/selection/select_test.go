@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"sort"
@@ -64,6 +65,23 @@ func TestSelectMatchesSortAllRanks(t *testing.T) {
 	}
 }
 
+// sortedCopy returns a sorted copy of xs, the reference the selection
+// tests compare against.
+func sortedCopy[T cmp.Ordered](xs []T) []T {
+	out := make([]T, len(xs))
+	copy(out, xs)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// selectDeterministic returns the element of rank k of xs, selected with
+// the median-of-medians pivot rule from the first iteration: the fallback
+// that keeps Select and MultiSelect linear in the worst case.
+func selectDeterministic(xs []int64, k int) int64 {
+	selectInPlaceDeterministic(xs, 0, len(xs), k)
+	return xs[k]
+}
+
 func TestSelectDeterministicMatchesSort(t *testing.T) {
 	rng := testRNG()
 	for trial := 0; trial < 10; trial++ {
@@ -75,12 +93,8 @@ func TestSelectDeterministicMatchesSort(t *testing.T) {
 		want := sortedCopy(xs)
 		for _, k := range []int{0, n / 4, n / 2, n - 1} {
 			cp := append([]int64(nil), xs...)
-			got, err := SelectDeterministic(cp, k)
-			if err != nil {
-				t.Fatalf("SelectDeterministic: %v", err)
-			}
-			if got != want[k] {
-				t.Fatalf("SelectDeterministic(k=%d) = %d, want %d", k, got, want[k])
+			if got := selectDeterministic(cp, k); got != want[k] {
+				t.Fatalf("selectDeterministic(k=%d) = %d, want %d", k, got, want[k])
 			}
 		}
 	}
@@ -104,12 +118,8 @@ func TestSelectDeterministicAdversarialOrders(t *testing.T) {
 		want := sortedCopy(xs)
 		for _, k := range []int{0, 1, n / 2, n - 2, n - 1} {
 			cp := append([]int64(nil), xs...)
-			got, err := SelectDeterministic(cp, k)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if got != want[k] {
-				t.Errorf("%s: SelectDeterministic(k=%d) = %d, want %d", name, k, got, want[k])
+			if got := selectDeterministic(cp, k); got != want[k] {
+				t.Errorf("%s: selectDeterministic(k=%d) = %d, want %d", name, k, got, want[k])
 			}
 		}
 	}

@@ -5,7 +5,8 @@
 // (the paper writes the transfer term as μ per word). The model "closely
 // models the interconnection network on the IBM SP-2 on which we present
 // our experimental results" (paper, Section 3); since that machine is long
-// gone, this simulator is the substitution documented in DESIGN.md.
+// gone, this simulator stands in for it: the parallel tables report the
+// model's times, not wall-clock times on real hardware.
 //
 // Programs run SPMD: Machine.Run launches one goroutine per processor, and
 // each Proc carries a private simulated clock. Sends and receives move
