@@ -23,11 +23,13 @@ import (
 // with ErrNaN.
 //
 // The scan is drained by cfg.EffectiveWorkers() goroutines, each folding
-// whole runs into a private StreamBuilder. Each worker owns one run-sized
-// scratch buffer, allocated for the build when it takes its first run,
-// which lets the radix selection scatter its first two levels out of
-// place instead of permuting in place: the runs are the build's own, so
-// the scratch costs one run per worker and nothing outlives Build.
+// whole runs into a private StreamBuilder. Each worker borrows one
+// run-sized scratch buffer when it takes its first run, from the run pool
+// StreamBuilders borrow their run buffers from, and gives it back when it
+// stops; the scratch lets the radix selection scatter its first two
+// levels out of place instead of permuting in place. So the scratch costs
+// at most one run per worker while the build runs, and a build after a
+// build, or after streaming ingest, reuses the same memory.
 // Workers take runs from rr one at a time under a lock, which stops all
 // reads at EOF or at the first error. Once a run is sampled, its worker
 // hands it back to rr if rr is a runio.Recycler, so the readers refill
@@ -110,16 +112,17 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch []T
+			var scratch *[]T // lent at the worker's first run
+			defer func() { putRun(scratch) }()
 			for {
 				run, idx, ok := take()
 				if !ok {
 					return
 				}
 				if scratch == nil {
-					scratch = make([]T, cfg.RunLen)
+					scratch = getRun[T](cfg.RunLen)
 				}
-				if err := b.addRun(run, idx, scratch); err != nil {
+				if err := b.addRun(run, idx, (*scratch)[:cfg.RunLen]); err != nil {
 					stop(err)
 					return
 				}

@@ -12,11 +12,12 @@
 //     runs of fixed-width numeric keys, descending only into the radix
 //     buckets that hold a sample rank, which puts the same order
 //     statistics at the same ranks in a few linear passes; Build's
-//     workers scatter its first two levels through a run-sized scratch
-//     each. String runs keep the multi-selection. Either way a run is
-//     left partitioned around its samples, not sorted. Build merges the
-//     sample lists in scan order, contiguous ranges of runs concurrently,
-//     so equal samples keep their scan order at every worker count.
+//     workers and every StreamBuilder flush scatter its first two levels
+//     through a run-sized scratch borrowed from a pool. String runs keep
+//     the multi-selection. Either way a run is left partitioned around
+//     its samples, not sorted. Build merges the sample lists in scan
+//     order, contiguous ranges of runs concurrently, so equal samples
+//     keep their scan order at every worker count.
 //  2. Quantile phase: for a quantile of rank ψ = ⌈φ·n⌉, two indices into
 //     the sorted sample list give deterministic bounds e_l ≤ e_φ ≤ e_u with
 //     at most n/s data elements between the true quantile and either bound
@@ -64,14 +65,14 @@ type Config struct {
 	// recommends s ≥ 2q.
 	SampleSize int
 	// Workers is the number of goroutines Build drains the scan with,
-	// each sampling whole runs into its own StreamBuilder through its own
-	// run-sized scratch, and merging one contiguous range of the runs'
-	// sample lists after the scan. 0 (the default) uses
-	// runtime.GOMAXPROCS(0). Above 1 the reader is also prefetched that
-	// many runs ahead. The resulting Summary is bit-identical for every
-	// setting — only wall-clock time and peak memory (≈ 3·Workers runs:
-	// prefetched, being sampled, and one scratch per worker) change. Must
-	// not be negative.
+	// each sampling whole runs into its own StreamBuilder through a
+	// run-sized scratch borrowed from the run pool, and merging one
+	// contiguous range of the runs' sample lists after the scan. 0 (the
+	// default) uses runtime.GOMAXPROCS(0). Above 1 the reader is also
+	// prefetched that many runs ahead. The resulting Summary is
+	// bit-identical for every setting — only wall-clock time and peak
+	// memory (≈ 3·Workers runs: prefetched, being sampled, and one scratch
+	// per worker) change. Must not be negative.
 	Workers int
 }
 

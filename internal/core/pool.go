@@ -6,18 +6,25 @@ import (
 	"sync"
 )
 
-// samplePools holds one sync.Pool of sample buffers per element type.
+// pools holds the package's buffer pools, one sync.Pool per poolKey.
 // Package-level generic variables are not a thing, so the per-type pools
-// live behind a reflect.Type-keyed map; the lookup is two pointer hops and
-// only the buffers themselves are pooled.
-var samplePools sync.Map // reflect.Type → *sync.Pool
+// live behind a map; the lookup is one sync.Map load, and only the
+// buffers themselves are pooled.
+var pools sync.Map // poolKey → *sync.Pool
 
-func poolFor[T any]() *sync.Pool {
-	key := reflect.TypeFor[T]()
-	if p, ok := samplePools.Load(key); ok {
+// poolKey names one pool: an element type's sample buffers of any
+// capacity (runLen 0), or its run buffers of capacity runLen.
+type poolKey struct {
+	elem   reflect.Type
+	runLen int
+}
+
+func poolFor[T any](runLen int) *sync.Pool {
+	key := poolKey{reflect.TypeFor[T](), runLen}
+	if p, ok := pools.Load(key); ok {
 		return p.(*sync.Pool)
 	}
-	p, _ := samplePools.LoadOrStore(key, new(sync.Pool))
+	p, _ := pools.LoadOrStore(key, new(sync.Pool))
 	return p.(*sync.Pool)
 }
 
@@ -26,7 +33,7 @@ func poolFor[T any]() *sync.Pool {
 // flow into long-lived summaries; only RecycleSummary (or putSamples, for
 // scratch the caller provably owns) ever sends one back.
 func getSamples[T any](n int) []T {
-	p := poolFor[T]()
+	p := poolFor[T](0)
 	if v := p.Get(); v != nil {
 		if b := v.([]T); cap(b) >= n {
 			return b[:0]
@@ -43,7 +50,30 @@ func putSamples[T any](b []T) {
 	if cap(b) == 0 {
 		return
 	}
-	poolFor[T]().Put(b[:0])
+	poolFor[T](0).Put(b[:0])
+}
+
+// getRun lends a zero-length buffer of capacity runLen: the memory of one
+// run, for a StreamBuilder's partial run or a sampling scratch. Run
+// memory is a loan, as the paper's sample phase reuses one run's memory
+// run after run: give it back with putRun once its contents are dead.
+// The pool holds pointers, so neither call allocates once it is warm.
+func getRun[T any](runLen int) *[]T {
+	if v := poolFor[T](runLen).Get(); v != nil {
+		return v.(*[]T)
+	}
+	b := make([]T, 0, runLen)
+	return &b
+}
+
+// putRun returns a buffer lent by getRun; a nil b is a no-op. The caller
+// must be its exclusive owner: nothing may read *b afterwards.
+func putRun[T any](b *[]T) {
+	if b == nil {
+		return
+	}
+	*b = (*b)[:0]
+	poolFor[T](cap(*b)).Put(b)
 }
 
 // RecycleSummary returns s's sample buffer to the merge-buffer pool and

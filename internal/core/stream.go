@@ -22,6 +22,15 @@ import (
 // ragged run of its own, at the cost of sampling a copy of it. NaN keys
 // are rejected with ErrNaN.
 //
+// Run memory is a loan from a pool shared by every builder of the same
+// element type and RunLen, as the paper's sample phase reuses one run's
+// memory run after run: a builder takes a RunLen-element buffer when the
+// first key of a run arrives and gives it back when the run's flush
+// empties it, so a builder holds a buffer only while it buffers a partial
+// run, and an idle one holds none. Each flush samples its run through a
+// second buffer from the same pool as scratch, on the scatter path Build
+// takes, and gives that back too.
+//
 // # Sealing
 //
 // For epoch-based lifecycles (a serving engine aging summaries out of its
@@ -33,7 +42,9 @@ import (
 // byte-identical to never having sealed at all.
 type StreamBuilder[T cmp.Ordered] struct {
 	cfg Config
-	buf []T
+	// run is the buffered partial run, lent by the run pool while it holds
+	// at least one element and nil otherwise.
+	run *[]T
 
 	// State of the runs folded in since the last Seal.
 	lists    [][]T // per-run sorted sample lists
@@ -43,7 +54,7 @@ type StreamBuilder[T cmp.Ordered] struct {
 	runMin   T     // extrema over those runs; valid when runs > 0
 	runMax   T
 
-	// Extrema of the buffered partial run; valid when len(buf) > 0.
+	// Extrema of the buffered partial run; valid when run != nil.
 	bufMin, bufMax T
 
 	// seq counts runs flushed over the builder's lifetime, across seals,
@@ -57,10 +68,7 @@ func NewStreamBuilder[T cmp.Ordered](cfg Config) (*StreamBuilder[T], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &StreamBuilder[T]{
-		cfg: cfg,
-		buf: make([]T, 0, cfg.RunLen),
-	}, nil
+	return &StreamBuilder[T]{cfg: cfg}, nil
 }
 
 // Add observes one element. Amortized cost is one run's sampling cost
@@ -69,7 +77,8 @@ func (b *StreamBuilder[T]) Add(v T) error {
 	if v != v {
 		return ErrNaN
 	}
-	if len(b.buf) == 0 {
+	if b.run == nil {
+		b.run = getRun[T](b.cfg.RunLen)
 		b.bufMin, b.bufMax = v, v
 	} else {
 		if v < b.bufMin {
@@ -79,8 +88,8 @@ func (b *StreamBuilder[T]) Add(v T) error {
 			b.bufMax = v
 		}
 	}
-	b.buf = append(b.buf, v)
-	if len(b.buf) == b.cfg.RunLen {
+	*b.run = append(*b.run, v)
+	if len(*b.run) == b.cfg.RunLen {
 		return b.flush()
 	}
 	return nil
@@ -99,10 +108,11 @@ func (b *StreamBuilder[T]) AddBatch(vs []T) error {
 		}
 	}
 	for len(vs) > 0 {
-		if len(b.buf) == 0 {
+		if b.run == nil {
+			b.run = getRun[T](b.cfg.RunLen)
 			b.bufMin, b.bufMax = vs[0], vs[0]
 		}
-		take := min(b.cfg.RunLen-len(b.buf), len(vs))
+		take := min(b.cfg.RunLen-len(*b.run), len(vs))
 		chunk := vs[:take]
 		lo, hi := b.bufMin, b.bufMax
 		for _, v := range chunk {
@@ -113,9 +123,9 @@ func (b *StreamBuilder[T]) AddBatch(vs []T) error {
 			}
 		}
 		b.bufMin, b.bufMax = lo, hi
-		b.buf = append(b.buf, chunk...)
+		*b.run = append(*b.run, chunk...)
 		vs = vs[take:]
-		if len(b.buf) == b.cfg.RunLen {
+		if len(*b.run) == b.cfg.RunLen {
 			if err := b.flush(); err != nil {
 				return err
 			}
@@ -127,22 +137,33 @@ func (b *StreamBuilder[T]) AddBatch(vs []T) error {
 // N returns the number of elements the builder currently holds: whole runs
 // not yet detached by Seal, plus the buffered partial run. Before any Seal
 // this is everything observed since creation.
-func (b *StreamBuilder[T]) N() int64 { return b.runN + int64(len(b.buf)) }
+func (b *StreamBuilder[T]) N() int64 { return b.runN + int64(b.Buffered()) }
 
 // Buffered returns the size of the in-progress partial run — the elements
 // a Seal would leave behind for the next epoch.
-func (b *StreamBuilder[T]) Buffered() int { return len(b.buf) }
+func (b *StreamBuilder[T]) Buffered() int { return len(b.partial()) }
 
-// flush folds the full buffer in as the builder's next run and clears
-// the buffer.
+// partial returns the buffered partial run, nil when there is none.
+func (b *StreamBuilder[T]) partial() []T {
+	if b.run == nil {
+		return nil
+	}
+	return *b.run
+}
+
+// flush folds the full run buffer in as the builder's next run, sampling
+// it through a scratch run lent for the call, and gives both buffers back
+// to the pool: the sample list is a fresh slice, so neither holds
+// anything live.
 func (b *StreamBuilder[T]) flush() error {
-	if err := b.fold(b.buf, b.bufMin, b.bufMax, runSeed(b.seq), nil); err != nil {
+	scratch := getRun[T](b.cfg.RunLen)
+	defer putRun(scratch)
+	if err := b.fold(*b.run, b.bufMin, b.bufMax, runSeed(b.seq), (*scratch)[:b.cfg.RunLen]); err != nil {
 		return err
 	}
 	b.seq++
-	// SampleRun reorders the run in place but its sample list is a fresh
-	// slice, so the run buffer is dead here and can be refilled in place.
-	b.buf = b.buf[:0]
+	putRun(b.run)
+	b.run = nil
 	return nil
 }
 
@@ -238,13 +259,13 @@ func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 	// the builder's spare capacity: Summary leaves the builder untouched.
 	c := *b
 	c.lists = b.lists[:len(b.lists):len(b.lists)]
-	if len(b.buf) > 0 {
-		tail := b.buf
+	if buf := b.partial(); len(buf) > 0 {
+		tail := buf
 		if len(tail) >= b.cfg.Step() {
 			// SampleRun reorders the tail, which ingestion keeps filling,
 			// so it samples a copy; the sample list is a fresh slice, so
 			// the copy goes straight back to the pool.
-			tail = append(getSamples[T](len(b.buf)), b.buf...)
+			tail = append(getSamples[T](len(buf)), buf...)
 			defer putSamples(tail)
 		}
 		if err := c.fold(tail, b.bufMin, b.bufMax, runSeed(b.seq), nil); err != nil {

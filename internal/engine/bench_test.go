@@ -3,11 +3,15 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"opaq/internal/core"
 )
+
+// raceEnabled reports a build with the race detector (see race_test.go).
+var raceEnabled bool
 
 // benchBatch is one run's worth of keys for the benchmark engines.
 func benchBatch(rng *rand.Rand, n int) []int64 {
@@ -326,6 +330,76 @@ func TestCompactedServeAllocs(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Fatalf("compacted serve loop: %.1f allocs/op, want ≤ 64 (merge buffers no longer pooled?)", allocs)
+	}
+}
+
+// ingestRunOptions are the options of the end-to-end benchmark's `ingest`
+// tenant: the fleet's worker defaults (int64 keys, m = 65 536, s = 1 024,
+// 2 stripes, compaction) with the tenant's own epoch every 1<<18 keys and
+// the last 4 epochs retained.
+var ingestRunOptions = Options{
+	Config:     core.Config{RunLen: 1 << 16, SampleSize: 1 << 10},
+	Stripes:    2,
+	Epoch:      EpochPolicy{MaxElems: 1 << 18},
+	Retention:  Retention{Kind: RetainLastK, K: 4},
+	Compaction: CompactionPolicy{Enabled: true},
+}
+
+// TestIngestRunBorrowsRunMemory pins where the memory of a whole-run
+// IngestBatch comes from. The stripe borrows its run buffer and the
+// flush's sampling scratch from core's run pool and gives both back, so
+// once the pool is warm a call allocates the run's sample list and its
+// share of seals and compactions, well under one run. A stripe that made
+// either buffer per flush would allocate at least one run per call.
+func TestIngestRunBorrowsRunMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	e, err := New[int64](ingestRunOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runLen := ingestRunOptions.Config.RunLen
+	batch := benchBatch(rand.New(rand.NewSource(9)), runLen)
+	ingest := func(calls int) {
+		for i := 0; i < calls; i++ {
+			if err := e.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(16) // warm the pools and fill the ring
+	const calls = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ingest(calls)
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	runBytes := float64(runLen * 8)
+	if perCall > runBytes/4 {
+		t.Fatalf("IngestBatch of one run allocated %.0f B/call, want ≤ %.0f (a quarter run): run memory no longer borrowed from the pool?",
+			perCall, runBytes/4)
+	}
+}
+
+// BenchmarkEngineIngestRun measures one IngestBatch of a 65 536-key
+// uniform run on the `ingest` tenant's options: the run lands in one
+// stripe, fills its buffer and is flushed, sampled and folded in, and
+// every fourth call seals an epoch. B/op shows the run memory is
+// borrowed, not allocated.
+func BenchmarkEngineIngestRun(b *testing.B) {
+	e, err := New[int64](ingestRunOptions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runLen := ingestRunOptions.Config.RunLen
+	batch := benchBatch(rand.New(rand.NewSource(10)), runLen)
+	b.ReportAllocs()
+	b.SetBytes(int64(runLen * 8))
+	for i := 0; i < b.N; i++ {
+		if err := e.IngestBatch(batch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

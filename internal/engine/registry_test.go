@@ -2,9 +2,11 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -386,4 +388,44 @@ func TestRegistryOptionsPersistence(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "custom"+optionsExt)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("options sidecar survives delete: %v", err)
 	}
+}
+
+// TestIdleTenantsHoldNoRunMemory pins that a tenant costs what it holds:
+// a stripe borrows its run buffer when a run's first key arrives, so
+// tenants created at the product default m = 65 536 and never written to
+// hold no run memory, at any stripe count.
+func TestIdleTenantsHoldNoRunMemory(t *testing.T) {
+	const tenants = 100
+	const perTenant = 8 << 10 // bytes of live heap each tenant may add
+	for _, stripes := range []int{2, 8} {
+		reg, err := NewRegistry(RegistryOptions[int64]{Defaults: Options{
+			Config:  core.Config{RunLen: 1 << 16, SampleSize: 1 << 10},
+			Stripes: stripes,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := liveHeap()
+		for i := 0; i < tenants; i++ {
+			if _, err := reg.Create(fmt.Sprintf("idle%d", i), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grown := int64(liveHeap()) - int64(before)
+		runtime.KeepAlive(reg)
+		t.Logf("stripes %d: %.1f KiB of live heap per idle tenant", stripes, float64(grown)/tenants/1024)
+		if grown > tenants*perTenant {
+			t.Errorf("stripes %d: %d idle tenants grew the live heap by %.1f KiB each, want ≤ %d KiB",
+				stripes, tenants, float64(grown)/tenants/1024, perTenant>>10)
+		}
+		reg.Close()
+	}
+}
+
+// liveHeap returns the bytes of live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
