@@ -120,7 +120,7 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 					return
 				}
 				if scratch == nil {
-					scratch = getRun[T](cfg.RunLen)
+					scratch = getRun[T](cfg.RunLen, cfg.RunLen)
 				}
 				if err := b.addRun(run, idx, (*scratch)[:cfg.RunLen]); err != nil {
 					stop(err)

@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -57,11 +56,10 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	cfg := Config{RunLen: 4096, SampleSize: 256}
 	for name, xs := range datasets {
 		t.Run(name, func(t *testing.T) {
-			want := buildWith(t, xs, cfg, 1).Parts()
+			want := buildWith(t, xs, cfg, 1)
 			for _, w := range workerMatrix()[1:] {
-				got := buildWith(t, xs, cfg, w).Parts()
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("workers=%d: summary diverged from sequential build", w)
+				if d := summaryDiff(want, buildWith(t, xs, cfg, w)); d != "" {
+					t.Errorf("workers=%d: summary diverged from sequential build: %s", w, d)
 				}
 			}
 		})
@@ -87,8 +85,8 @@ func TestStreamBuilderMatchesConcurrentBuild(t *testing.T) {
 	}
 	for _, w := range workerMatrix() {
 		built := buildWith(t, xs, cfg, w)
-		if !reflect.DeepEqual(streamed.Parts(), built.Parts()) {
-			t.Errorf("workers=%d: stream and build summaries diverged", w)
+		if d := summaryDiff(streamed, built); d != "" {
+			t.Errorf("workers=%d: stream and build summaries diverged: %s", w, d)
 		}
 	}
 }
@@ -275,8 +273,8 @@ func TestBuildConcurrentPrewrappedPrefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := buildWith(t, xs, cfg, 1)
-	if !reflect.DeepEqual(want.Parts(), sum.Parts()) {
-		t.Error("prefetch-wrapped build diverged from sequential")
+	if d := summaryDiff(want, sum); d != "" {
+		t.Errorf("prefetch-wrapped build diverged from sequential: %s", d)
 	}
 }
 

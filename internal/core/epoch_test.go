@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"opaq/internal/runio"
@@ -67,8 +66,8 @@ func TestSealPreservesRunComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Parts(), got.Parts()) {
-		t.Fatalf("sealed reassembly diverged:\nwant %+v\ngot  %+v", want.Parts(), got.Parts())
+	if d := summaryDiff(want, got); d != "" {
+		t.Fatalf("sealed reassembly diverged: %s", d)
 	}
 	var a, b bytes.Buffer
 	if err := SaveSummary(&a, want, runio.Int64Codec{}); err != nil {
@@ -154,8 +153,8 @@ func TestMergeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Parts(), got.Parts()) {
-		t.Fatalf("MergeAll != pairwise fold:\nwant %+v\ngot  %+v", want.Parts(), got.Parts())
+	if d := summaryDiff(want, got); d != "" {
+		t.Fatalf("MergeAll != pairwise fold: %s", d)
 	}
 
 	// Nil and empty entries are skipped.
@@ -168,8 +167,8 @@ func TestMergeAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(w2.Parts(), g2.Parts()) {
-		t.Fatal("MergeAll with nil/empty gaps diverged from plain merge")
+	if d := summaryDiff(w2, g2); d != "" {
+		t.Fatalf("MergeAll with nil/empty gaps diverged from plain merge: %s", d)
 	}
 
 	// A leading empty summary of a different step must not dictate
@@ -178,8 +177,8 @@ func TestMergeAll(t *testing.T) {
 	if err != nil {
 		t.Fatalf("leading foreign-step empty broke MergeAll: %v", err)
 	}
-	if !reflect.DeepEqual(w2.Parts(), g3.Parts()) {
-		t.Fatal("MergeAll with leading foreign-step empty diverged from plain merge")
+	if d := summaryDiff(w2, g3); d != "" {
+		t.Fatalf("MergeAll with leading foreign-step empty diverged from plain merge: %s", d)
 	}
 
 	// All-empty yields the canonical empty summary; all-nil is an error;

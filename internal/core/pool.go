@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"reflect"
 	"sync"
 )
@@ -53,21 +54,31 @@ func putSamples[T any](b []T) {
 	poolFor[T](0).Put(b[:0])
 }
 
-// getRun lends a zero-length buffer of capacity runLen: the memory of one
-// run, for a StreamBuilder's partial run or a sampling scratch. Run
+// minRun is the capacity a partial run's first buffer gets at least: a
+// stripe that buffers a few keys holds a few hundred bytes, not a run.
+const minRun = 64
+
+// getRun lends a zero-length buffer with room for n ≤ runLen keys: the
+// memory of a StreamBuilder's partial run or of a sampling scratch. Run
 // memory is a loan, as the paper's sample phase reuses one run's memory
-// run after run: give it back with putRun once its contents are dead.
-// The pool holds pointers, so neither call allocates once it is warm.
-func getRun[T any](runLen int) *[]T {
+// run after run. getRun takes a spare whole run from the pool when one
+// is idle, since that memory is live already, and otherwise makes a
+// buffer of the next power of two at or above n keys, at least minRun
+// and at most runLen, so a partial run costs the keys it holds and grows
+// toward runLen as they arrive. Give a whole run back with putRun once
+// its contents are dead; the pool holds pointers, so neither call
+// allocates once it is warm.
+func getRun[T any](runLen, n int) *[]T {
 	if v := poolFor[T](runLen).Get(); v != nil {
 		return v.(*[]T)
 	}
-	b := make([]T, 0, runLen)
+	b := make([]T, 0, min(max(minRun, 1<<bits.Len(uint(n-1))), runLen))
 	return &b
 }
 
-// putRun returns a buffer lent by getRun; a nil b is a no-op. The caller
-// must be its exclusive owner: nothing may read *b afterwards.
+// putRun returns a whole run lent by getRun to the pool; a nil b is a
+// no-op. The caller must be its exclusive owner: nothing may read *b
+// afterwards.
 func putRun[T any](b *[]T) {
 	if b == nil {
 		return

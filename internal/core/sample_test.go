@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -124,14 +123,14 @@ func TestBuildStringKeysAcrossWorkers(t *testing.T) {
 	}
 	slices.Sort(want)
 
-	var parts []SummaryParts[string]
+	var sums []*Summary[string]
 	for _, w := range []int{1, 2, 7} {
 		cfg.Workers = w
 		sum, err := BuildFromSlice(xs, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		parts = append(parts, sum.Parts())
+		sums = append(sums, sum)
 	}
 	sb, err := NewStreamBuilder[string](cfg)
 	if err != nil {
@@ -144,17 +143,17 @@ func TestBuildStringKeysAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts = append(parts, streamed.Parts())
+	sums = append(sums, streamed)
 
-	for i, p := range parts {
-		if !reflect.DeepEqual(p, parts[0]) {
-			t.Errorf("path %d (workers 1, 2, 7, stream): parts differ from workers=1", i)
+	for i, s := range sums {
+		if d := summaryDiff(s, sums[0]); d != "" {
+			t.Errorf("path %d (workers 1, 2, 7, stream): parts differ from workers=1: %s", i, d)
 		}
 	}
-	if got := parts[0].Samples; !slices.Equal(got, want) {
+	if got := sums[0].Samples(); !slices.Equal(got, want) {
 		t.Fatalf("samples differ from each run's sorted keys at ranks k·step−1:\n got %v\nwant %v", got, want)
 	}
-	if p := parts[0]; p.N != int64(len(xs)) || p.Runs != 8 || p.Min != "key-00" || p.Max != "key-39" {
+	if p := sums[0].Parts(); p.N != int64(len(xs)) || p.Runs != 8 || p.Min != "key-00" || p.Max != "key-39" {
 		t.Fatalf("parts: n=%d runs=%d min=%q max=%q", p.N, p.Runs, p.Min, p.Max)
 	}
 }
@@ -171,6 +170,32 @@ func TestBuildRejectsNaN(t *testing.T) {
 		if _, err := BuildFromSlice(xs, Config{RunLen: 1024, SampleSize: 32, Workers: w}); !errors.Is(err, ErrNaN) {
 			t.Errorf("workers=%d: Build error = %v, want ErrNaN", w, err)
 		}
+	}
+}
+
+// TestIndexNaN pins where the NaN check runs: every float kind, named
+// ones included, is read key by key, and integer and string keys never
+// hold a NaN.
+func TestIndexNaN(t *testing.T) {
+	type celsius float32
+	nan := math.NaN()
+	if i := IndexNaN([]float64{1, 2, nan, nan}); i != 2 {
+		t.Errorf("float64: IndexNaN = %d, want 2", i)
+	}
+	if i := IndexNaN([]float32{float32(nan)}); i != 0 {
+		t.Errorf("float32: IndexNaN = %d, want 0", i)
+	}
+	if i := IndexNaN([]celsius{-4, 0, celsius(nan)}); i != 2 {
+		t.Errorf("named float32: IndexNaN = %d, want 2", i)
+	}
+	if i := IndexNaN([]float64{math.Inf(-1), math.Copysign(0, -1), math.Inf(1)}); i != -1 {
+		t.Errorf("float64 without NaN: IndexNaN = %d, want -1", i)
+	}
+	if i := IndexNaN([]int64{math.MinInt64, -1, 0, math.MaxInt64}); i != -1 {
+		t.Errorf("int64: IndexNaN = %d, want -1", i)
+	}
+	if i := IndexNaN([]string{"NaN"}); i != -1 {
+		t.Errorf("string: IndexNaN = %d, want -1", i)
 	}
 }
 

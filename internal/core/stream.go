@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"reflect"
+	"slices"
 
 	"opaq/internal/selection"
 )
@@ -22,14 +24,22 @@ import (
 // ragged run of its own, at the cost of sampling a copy of it. NaN keys
 // are rejected with ErrNaN.
 //
-// Run memory is a loan from a pool shared by every builder of the same
-// element type and RunLen, as the paper's sample phase reuses one run's
-// memory run after run: a builder takes a RunLen-element buffer when the
-// first key of a run arrives and gives it back when the run's flush
-// empties it, so a builder holds a buffer only while it buffers a partial
-// run, and an idle one holds none. Each flush samples its run through a
-// second buffer from the same pool as scratch, on the scatter path Build
-// takes, and gives that back too.
+// A partial run costs the keys it holds. A builder borrows a buffer when
+// the first key of a run arrives, sized to the keys at hand (the next
+// power of two at or above them, at least 64, at most RunLen), and
+// doubles it toward RunLen as keys arrive, so a key is copied at most
+// once more on average; an idle builder holds none. Whole runs are a loan
+// from a pool shared by every builder of the same element type and
+// RunLen, as the paper's sample phase reuses one run's memory run after
+// run: a buffer that reaches RunLen comes from the pool and goes back
+// when the run's flush empties it, a new or growing partial run takes a
+// spare whole run from the pool when one is idle, and each flush samples
+// its run through a second whole run from the pool as scratch, on the
+// scatter path Build takes, and gives that back too.
+//
+// A run's extrema are read off the run once it is selected, on every
+// path alike (see runExtrema), so −0 and +0 land in a summary's Min and
+// Max the same way whether the keys came through Add, AddBatch or Build.
 //
 // # Sealing
 //
@@ -42,8 +52,8 @@ import (
 // byte-identical to never having sealed at all.
 type StreamBuilder[T cmp.Ordered] struct {
 	cfg Config
-	// run is the buffered partial run, lent by the run pool while it holds
-	// at least one element and nil otherwise.
+	// run is the buffered partial run while it holds at least one element
+	// and nil otherwise; its capacity grows toward RunLen (see reserve).
 	run *[]T
 
 	// State of the runs folded in since the last Seal.
@@ -53,9 +63,6 @@ type StreamBuilder[T cmp.Ordered] struct {
 	leftover int64 // elements of those runs not covered by a sub-run
 	runMin   T     // extrema over those runs; valid when runs > 0
 	runMax   T
-
-	// Extrema of the buffered partial run; valid when run != nil.
-	bufMin, bufMax T
 
 	// seq counts runs flushed over the builder's lifetime, across seals,
 	// so a multi-selected run's RNG keeps the same run-index derivation
@@ -77,16 +84,8 @@ func (b *StreamBuilder[T]) Add(v T) error {
 	if v != v {
 		return ErrNaN
 	}
-	if b.run == nil {
-		b.run = getRun[T](b.cfg.RunLen)
-		b.bufMin, b.bufMax = v, v
-	} else {
-		if v < b.bufMin {
-			b.bufMin = v
-		}
-		if v > b.bufMax {
-			b.bufMax = v
-		}
+	if b.run == nil || len(*b.run) == cap(*b.run) {
+		b.reserve(1)
 	}
 	*b.run = append(*b.run, v)
 	if len(*b.run) == b.cfg.RunLen {
@@ -97,33 +96,18 @@ func (b *StreamBuilder[T]) Add(v T) error {
 
 // AddBatch observes a batch of elements. It is equivalent to calling Add
 // per element but copies run-sized chunks into the buffer wholesale, so
-// the per-element cost is one extrema comparison plus the memmove — on
-// the wire-speed ingest path the per-call overhead of Add is measurable.
-// A batch holding a NaN is rejected whole with ErrNaN: the check runs
-// before anything is buffered, so N() does not move.
+// the per-element cost is the memmove — on the wire-speed ingest path the
+// per-call overhead of Add is measurable. A batch holding a NaN is
+// rejected whole with ErrNaN: the check runs before anything is
+// buffered, so N() does not move.
 func (b *StreamBuilder[T]) AddBatch(vs []T) error {
-	for i, v := range vs {
-		if v != v {
-			return fmt.Errorf("%w: element %d of the batch", ErrNaN, i)
-		}
+	if i := IndexNaN(vs); i >= 0 {
+		return fmt.Errorf("%w: element %d of the batch", ErrNaN, i)
 	}
 	for len(vs) > 0 {
-		if b.run == nil {
-			b.run = getRun[T](b.cfg.RunLen)
-			b.bufMin, b.bufMax = vs[0], vs[0]
-		}
-		take := min(b.cfg.RunLen-len(*b.run), len(vs))
-		chunk := vs[:take]
-		lo, hi := b.bufMin, b.bufMax
-		for _, v := range chunk {
-			if v < lo {
-				lo = v
-			} else if v > hi {
-				hi = v
-			}
-		}
-		b.bufMin, b.bufMax = lo, hi
-		*b.run = append(*b.run, chunk...)
+		take := min(b.cfg.RunLen-b.Buffered(), len(vs))
+		b.reserve(take)
+		*b.run = append(*b.run, vs[:take]...)
 		vs = vs[take:]
 		if len(*b.run) == b.cfg.RunLen {
 			if err := b.flush(); err != nil {
@@ -151,14 +135,29 @@ func (b *StreamBuilder[T]) partial() []T {
 	return *b.run
 }
 
+// reserve makes room in the partial run for n more keys, n ≤ RunLen −
+// Buffered(): it borrows the run's first buffer (see getRun), or moves
+// the keys to one of at least twice the capacity when they do not fit.
+func (b *StreamBuilder[T]) reserve(n int) {
+	if b.run == nil {
+		b.run = getRun[T](b.cfg.RunLen, n)
+		return
+	}
+	if need := len(*b.run) + n; need > cap(*b.run) {
+		grown := getRun[T](b.cfg.RunLen, max(need, 2*cap(*b.run)))
+		*grown = append(*grown, *b.run...)
+		b.run = grown
+	}
+}
+
 // flush folds the full run buffer in as the builder's next run, sampling
 // it through a scratch run lent for the call, and gives both buffers back
 // to the pool: the sample list is a fresh slice, so neither holds
 // anything live.
 func (b *StreamBuilder[T]) flush() error {
-	scratch := getRun[T](b.cfg.RunLen)
+	scratch := getRun[T](b.cfg.RunLen, b.cfg.RunLen)
 	defer putRun(scratch)
-	if err := b.fold(*b.run, b.bufMin, b.bufMax, runSeed(b.seq), (*scratch)[:b.cfg.RunLen]); err != nil {
+	if err := b.fold(*b.run, runSeed(b.seq), (*scratch)[:b.cfg.RunLen]); err != nil {
 		return err
 	}
 	b.seq++
@@ -167,28 +166,23 @@ func (b *StreamBuilder[T]) flush() error {
 	return nil
 }
 
-// addRun folds in one whole run of a scan: it rejects NaN, takes the
-// run's extrema and samples the run in place, with no copy, under the
-// seed of its scan index idx, scattering through scratch if it is at
-// least as long as run (see selection.SampleRun). run and scratch are
-// reordered and not retained.
+// addRun folds in one whole run of a scan: it rejects NaN and samples
+// the run in place, with no copy, under the seed of its scan index idx,
+// scattering through scratch if it is at least as long as run (see
+// selection.SampleRun). run and scratch are reordered and not retained.
 func (b *StreamBuilder[T]) addRun(run []T, idx int64, scratch []T) error {
-	lo, hi := run[0], run[0]
-	for i, v := range run {
-		if v != v {
-			return fmt.Errorf("%w: element %d of run %d", ErrNaN, i, idx)
-		}
-		lo, hi = min(lo, v), max(hi, v)
+	if i := IndexNaN(run); i >= 0 {
+		return fmt.Errorf("%w: element %d of run %d", ErrNaN, i, idx)
 	}
-	return b.fold(run, lo, hi, runSeed(idx), scratch)
+	return b.fold(run, runSeed(idx), scratch)
 }
 
 // fold is the per-run step of the sample phase: it adds a non-empty run
-// with extrema lo and hi to the whole-run state, including its regular
-// samples at ranks k·step−1 when it spans at least one sub-run. run is
-// reordered in place, through scratch if that is at least as long as
-// run; the sample list is a fresh slice.
-func (b *StreamBuilder[T]) fold(run []T, lo, hi T, seed int64, scratch []T) error {
+// to the whole-run state, including its regular samples at ranks
+// k·step−1 when it spans at least one sub-run, and the extrema it reads
+// off the selected run. run is reordered in place, through scratch if
+// that is at least as long as run; the sample list is a fresh slice.
+func (b *StreamBuilder[T]) fold(run []T, seed int64, scratch []T) error {
 	step := b.cfg.Step()
 	si := len(run) / step // samples this run contributes
 	if si > 0 {
@@ -198,8 +192,45 @@ func (b *StreamBuilder[T]) fold(run []T, lo, hi T, seed int64, scratch []T) erro
 		}
 		b.lists = append(b.lists, samples)
 	}
+	lo, hi := runExtrema(run, step)
 	b.count(1, int64(len(run)), int64(len(run)-si*step), lo, hi)
 	return nil
+}
+
+// runExtrema returns the extrema of a run that selection.SampleRun has
+// selected at ranks k·step−1, which leaves it partitioned around them:
+// the minimum is the smallest of the first step keys, and the maximum is
+// the last sample when step divides the run and otherwise the largest key
+// after the last sample rank. A run shorter than step is scanned whole.
+// It compares with the builtin min and max, which take −0 as below +0.
+func runExtrema[T cmp.Ordered](run []T, step int) (lo, hi T) {
+	last := len(run) / step * step // keys up to the last sample rank
+	switch {
+	case last == 0:
+		return slices.Min(run), slices.Max(run)
+	case last == len(run):
+		return slices.Min(run[:step]), run[last-1]
+	}
+	return slices.Min(run[:step]), slices.Max(run[last:])
+}
+
+// IndexNaN returns the index of the first NaN in vs, or -1 if it holds
+// none. Integer and string kinds cannot hold a NaN, so for them it reads
+// nothing; every other key type, named float types included, is checked
+// key by key.
+func IndexNaN[T cmp.Ordered](vs []T) int {
+	switch reflect.TypeFor[T]().Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Uintptr, reflect.String:
+		return -1
+	}
+	for i, v := range vs {
+		if v != v {
+			return i
+		}
+	}
+	return -1
 }
 
 // count adds runs whole runs, n elements in all of which leftover lie
@@ -268,7 +299,7 @@ func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 			tail = append(getSamples[T](len(buf)), buf...)
 			defer putSamples(tail)
 		}
-		if err := c.fold(tail, b.bufMin, b.bufMax, runSeed(b.seq), nil); err != nil {
+		if err := c.fold(tail, runSeed(b.seq), nil); err != nil {
 			return nil, err
 		}
 	}

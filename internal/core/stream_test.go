@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"opaq/internal/datagen"
+	"opaq/internal/runio"
 )
 
 func TestStreamBuilderValidation(t *testing.T) {
@@ -48,8 +52,8 @@ func TestEmptySummaryConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(streamed.Parts(), built.Parts()) {
-		t.Fatalf("empty summaries diverge: stream %+v vs build %+v", streamed.Parts(), built.Parts())
+	if d := summaryDiff(streamed, built); d != "" {
+		t.Fatalf("empty summaries diverge: %s", d)
 	}
 	for name, s := range map[string]*Summary[int64]{"stream": streamed, "build": built} {
 		if _, err := s.Bounds(0.5); !errors.Is(err, ErrEmpty) {
@@ -84,8 +88,8 @@ func TestEmptySummaryConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(after.Parts(), batch.Parts()) {
-		t.Error("summaries diverge after ingesting into a previously-empty builder")
+	if d := summaryDiff(after, batch); d != "" {
+		t.Errorf("summaries diverge after ingesting into a previously-empty builder: %s", d)
 	}
 }
 
@@ -208,5 +212,77 @@ func TestQuickStreamEqualsBatch(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rng}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamBuilderSignedZeroExtrema pins the extrema of runs whose
+// smallest or largest keys are zeros of both signs, in either order: a
+// StreamBuilder fed through Add and through AddBatch must save the bytes
+// Build saves over the same keys, in whole runs and ragged tails, tails
+// shorter than a sub-run included, in float64 and float32. Min and Max
+// must carry the sign the builtin min and max give over all the keys:
+// −0 for a minimum, +0 for a maximum.
+func TestStreamBuilderSignedZeroExtrema(t *testing.T) {
+	neg := math.Copysign(0, -1)
+	keySets := [][]float64{
+		{0, neg, 1, 2},
+		{0, neg, 1, 2, 0, neg},
+		{neg, 0, -1, -2},
+		{neg, 0, -1, -2, neg, 0},
+		{3, 0, 1, neg, 2, 0, neg, 5, 0, neg, 4},
+		{-3, neg, -1, 0, -2, neg, 0, -5, neg, 0, -4},
+	}
+	for _, cfg := range []Config{{RunLen: 4, SampleSize: 2}, {RunLen: 8, SampleSize: 2}} {
+		for _, keys := range keySets {
+			f32 := make([]float32, len(keys))
+			for i, k := range keys {
+				f32[i] = float32(k)
+			}
+			name := fmt.Sprintf("m=%d/%v", cfg.RunLen, keys)
+			t.Run(name+"/float64", func(t *testing.T) { checkSignedZeroExtrema(t, keys, runio.Float64Codec{}, cfg) })
+			t.Run(name+"/float32", func(t *testing.T) { checkSignedZeroExtrema(t, f32, runio.Float32Codec{}, cfg) })
+		}
+	}
+}
+
+func checkSignedZeroExtrema[T float32 | float64](t *testing.T, keys []T, codec runio.Codec[T], cfg Config) {
+	save := func(how string, s *Summary[T]) []byte {
+		t.Helper()
+		if lo, hi := slices.Min(keys), slices.Max(keys); !sameBits(s.Min(), lo) || !sameBits(s.Max(), hi) {
+			t.Errorf("%s: extrema [%v, %v], want [%v, %v]", how, s.Min(), s.Max(), lo, hi)
+		}
+		var buf bytes.Buffer
+		if err := SaveSummary(&buf, s, codec); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	built, err := BuildFromSlice(keys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := save("BuildFromSlice", built)
+	for _, how := range []string{"Add", "AddBatch"} {
+		sb, err := NewStreamBuilder[T](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if how == "Add" {
+			for _, k := range keys {
+				err = errors.Join(err, sb.Add(k))
+			}
+		} else {
+			err = sb.AddBatch(keys)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := sb.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(save(how, streamed), want) {
+			t.Errorf("%s: saves different bytes than BuildFromSlice", how)
+		}
 	}
 }

@@ -86,10 +86,8 @@ func (f *FrameReader[T]) Next(rd io.Reader, codec runio.Codec[T], route string) 
 	if f.elems, err = runio.DecodeFrameElems(codec, elemBytes, f.elems[:0]); err != nil {
 		return nil, err
 	}
-	for i, v := range f.elems {
-		if v != v {
-			return nil, fmt.Errorf("%w: element %d of a frame", core.ErrNaN, i)
-		}
+	if i := core.IndexNaN(f.elems); i >= 0 {
+		return nil, fmt.Errorf("%w: element %d of a frame", core.ErrNaN, i)
 	}
 	return f.elems, nil
 }

@@ -717,13 +717,13 @@ func (c tenantConfigJSON) options(defaults Options) (Options, error) {
 	return o, nil
 }
 
-// Admin-create limits. A stripe holds a RunLen-element run buffer while
-// it buffers a partial run, and every snapshot rebuild builds a histogram
-// of Buckets boundaries, so a tenant created over HTTP may ask for no
-// more than maxCreateStripes stripes, maxCreateRunBytes of run buffers in
-// all, and maxQuantiles buckets, the resolution /quantiles is capped at.
-// An idle tenant holds no run buffer; the run-buffer limit bounds the
-// worst case, in which every stripe holds a partial run.
+// Admin-create limits. A stripe's run buffer grows toward RunLen elements
+// while it buffers a partial run, and every snapshot rebuild builds a
+// histogram of Buckets boundaries, so a tenant created over HTTP may ask
+// for no more than maxCreateStripes stripes, maxCreateRunBytes of run
+// buffers in all, and maxQuantiles buckets, the resolution /quantiles is
+// capped at. An idle tenant holds no run buffer; the run-buffer limit
+// bounds the worst case, in which every stripe holds a nearly whole run.
 const (
 	maxCreateStripes  = 1024
 	maxCreateRunBytes = 256 << 20

@@ -422,8 +422,59 @@ func TestIdleTenantsHoldNoRunMemory(t *testing.T) {
 	}
 }
 
-// liveHeap returns the bytes of live heap after a full collection.
+// TestPartialStripesHoldTheirKeys pins that a partial run costs the keys
+// it holds: a stripe's run buffer starts at the keys of its first batch
+// and grows toward RunLen as keys arrive, so tenants at the product
+// default m = 65 536 with 64 keys in each stripe hold a few KiB each, at
+// any stripe count, where a whole-run buffer per stripe would hold
+// 512 KiB.
+func TestPartialStripesHoldTheirKeys(t *testing.T) {
+	const tenants = 100
+	const perTenant = 8 << 10 // bytes of live heap each tenant may add
+	batch := make([]int64, 64)
+	for i := range batch {
+		batch[i] = int64(i * 7919 % 1000)
+	}
+	for _, stripes := range []int{2, 8} {
+		reg, err := NewRegistry(RegistryOptions[int64]{Defaults: Options{
+			Config:  core.Config{RunLen: 1 << 16, SampleSize: 1 << 10},
+			Stripes: stripes,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := liveHeap()
+		for i := 0; i < tenants; i++ {
+			eng, err := reg.Create(fmt.Sprintf("partial%d", i), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range stripes { // ingest round-robins: one batch per stripe
+				if err := eng.IngestBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := eng.N(); n != int64(stripes*len(batch)) {
+				t.Fatalf("tenant %d holds %d keys, want %d", i, n, stripes*len(batch))
+			}
+		}
+		grown := int64(liveHeap()) - int64(before)
+		runtime.KeepAlive(reg)
+		t.Logf("stripes %d: %.1f KiB of live heap per tenant with %d keys a stripe", stripes, float64(grown)/tenants/1024, len(batch))
+		if grown > tenants*perTenant {
+			t.Errorf("stripes %d: %d tenants with %d keys a stripe grew the live heap by %.1f KiB each, want ≤ %d KiB",
+				stripes, tenants, len(batch), float64(grown)/tenants/1024, perTenant>>10)
+		}
+		reg.Close()
+	}
+}
+
+// liveHeap returns the bytes of live heap after two full collections:
+// the first moves every sync.Pool's idle buffers to its victim cache and
+// the second frees them, so buffers that earlier work left idle in core's
+// run pool count on neither side of a difference.
 func liveHeap() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
