@@ -278,3 +278,102 @@ func Example_selectivity() {
 	//
 	// worst error 4941 rows, within the ceiling: true
 }
+
+// Run OPAQ's parallel formulation on the simulated message-passing
+// machine (the paper's Section 3 on a modeled IBM SP-2): the per-phase
+// time breakdown of Table 12 and near-linear speedup (Figure 6), all in
+// simulated time, with the quantile bounds computed for real.
+func Example_parallel() {
+	// 8 processors × 32,000 keys each: every processor owns a shard on
+	// its local (simulated) disk.
+	const p, perProc = 8, 32_000
+	shards := make([][]int64, p)
+	for i := range shards {
+		rng := rand.New(rand.NewSource(int64(100 + i)))
+		sh := make([]int64, perProc)
+		for j := range sh {
+			sh[j] = rng.Int63n(1 << 50)
+		}
+		shards[i] = sh
+	}
+
+	cfg := opaq.ParallelConfig{
+		Core:  opaq.Config{RunLen: 8_000, SampleSize: 500},
+		Procs: p,
+		Merge: opaq.SampleMerge,
+		Model: opaq.DefaultCostModel(),
+		Disk:  opaq.DefaultDiskModel(),
+	}
+	res, err := opaq.ParallelRun(shards, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Printf("parallel OPAQ: p=%d, %d keys total, simulated time %.3fs\n\n",
+		p, res.Summary.N(), res.TotalTime.Seconds())
+	total := float64(res.Phases.Total())
+	fmt.Println("phase breakdown (max over processors, fractions of phase total):")
+	fmt.Printf("  I/O          %6.1f%%\n", float64(res.Phases.IO)/total*100)
+	fmt.Printf("  sampling     %6.1f%%\n", float64(res.Phases.Sampling)/total*100)
+	fmt.Printf("  local merge  %6.1f%%\n", float64(res.Phases.LocalMerge)/total*100)
+	fmt.Printf("  global merge %6.1f%%\n", float64(res.Phases.GlobalMerge)/total*100)
+
+	fmt.Println("\ndectile bounds from the distributed sample list:")
+	bounds, err := res.Summary.Quantiles(10)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, b := range bounds {
+		fmt.Printf("  phi=%.1f  [%d, %d]\n", b.Phi, b.Lower, b.Upper)
+	}
+
+	// Speedup: same total data, varying machine size.
+	fmt.Println("\nspeedup at fixed total size (sample merge):")
+	var all []int64
+	for _, sh := range shards {
+		all = append(all, sh...)
+	}
+	var t1 float64
+	for _, procs := range []int{1, 2, 4, 8} {
+		per := len(all) / procs
+		shp := make([][]int64, procs)
+		for i := range shp {
+			shp[i] = all[i*per : (i+1)*per]
+		}
+		c := cfg
+		c.Procs = procs
+		r, err := opaq.ParallelRun(shp, c)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if procs == 1 {
+			t1 = r.TotalTime.Seconds()
+		}
+		fmt.Printf("  p=%-2d  %6.3fs  speedup %.2f\n", procs, r.TotalTime.Seconds(), t1/r.TotalTime.Seconds())
+	}
+	// Output:
+	// parallel OPAQ: p=8, 256000 keys total, simulated time 0.067s
+	//
+	// phase breakdown (max over processors, fractions of phase total):
+	//   I/O            51.7%
+	//   sampling       43.1%
+	//   local merge     0.9%
+	//   global merge    4.3%
+	//
+	// dectile bounds from the distributed sample list:
+	//   phi=0.1  [112133315265699, 114447514138762]
+	//   phi=0.2  [225027112083866, 227297009163103]
+	//   phi=0.3  [337079595181032, 339009630209465]
+	//   phi=0.4  [451007934182631, 453087584848997]
+	//   phi=0.5  [562540102637020, 565027284889375]
+	//   phi=0.6  [674094528467019, 676335168351852]
+	//   phi=0.7  [786614423486672, 788706367333036]
+	//   phi=0.8  [900143942396166, 902265120187574]
+	//   phi=0.9  [1012630206664440, 1014742234033315]
+	//
+	// speedup at fixed total size (sample merge):
+	//   p=1    0.516s  speedup 1.00
+	//   p=2    0.263s  speedup 1.96
+	//   p=4    0.132s  speedup 3.92
+	//   p=8    0.067s  speedup 7.72
+}

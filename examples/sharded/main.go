@@ -4,7 +4,7 @@
 // to a sequential build over all the data — which this program verifies,
 // along with the wall-clock speedup. (The paper's Section 3 bitonic and
 // sample merges, which move the lists between processors, run on the
-// simulated machine: see examples/parallel.)
+// simulated machine: see Example_parallel in example_test.go.)
 //
 // Run with: go run ./examples/sharded
 package main

@@ -24,21 +24,21 @@ import (
 //
 // The scan is drained by cfg.EffectiveWorkers() goroutines, each folding
 // whole runs into a private StreamBuilder. Each worker borrows one
-// run-sized scratch buffer when it takes its first run, from the run pool
-// StreamBuilders borrow their run buffers from, and gives it back when it
-// stops; the scratch lets the radix selection scatter its first two
-// levels out of place instead of permuting in place. So the scratch costs
-// at most one run per worker while the build runs, and a build after a
-// build, or after streaming ingest, reuses the same memory.
-// Workers take runs from rr one at a time under a lock, which stops all
-// reads at EOF or at the first error. Once a run is sampled, its worker
-// hands it back to rr if rr is a runio.Recycler, so the readers refill
-// the few runs in flight instead of allocating one per run of the scan;
-// nothing retains a run, since its samples are a fresh list. With more
-// than one worker rr is read ahead by runio.Prefetch (unless it already
-// prefetches), which overlaps I/O with the sampling — the paper's Section
-// 4 future work ("we can significantly reduce the total execution time by
-// overlapping the I/O and the computation").
+// run-sized scratch buffer from the run pool (runio.GetRun) when it takes
+// its first run, and gives it back when it stops; the scratch lets the
+// radix selection scatter its first two levels out of place instead of
+// permuting in place. Workers take runs from rr one at a time under a
+// lock, which stops all reads at EOF or at the first error. A run belongs
+// to its consumer, and nothing retains a sampled one, since its samples
+// are a fresh list, so its worker gives it to the same pool when its
+// capacity is the run length, and the file and memory readers read later
+// runs into it. A scan thus allocates the few runs in flight, not one per
+// run, whatever wraps its reader, and a build after a build, or after
+// streaming ingest, reuses the same memory. With more than one worker rr
+// is read ahead by runio.Prefetch (unless it already prefetches), which
+// overlaps I/O with the sampling — the paper's Section 4 future work ("we
+// can significantly reduce the total execution time by overlapping the
+// I/O and the computation").
 //
 // After the scan, every run's sample list is merged in scan order:
 // contiguous ranges of runs are merged concurrently, one per worker, and
@@ -69,7 +69,6 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 	// failure — the reader's resources are released (Close is idempotent,
 	// so the EOF self-close is fine).
 	defer rr.Close()
-	rc, _ := rr.(runio.Recycler[T])
 
 	var (
 		mu       sync.Mutex
@@ -113,21 +112,21 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 		go func() {
 			defer wg.Done()
 			var scratch *[]T // lent at the worker's first run
-			defer func() { putRun(scratch) }()
+			defer func() { runio.PutRun(scratch) }()
 			for {
 				run, idx, ok := take()
 				if !ok {
 					return
 				}
 				if scratch == nil {
-					scratch = getRun[T](cfg.RunLen, cfg.RunLen)
+					scratch = runio.GetRun[T](cfg.RunLen, cfg.RunLen)
 				}
 				if err := b.addRun(run, idx, (*scratch)[:cfg.RunLen]); err != nil {
 					stop(err)
 					return
 				}
-				if rc != nil {
-					rc.Recycle(run)
+				if cap(run) == cfg.RunLen {
+					runio.PutRun(&run)
 				}
 				if len(b.lists) > len(scans[w]) {
 					scans[w] = append(scans[w], idx)

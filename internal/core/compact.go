@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"math/bits"
-)
+import "math/bits"
 
 // Merge-set compaction. A long-lived epoch lifecycle accumulates one
 // summary per seal, so the merge set a snapshot rebuild reassembles — and
@@ -12,10 +9,10 @@ import (
 // sample multiset, counts and extrema are order-independent), adjacent
 // summaries can be pre-merged at any time without changing a single
 // answer. PlanBuddiesBy plans this binary-buddy style, the size-tiered
-// scheme of LSM trees and binomial heaps, and MergeSpans executes the
-// plan: summaries whose element counts share a power-of-two tier merge
-// pairwise, each merged pair lands one tier up and may cascade into its
-// neighbor, and the fixpoint holds O(log N) summaries.
+// scheme of LSM trees and binomial heaps, and MergeAll merges each
+// planned span: summaries whose element counts share a power-of-two tier
+// merge pairwise, each merged pair lands one tier up and may cascade into
+// its neighbor, and the fixpoint holds O(log N) summaries.
 //
 // Only ADJACENT summaries merge, so a chronologically ordered set stays
 // chronologically ordered — each output covers a contiguous span of the
@@ -88,30 +85,4 @@ func PlanBuddiesBy[E any](items []E, size func(E) int64, fold func(a, b E) E, ga
 		spans, work = outS, outW
 	}
 	return spans
-}
-
-// MergeSpans executes a compaction plan: each span of width > 1 is
-// reassembled with MergeAll into a single summary covering the span's
-// union; width-1 spans are passed through by reference. Summaries must
-// be non-nil and share a step; the inputs are not modified. It is the
-// execute step for a plan from PlanBuddiesBy (an engine gating merged
-// spans for retention fidelity).
-//
-// The merged output answers every quantile, rank and selectivity query
-// byte-identically to the unmerged set — compaction changes the merge
-// set's shape, never its content.
-func MergeSpans[T cmp.Ordered](sums []*Summary[T], spans [][2]int) ([]*Summary[T], error) {
-	out := make([]*Summary[T], len(spans))
-	for i, sp := range spans {
-		if sp[1]-sp[0] == 1 {
-			out[i] = sums[sp[0]]
-			continue
-		}
-		m, err := MergeAll(sums[sp[0]:sp[1]])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
-	}
-	return out, nil
 }

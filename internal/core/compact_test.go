@@ -34,15 +34,28 @@ func planBuddies(ns []int64) [][2]int {
 }
 
 // compactSummaries plans with planBuddies over the summaries' element
-// counts and executes the plan with MergeSpans.
+// counts and executes the plan as the engine does: a span of one summary
+// passes through by reference, and each wider span is merged with
+// MergeAll.
 func compactSummaries(sums []*Summary[int64]) ([]*Summary[int64], [][2]int, error) {
 	ns := make([]int64, len(sums))
 	for i, s := range sums {
 		ns[i] = s.N()
 	}
 	spans := planBuddies(ns)
-	out, err := MergeSpans(sums, spans)
-	return out, spans, err
+	out := make([]*Summary[int64], len(spans))
+	for i, sp := range spans {
+		if sp[1]-sp[0] == 1 {
+			out[i] = sums[sp[0]]
+			continue
+		}
+		m, err := MergeAll(sums[sp[0]:sp[1]])
+		if err != nil {
+			return nil, nil, err
+		}
+		out[i] = m
+	}
+	return out, spans, nil
 }
 
 // foldPlan applies a plan to counts, returning the compacted counts.

@@ -13,13 +13,15 @@
 //     buckets that hold a sample rank, which puts the same order
 //     statistics at the same ranks in a few linear passes; Build's
 //     workers and every StreamBuilder flush scatter its first two levels
-//     through a run-sized scratch borrowed from a pool, while a
-//     StreamBuilder's partial run holds a buffer that grows with its keys
-//     toward the run length. String runs keep the multi-selection. Either
-//     way a run is left partitioned around its samples, not sorted, and
-//     its extrema are read off the partitioned run. Build merges the
-//     sample lists in scan order, contiguous ranges of runs concurrently,
-//     so equal samples keep their scan order at every worker count.
+//     through a run-sized scratch. All run memory is a loan from one pool,
+//     runio's: readers read runs into it, Build gives each sampled run
+//     back, and a StreamBuilder's partial run holds a buffer that grows
+//     with its keys toward the run length. String runs keep the
+//     multi-selection. Either way a run is left partitioned around its
+//     samples, not sorted, and its extrema are read off the partitioned
+//     run. Build merges the sample lists in scan order, contiguous ranges
+//     of runs concurrently, so equal samples keep their scan order at
+//     every worker count.
 //  2. Quantile phase: for a quantile of rank ψ = ⌈φ·n⌉, two indices into
 //     the sorted sample list give deterministic bounds e_l ≤ e_φ ≤ e_u with
 //     at most n/s data elements between the true quantile and either bound

@@ -2,30 +2,23 @@ package core
 
 import (
 	"cmp"
-	"math/bits"
 	"reflect"
 	"sync"
 )
 
-// pools holds the package's buffer pools, one sync.Pool per poolKey.
+// samplePools holds one sync.Pool of sample buffers per element type.
 // Package-level generic variables are not a thing, so the per-type pools
 // live behind a map; the lookup is one sync.Map load, and only the
-// buffers themselves are pooled.
-var pools sync.Map // poolKey → *sync.Pool
+// buffers themselves are pooled. Run memory has a pool of its own (see
+// runio.GetRun).
+var samplePools sync.Map // reflect.Type → *sync.Pool
 
-// poolKey names one pool: an element type's sample buffers of any
-// capacity (runLen 0), or its run buffers of capacity runLen.
-type poolKey struct {
-	elem   reflect.Type
-	runLen int
-}
-
-func poolFor[T any](runLen int) *sync.Pool {
-	key := poolKey{reflect.TypeFor[T](), runLen}
-	if p, ok := pools.Load(key); ok {
+func samplePool[T any]() *sync.Pool {
+	key := reflect.TypeFor[T]()
+	if p, ok := samplePools.Load(key); ok {
 		return p.(*sync.Pool)
 	}
-	p, _ := pools.LoadOrStore(key, new(sync.Pool))
+	p, _ := samplePools.LoadOrStore(key, new(sync.Pool))
 	return p.(*sync.Pool)
 }
 
@@ -34,7 +27,7 @@ func poolFor[T any](runLen int) *sync.Pool {
 // flow into long-lived summaries; only RecycleSummary (or putSamples, for
 // scratch the caller provably owns) ever sends one back.
 func getSamples[T any](n int) []T {
-	p := poolFor[T](0)
+	p := samplePool[T]()
 	if v := p.Get(); v != nil {
 		if b := v.([]T); cap(b) >= n {
 			return b[:0]
@@ -51,40 +44,7 @@ func putSamples[T any](b []T) {
 	if cap(b) == 0 {
 		return
 	}
-	poolFor[T](0).Put(b[:0])
-}
-
-// minRun is the capacity a partial run's first buffer gets at least: a
-// stripe that buffers a few keys holds a few hundred bytes, not a run.
-const minRun = 64
-
-// getRun lends a zero-length buffer with room for n ≤ runLen keys: the
-// memory of a StreamBuilder's partial run or of a sampling scratch. Run
-// memory is a loan, as the paper's sample phase reuses one run's memory
-// run after run. getRun takes a spare whole run from the pool when one
-// is idle, since that memory is live already, and otherwise makes a
-// buffer of the next power of two at or above n keys, at least minRun
-// and at most runLen, so a partial run costs the keys it holds and grows
-// toward runLen as they arrive. Give a whole run back with putRun once
-// its contents are dead; the pool holds pointers, so neither call
-// allocates once it is warm.
-func getRun[T any](runLen, n int) *[]T {
-	if v := poolFor[T](runLen).Get(); v != nil {
-		return v.(*[]T)
-	}
-	b := make([]T, 0, min(max(minRun, 1<<bits.Len(uint(n-1))), runLen))
-	return &b
-}
-
-// putRun returns a whole run lent by getRun to the pool; a nil b is a
-// no-op. The caller must be its exclusive owner: nothing may read *b
-// afterwards.
-func putRun[T any](b *[]T) {
-	if b == nil {
-		return
-	}
-	*b = (*b)[:0]
-	poolFor[T](cap(*b)).Put(b)
+	samplePool[T]().Put(b[:0])
 }
 
 // RecycleSummary returns s's sample buffer to the merge-buffer pool and

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 
+	"opaq/internal/runio"
 	"opaq/internal/selection"
 )
 
@@ -29,13 +30,14 @@ import (
 // power of two at or above them, at least 64, at most RunLen), and
 // doubles it toward RunLen as keys arrive, so a key is copied at most
 // once more on average; an idle builder holds none. Whole runs are a loan
-// from a pool shared by every builder of the same element type and
-// RunLen, as the paper's sample phase reuses one run's memory run after
-// run: a buffer that reaches RunLen comes from the pool and goes back
-// when the run's flush empties it, a new or growing partial run takes a
-// spare whole run from the pool when one is idle, and each flush samples
-// its run through a second whole run from the pool as scratch, on the
-// scatter path Build takes, and gives that back too.
+// from runio's run pool, shared by every builder and run reader of the
+// same element type and RunLen, as the paper's sample phase reuses one
+// run's memory run after run: a buffer that reaches RunLen comes from
+// the pool and goes back when the run's flush empties it, a new or
+// growing partial run takes a spare whole run from the pool when one is
+// idle, and each flush samples its run through a second whole run from
+// the pool as scratch, on the scatter path Build takes, and gives that
+// back too.
 //
 // A run's extrema are read off the run once it is selected, on every
 // path alike (see runExtrema), so −0 and +0 land in a summary's Min and
@@ -136,15 +138,16 @@ func (b *StreamBuilder[T]) partial() []T {
 }
 
 // reserve makes room in the partial run for n more keys, n ≤ RunLen −
-// Buffered(): it borrows the run's first buffer (see getRun), or moves
-// the keys to one of at least twice the capacity when they do not fit.
+// Buffered(): it borrows the run's first buffer (see runio.GetRun), or
+// moves the keys to one of at least twice the capacity when they do not
+// fit.
 func (b *StreamBuilder[T]) reserve(n int) {
 	if b.run == nil {
-		b.run = getRun[T](b.cfg.RunLen, n)
+		b.run = runio.GetRun[T](b.cfg.RunLen, n)
 		return
 	}
 	if need := len(*b.run) + n; need > cap(*b.run) {
-		grown := getRun[T](b.cfg.RunLen, max(need, 2*cap(*b.run)))
+		grown := runio.GetRun[T](b.cfg.RunLen, max(need, 2*cap(*b.run)))
 		*grown = append(*grown, *b.run...)
 		b.run = grown
 	}
@@ -155,13 +158,13 @@ func (b *StreamBuilder[T]) reserve(n int) {
 // to the pool: the sample list is a fresh slice, so neither holds
 // anything live.
 func (b *StreamBuilder[T]) flush() error {
-	scratch := getRun[T](b.cfg.RunLen, b.cfg.RunLen)
-	defer putRun(scratch)
+	scratch := runio.GetRun[T](b.cfg.RunLen, b.cfg.RunLen)
+	defer runio.PutRun(scratch)
 	if err := b.fold(*b.run, runSeed(b.seq), (*scratch)[:b.cfg.RunLen]); err != nil {
 		return err
 	}
 	b.seq++
-	putRun(b.run)
+	runio.PutRun(b.run)
 	b.run = nil
 	return nil
 }

@@ -347,7 +347,7 @@ var ingestRunOptions = Options{
 
 // TestIngestRunBorrowsRunMemory pins where the memory of a whole-run
 // IngestBatch comes from. The stripe borrows its run buffer and the
-// flush's sampling scratch from core's run pool and gives both back, so
+// flush's sampling scratch from runio's run pool and gives both back, so
 // once the pool is warm a call allocates the run's sample list and its
 // share of seals and compactions, well under one run. A stripe that made
 // either buffer per flush would allocate at least one run per call.

@@ -135,16 +135,16 @@ func (e *Engine[T]) compactPass(force bool) (bool, error) {
 	for i, ep := range ring {
 		sums[i] = ep.Summary
 	}
-	merged, err := core.MergeSpans(sums, spans)
-	if err != nil {
-		return false, err
-	}
 	compacted := make([]*Epoch[T], len(spans))
 	var folded int64
 	for i, sp := range spans {
 		if sp[1]-sp[0] == 1 {
 			compacted[i] = ring[sp[0]]
 			continue
+		}
+		merged, err := core.MergeAll(sums[sp[0]:sp[1]])
+		if err != nil {
+			return false, err
 		}
 		// Fold the span's metadata: the ID span and seal-time range cover
 		// the oldest through newest source epoch (the ring is
@@ -153,7 +153,7 @@ func (e *Engine[T]) compactPass(force bool) (bool, error) {
 		ep := &Epoch[T]{
 			ID:            last.ID,
 			FirstID:       first.FirstID,
-			Summary:       merged[i],
+			Summary:       merged,
 			SealedAt:      last.SealedAt,
 			FirstSealedAt: first.FirstSealedAt,
 			Source:        EpochCompacted,

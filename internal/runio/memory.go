@@ -42,19 +42,18 @@ func (d *MemoryDataset[T]) Runs(m int) (RunReader[T], error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("runio: run length must be positive, got %d", m)
 	}
-	return &memRunReader[T]{d: d, m: m, spare: spareRuns[T]{m: m}}, nil
+	return &memRunReader[T]{d: d, m: m}, nil
 }
 
 type memRunReader[T any] struct {
-	d     *MemoryDataset[T]
-	m     int
-	pos   int
-	spare spareRuns[T]
+	d   *MemoryDataset[T]
+	m   int
+	pos int
 }
 
-// NextRun implements RunReader. Each run is a copy, into a recycled run
-// when the consumer handed one back (see Recycler): the sample phase
-// reorders runs in place, and the dataset must stay scannable.
+// NextRun implements RunReader. Each run is a copy, into a run from the
+// run pool: the sample phase reorders runs in place, and the dataset must
+// stay scannable.
 func (r *memRunReader[T]) NextRun() ([]T, error) {
 	if r.pos >= len(r.d.data) {
 		return nil, io.EOF
@@ -63,22 +62,16 @@ func (r *memRunReader[T]) NextRun() ([]T, error) {
 	if end > len(r.d.data) {
 		end = len(r.d.data)
 	}
-	run := r.spare.get(end - r.pos)
-	copy(run, r.d.data[r.pos:end])
+	run := append(*GetRun[T](r.m, end-r.pos), r.d.data[r.pos:end]...)
 	r.d.stats.ReadOps++
 	r.d.stats.BytesRead += int64(len(run) * r.d.elemSize)
 	r.pos = end
 	return run, nil
 }
 
-// Recycle implements Recycler.
-func (r *memRunReader[T]) Recycle(run []T) { r.spare.put(run) }
-
-// Close implements RunReader: it marks the scan exhausted and releases
-// its spare runs, the only resource an in-memory scan holds.
+// Close implements RunReader: it marks the scan exhausted.
 func (r *memRunReader[T]) Close() error {
 	r.pos = len(r.d.data)
-	r.spare.drop()
 	return nil
 }
 

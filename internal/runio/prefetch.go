@@ -13,9 +13,8 @@ import (
 // ahead; 1 suffices to hide I/O behind sampling when the two are
 // comparable, which is exactly the regime Tables 11–12 report.
 //
-// The wrapped reader must not be used directly afterwards. Close-like
-// cleanup is automatic: the goroutine exits after delivering io.EOF or an
-// error, or when Stop is called.
+// The wrapped reader must not be used directly afterwards. The goroutine
+// exits after delivering io.EOF or an error, or when Close is called.
 func Prefetch[T any](rr RunReader[T], depth int) *PrefetchReader[T] {
 	if depth < 1 {
 		depth = 1
@@ -63,42 +62,21 @@ func (p *PrefetchReader[T]) loop() {
 
 // NextRun implements RunReader, delivering prefetched runs in order.
 func (p *PrefetchReader[T]) NextRun() ([]T, error) {
+	// After the stream is exhausted every call sees a plain EOF: the inner
+	// reader's own terminal error was already delivered once.
 	if p.done {
-		return nil, errDone(p)
+		return nil, io.EOF
 	}
 	msg, ok := <-p.ch
 	if !ok {
 		p.done = true
-		return nil, errDone(p)
+		return nil, io.EOF
 	}
 	if msg.err != nil {
 		p.done = true
 		return nil, msg.err
 	}
 	return msg.run, nil
-}
-
-// errDone returns the terminal error after the stream is exhausted: the
-// inner reader's own terminal error was already delivered once, so any
-// further call sees a plain EOF.
-func errDone[T any](p *PrefetchReader[T]) error {
-	return io.EOF
-}
-
-// Recycle implements Recycler by forwarding run to the wrapped reader, if
-// it recycles. The read-ahead goroutine calls that reader's NextRun while
-// consumers recycle, which Recycler allows.
-func (p *PrefetchReader[T]) Recycle(run []T) {
-	if rc, ok := p.inner.(Recycler[T]); ok {
-		rc.Recycle(run)
-	}
-}
-
-// Stop cancels the prefetcher early (e.g. when the consumer abandons the
-// scan); safe to call multiple times and after exhaustion. Stop does not
-// release the inner reader — use Close for that.
-func (p *PrefetchReader[T]) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
 }
 
 // Close implements RunReader: it stops the read-ahead goroutine, waits for
@@ -108,7 +86,7 @@ func (p *PrefetchReader[T]) Stop() {
 // a consumer blocked in NextRun is unblocked by the loop closing the
 // channel, which already yields io.EOF.
 func (p *PrefetchReader[T]) Close() error {
-	p.Stop()
+	p.stopOnce.Do(func() { close(p.stop) })
 	<-p.loopDone // the loop must not race the inner Close below
 	return p.inner.Close()
 }

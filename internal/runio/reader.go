@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
 	"time"
 	"unsafe"
 )
@@ -56,13 +55,13 @@ func (d DiskModel) Time(s Stats) time.Duration {
 
 // RunReader delivers a dataset as consecutive runs. NextRun returns the
 // next run (at most the configured run length; only the final run may be
-// shorter) and io.EOF after the last run. Implementations may reuse the
-// returned slice's backing array between calls only if documented; the
-// file and memory readers here hand out slices the consumer owns, because
-// OPAQ's sample phase reorders runs in place, and a file reader fills each
-// one straight from the file wherever the element's codec allows (see
-// FileDataset.Runs). Each is freshly allocated unless the consumer
-// recycled one (see Recycler).
+// shorter) and io.EOF after the last run. A run belongs to its consumer:
+// the reader never touches it again, because OPAQ's sample phase reorders
+// runs in place. The file and memory readers take each run's memory from
+// the run pool (see GetRun), a file reader filling it straight from the
+// file wherever the element's codec allows (see FileDataset.Runs), so a
+// consumer done with a run may give it to the pool with PutRun for a
+// later run to be read into.
 //
 // A reader owns whatever resource backs the scan (for file-backed datasets,
 // an open descriptor). Consumers that abandon a scan before io.EOF must
@@ -78,65 +77,6 @@ type RunReader[T any] interface {
 	// Close releases the resources backing the scan. It is idempotent and
 	// safe to call after EOF; subsequent NextRun calls return io.EOF.
 	Close() error
-}
-
-// Recycler is implemented by a RunReader that can refill a run its
-// consumer is done with instead of allocating a new one. After
-// Recycle(run), a later NextRun may return run's memory, overwritten, so
-// the consumer must neither touch run again nor recycle it twice. Recycle
-// must be safe to call from any goroutine, also while NextRun runs. The
-// file and memory readers implement it: they ignore a run whose capacity
-// is not their run length, and any run once the scan is closed.
-// PrefetchReader forwards to the reader it wraps.
-type Recycler[T any] interface {
-	Recycle(run []T)
-}
-
-// spareRuns is a reader's free list of recycled runs, shared by its
-// NextRun and its consumers' Recycle calls under a lock. It never holds
-// more runs than the reader allocated at full length, so recycling cannot
-// grow the scan's memory beyond the most runs it had out at once.
-type spareRuns[T any] struct {
-	m    int // the run length; only runs of this capacity are kept
-	mu   sync.Mutex
-	runs [][]T
-	made int // full-length runs allocated; bounds len(runs)
-}
-
-// get returns a run of n ≤ m elements with unspecified contents: a
-// recycled one if any is spare, a new one otherwise.
-func (s *spareRuns[T]) get(n int) []T {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k := len(s.runs); k > 0 {
-		run := s.runs[k-1][:n]
-		s.runs = s.runs[:k-1]
-		return run
-	}
-	if n == s.m {
-		s.made++
-	}
-	return make([]T, n)
-}
-
-// put keeps run for a later get; see Recycler.
-func (s *spareRuns[T]) put(run []T) {
-	if cap(run) != s.m {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.runs) < s.made {
-		s.runs = append(s.runs, run)
-	}
-}
-
-// drop releases every spare run and turns later puts into no-ops; readers
-// call it when their scan closes.
-func (s *spareRuns[T]) drop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.runs, s.made = nil, 0
 }
 
 // Dataset abstracts a source of elements that can be scanned as runs any
@@ -198,14 +138,19 @@ func (d *FileDataset[T]) Path() string { return d.path }
 // elements' own memory layout, so each run is read from the file straight
 // into the run's memory: one copy out of the kernel and no decode. Other
 // codecs, and every codec on a big-endian host, read each run's records
-// into a run-sized buffer and decode them there.
+// into a run-sized buffer and decode them there. Either way the scan
+// folds the records into a CRC32-C as it reads them and, when the
+// payload does not match the header's checksum, returns ErrCorrupt in
+// place of the last run. A section scan (see Section) checks nothing
+// unless it covers the whole file.
 func (d *FileDataset[T]) Runs(m int) (RunReader[T], error) {
 	return d.scan(0, int64(d.hdr.count), m, &d.stats)
 }
 
 // scan opens a sequential scan of the count elements from element start
 // on, with runs of m elements, accounting to stats. It picks the read path
-// once, for the whole scan.
+// once, for the whole scan, and checks the payload CRC if the scan covers
+// the whole file.
 func (d *FileDataset[T]) scan(start, count int64, m int, stats *Stats) (RunReader[T], error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("runio: run length must be positive, got %d", m)
@@ -218,7 +163,8 @@ func (d *FileDataset[T]) scan(start, count int64, m int, stats *Stats) (RunReade
 		f.Close()
 		return nil, fmt.Errorf("runio: seek to scan start: %w", err)
 	}
-	r := &fileRunReader[T]{f: f, stats: stats, count: count, m: m, left: count, codec: d.codec, spare: spareRuns[T]{m: m}}
+	r := &fileRunReader[T]{f: f, stats: stats, count: count, m: m, left: count, codec: d.codec,
+		check: start == 0 && count == int64(d.hdr.count), wantCRC: d.hdr.crc}
 	if !rawCodec(d.codec) {
 		r.ebuf = make([]byte, m*d.codec.Size())
 	}
@@ -240,37 +186,11 @@ func rawCodec[T any](c Codec[T]) bool {
 	return false
 }
 
-// Verify re-reads the whole file and checks the payload CRC, returning
-// ErrCorrupt (wrapped) on mismatch.
-func (d *FileDataset[T]) Verify() error {
-	f, err := os.Open(d.path)
-	if err != nil {
-		return fmt.Errorf("runio: open %s: %w", d.path, err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(headerSize, io.SeekStart); err != nil {
-		return fmt.Errorf("runio: seek: %w", err)
-	}
-	h := crc32.New(castagnoli)
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return fmt.Errorf("runio: checksum scan: %w", err)
-	}
-	want := int64(d.hdr.count) * int64(d.codec.Size())
-	if n != want {
-		return fmt.Errorf("%w: payload is %d bytes, header promises %d", ErrCorrupt, n, want)
-	}
-	if h.Sum32() != d.hdr.crc {
-		return fmt.Errorf("%w: payload CRC %08x, header says %08x", ErrCorrupt, h.Sum32(), d.hdr.crc)
-	}
-	return nil
-}
-
 // fileRunReader is a scan over a run file or a section of one. With a
 // raw codec (see rawCodec) ebuf is nil and NextRun reads each run straight
 // into its own memory; otherwise it reads each run's records into ebuf and
-// decodes them in one codec call. Either way the run's memory is a
-// recycled run when the consumer handed one back (see Recycler).
+// decodes them in one codec call. Either way the run's memory comes from
+// the run pool.
 type fileRunReader[T any] struct {
 	f     *os.File
 	stats *Stats // accounting sink (the owning dataset or section)
@@ -280,7 +200,10 @@ type fileRunReader[T any] struct {
 	ebuf  []byte
 	codec Codec[T]
 	done  bool
-	spare spareRuns[T]
+	// check says the scan covers the whole file, whose records fold into
+	// crc as they are read, to be matched against wantCRC at the end.
+	check        bool
+	crc, wantCRC uint32
 }
 
 // NextRun implements RunReader.
@@ -294,38 +217,43 @@ func (r *fileRunReader[T]) NextRun() ([]T, error) {
 		n = int(r.left)
 	}
 	want := n * r.codec.Size()
-	run := r.spare.get(n)
-	var err error
+	run := (*GetRun[T](r.m, n))[:n]
+	var raw []byte
 	if r.ebuf == nil {
-		_, err = io.ReadFull(r.f, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(run))), want))
-	} else if _, err = io.ReadFull(r.f, r.ebuf[:want]); err == nil {
-		run = r.codec.DecodeElems(run[:0], r.ebuf[:want])
+		raw = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(run))), want)
+	} else {
+		raw = r.ebuf[:want]
 	}
-	if err != nil {
+	if _, err := io.ReadFull(r.f, raw); err != nil {
 		r.Close()
 		return nil, fmt.Errorf("%w: truncated run (want %d bytes): %v", ErrCorrupt, want, err)
+	}
+	if r.check {
+		r.crc = crc32.Update(r.crc, castagnoli, raw)
+	}
+	if r.ebuf != nil {
+		run = r.codec.DecodeElems(run[:0], raw)
 	}
 	r.left -= int64(n)
 	r.stats.ReadOps++
 	r.stats.BytesRead += int64(want)
 	if r.left == 0 {
 		r.Close()
+		if r.check && r.crc != r.wantCRC {
+			return nil, fmt.Errorf("%w: payload CRC %08x, header says %08x", ErrCorrupt, r.crc, r.wantCRC)
+		}
 	}
 	return run, nil
 }
 
-// Recycle implements Recycler.
-func (r *fileRunReader[T]) Recycle(run []T) { r.spare.put(run) }
-
-// Close implements RunReader: it releases the scan's file descriptor and
-// spare runs. The exhausted path (EOF or read error) closes through here
-// too, so an early-exit consumer and a full scan end in the same state.
+// Close implements RunReader: it releases the scan's file descriptor. The
+// exhausted path (EOF or read error) closes through here too, so an
+// early-exit consumer and a full scan end in the same state.
 func (r *fileRunReader[T]) Close() error {
 	if r.done {
 		return nil
 	}
 	r.done = true
-	r.spare.drop()
 	return r.f.Close()
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,33 +164,72 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
-func TestVerifyDetectsCorruption(t *testing.T) {
+// TestScanDetectsCorruption flips one payload bit: a scan of the whole
+// file, on the direct and the decode path and as a section that covers
+// the file, must fail with ErrCorrupt at its end, and a clean file must
+// read back. A section of part of the file is not checked.
+func TestScanDetectsCorruption(t *testing.T) {
 	path := tmpPath(t)
-	if err := WriteFile(path, Int64Codec{}, []int64{1, 2, 3, 4}); err != nil {
+	xs := []int64{1, 2, 3, 4, 5, 6, 7}
+	if err := WriteFile(path, Int64Codec{}, xs); err != nil {
 		t.Fatal(err)
+	}
+	scans := func() map[string]Dataset[int64] {
+		direct, err := OpenFile(path, Int64Codec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := OpenFile[int64](path, decodeOnly[int64]{Int64Codec{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := direct.Section(0, direct.Count())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]Dataset[int64]{"direct": direct, "decode": decoded, "whole section": whole}
+	}
+	for name, d := range scans() {
+		if got, err := ReadAll(d); err != nil || !slices.Equal(got, xs) {
+			t.Fatalf("%s: clean file read %v, %v", name, got, err)
+		}
+	}
+	// Flip one payload bit: byte 3 of the first key is 0x00.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0x04}, headerSize+3); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for name, d := range scans() {
+		for _, m := range []int{2, 7, 8} {
+			rr, err := d.Runs(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				_, err = rr.NextRun()
+				if err != nil {
+					break
+				}
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, runs of %d: scan of a corrupt file ends in %v, want ErrCorrupt", name, m, err)
+			}
+		}
 	}
 	d, err := OpenFile(path, Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Verify(); err != nil {
-		t.Fatalf("Verify on clean file: %v", err)
-	}
-	// Flip one payload byte.
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	part, err := d.Section(0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xFF}, headerSize+3); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	d2, err := OpenFile(path, Int64Codec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Verify(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Verify on corrupted file = %v, want ErrCorrupt", err)
+	if got, err := ReadAll[int64](part); err != nil || len(got) != 6 || got[0] == xs[0] {
+		t.Fatalf("part of the file: read %v, %v; want the corrupt first key, unchecked", got, err)
 	}
 }
 
@@ -268,9 +308,6 @@ func TestWriteFileFunc(t *testing.T) {
 			t.Fatalf("element %d = %d", i, v)
 		}
 	}
-	if err := d.Verify(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestMemoryDataset(t *testing.T) {
@@ -348,7 +385,7 @@ func TestQuickFileRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return d.Verify() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
 		t.Fatal(err)
@@ -417,8 +454,8 @@ func TestPrefetchStopEarly(t *testing.T) {
 	if _, err := p.NextRun(); err != nil {
 		t.Fatal(err)
 	}
-	p.Stop()
-	p.Stop() // idempotent
+	p.Close()
+	p.Close() // idempotent
 }
 
 func TestPrefetchPropagatesErrors(t *testing.T) {
