@@ -191,14 +191,17 @@ func BuildFromSlice[T cmp.Ordered](xs []T, cfg Config) (*Summary[T], error) {
 // over the data turns the [e_l, e_u] enclosure into the exact quantile
 // value. The pass counts the elements below e_l and retains only those
 // inside the enclosure — at most 2n/s + slack values by Lemma 3 — which are
-// then sorted (via selection, O(window)) to extract the exact rank.
+// then sorted (via selection, O(window)) to extract the exact rank. Each
+// scanned run goes back to the run pool, as in Build, so the pass
+// allocates about one run besides the window.
 func ExactQuantile[T cmp.Ordered](ds runio.Dataset[T], s *Summary[T], phi float64) (T, error) {
 	var zero T
 	b, err := s.Bounds(phi)
 	if err != nil {
 		return zero, err
 	}
-	rr, err := ds.Runs(int(min(int64(1<<16), max(s.step, 1024))))
+	m := int(min(int64(1<<16), max(s.step, 1024)))
+	rr, err := ds.Runs(m)
 	if err != nil {
 		return zero, err
 	}
@@ -220,6 +223,9 @@ func ExactQuantile[T cmp.Ordered](ds runio.Dataset[T], s *Summary[T], phi float6
 			case v <= b.Upper:
 				window = append(window, v)
 			}
+		}
+		if cap(run) == m {
+			runio.PutRun(&run)
 		}
 	}
 	idx := b.Rank - below - 1 // 0-based rank within the window

@@ -21,28 +21,25 @@ const parallelMergeFloor = 8
 // the frozen-prefix summary of a deep epoch ring cold, where the fan-in is
 // the whole retained window.
 //
-// Partials are drawn from and returned to the merge-buffer pool; only the
-// final summary's buffer escapes. workers ≤ 1 (or a fan-in too small to
-// split) is exactly MergeAll.
+// workers ≤ 1 (or a fan-in too small to split) is exactly MergeAll.
 func MergeAllParallel[T cmp.Ordered](sums []*Summary[T], workers int) (*Summary[T], error) {
 	return mergeAll(sums, workers)
 }
 
-// mergeLists merges sorted lists into one buffer drawn from the
-// merge-buffer pool, ties going to the lower list index, so equal values
-// keep the order of their lists. A serving engine rebuilds a snapshot on
-// every version bump, and the previous snapshot's stripe summaries come
-// back to the pool through RecycleSummary.
+// mergeLists merges sorted lists into a new list, ties going to the
+// lower list index, so equal values keep the order of their lists. The
+// result shares no memory with its inputs, and the summary that holds it
+// owns it.
 //
 // Across workers, the lists are split into contiguous ranges, one per
 // worker and at least two lists each; each range is merged on its own
 // goroutine, and the partials are merged in range order. A tie between
 // ranges goes to the lower one, whose lists come first, so the result is
-// the same list at every worker count. The partials go back to the pool.
+// the same list at every worker count.
 func mergeLists[T cmp.Ordered](lists [][]T, workers int) []T {
 	k := min(workers, len(lists)/2)
 	if k <= 1 || len(lists) < parallelMergeFloor {
-		return merge.KWayInto(getSamples[T](sampleCount(lists)), lists)
+		return merge.KWayInto(make([]T, 0, sampleCount(lists)), lists)
 	}
 	partials := make([][]T, k)
 	var wg sync.WaitGroup
@@ -53,17 +50,11 @@ func mergeLists[T cmp.Ordered](lists [][]T, workers int) []T {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			partials[c] = merge.KWayInto(getSamples[T](sampleCount(lists[lo:hi])), lists[lo:hi])
+			partials[c] = merge.KWayInto(make([]T, 0, sampleCount(lists[lo:hi])), lists[lo:hi])
 		}()
 	}
 	wg.Wait()
-	out := merge.KWayInto(getSamples[T](sampleCount(partials)), partials)
-	// The partials are exclusively ours (KWayInto never aliases its
-	// inputs), so their buffers go back to the pool for the next merge.
-	for _, p := range partials {
-		putSamples(p)
-	}
-	return out
+	return merge.KWayInto(make([]T, 0, sampleCount(partials)), partials)
 }
 
 // sampleCount returns the total length of lists.

@@ -56,75 +56,6 @@ func TestRankBoundsMatchesSortSearch(t *testing.T) {
 	}
 }
 
-func TestRecycleSummary(t *testing.T) {
-	s := rankBoundsSummary(t, 50_000)
-	if s.SampleCount() == 0 {
-		t.Fatal("summary has no samples")
-	}
-	step := s.Step()
-	RecycleSummary(s)
-	if s.N() != 0 || s.SampleCount() != 0 {
-		t.Fatalf("recycled summary not empty: n=%d samples=%d", s.N(), s.SampleCount())
-	}
-	if s.Step() != step {
-		t.Fatalf("recycle changed step: %d != %d", s.Step(), step)
-	}
-	// Idempotent, and nil-safe.
-	RecycleSummary(s)
-	RecycleSummary[int64](nil)
-}
-
-// TestMergePooledBufferIsolated checks a Merge result drawn from the pool
-// never aliases a recycled buffer's future contents: recycle one summary,
-// merge two others, and verify the merge against a straightforward replay.
-func TestMergePooledBufferIsolated(t *testing.T) {
-	cfg := Config{RunLen: 1 << 8, SampleSize: 1 << 4}
-	build := func(seed int64, n int) *Summary[int64] {
-		sb, err := NewStreamBuilder[int64](cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < n; i++ {
-			if err := sb.Add(rng.Int63n(1 << 20)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s, err := sb.Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	scratch := build(1, 4096)
-	RecycleSummary(scratch)
-
-	a, b := build(2, 4096), build(3, 4096)
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.N() != a.N()+b.N() {
-		t.Fatalf("merged n %d, want %d", m.N(), a.N()+b.N())
-	}
-	got := m.Samples()
-	if !sortedInt64(got) {
-		t.Fatal("merged samples not sorted")
-	}
-	if len(got) != a.SampleCount()+b.SampleCount() {
-		t.Fatalf("merged sample count %d, want %d", len(got), a.SampleCount()+b.SampleCount())
-	}
-}
-
-func sortedInt64(xs []int64) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // BenchmarkRankBounds shows the satellite delta: the open-coded
 // upper-bound binary search in RankBounds vs the sort.Search closure form
 // it replaced, on the same pre-built summary and probe sequence.

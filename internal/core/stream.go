@@ -21,9 +21,9 @@ import (
 // selection.SampleRun, and a string run i seeds its RNG from the same
 // run-index derivation Build uses — so Summary() is bit-identical to
 // running Build over the same element sequence at any Config.Workers
-// setting. Summary() folds the buffered tail (a partial run) in as a
-// ragged run of its own, at the cost of sampling a copy of it. NaN keys
-// are rejected with ErrNaN.
+// setting (but see Summary for named float types). Summary() folds the
+// buffered partial run in as a ragged run of its own, selecting it where
+// it is buffered. NaN keys are rejected with ErrNaN.
 //
 // A partial run costs the keys it holds. A builder borrows a buffer when
 // the first key of a run arrives, sized to the keys at hand (the next
@@ -286,23 +286,24 @@ func (b *StreamBuilder[T]) seal(workers int) *Summary[T] {
 // (see N). The builder remains usable afterwards; the buffered partial run
 // is consumed as a (ragged) run of its own, exactly as Build treats a
 // short final run.
+//
+// The partial run is selected where it is buffered, with no copy, so
+// Summary reorders the buffered keys. A run's samples and extrema are its
+// order statistics, which no reordering changes, so the flush that later
+// completes the run selects the same samples. One exception: for a key
+// type that SampleRun multi-selects rather than radix-selects, such as a
+// named float type, which of equal −0 and +0 keys lands at a sample rank
+// depends on the order of the run, so after a Summary that cut into a run
+// the run may yield −0 where Build yields +0, or the reverse.
 func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 	// Fold the tail into a copy of the state and seal the copy, so
 	// ingestion can continue. The copy's list slice is clipped, so the
 	// fold's append reallocates instead of writing the tail's samples into
-	// the builder's spare capacity: Summary leaves the builder untouched.
+	// the builder's spare capacity.
 	c := *b
 	c.lists = b.lists[:len(b.lists):len(b.lists)]
 	if buf := b.partial(); len(buf) > 0 {
-		tail := buf
-		if len(tail) >= b.cfg.Step() {
-			// SampleRun reorders the tail, which ingestion keeps filling,
-			// so it samples a copy; the sample list is a fresh slice, so
-			// the copy goes straight back to the pool.
-			tail = append(getSamples[T](len(buf)), buf...)
-			defer putSamples(tail)
-		}
-		if err := c.fold(tail, runSeed(b.seq), nil); err != nil {
+		if err := c.fold(buf, runSeed(b.seq), nil); err != nil {
 			return nil, err
 		}
 	}

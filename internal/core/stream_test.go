@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -169,8 +170,70 @@ func TestStreamBuilderUsableAfterSummary(t *testing.T) {
 	if b.Lower > 150 || b.Upper < 149 {
 		t.Errorf("median of 0..299 outside [%d,%d]", b.Lower, b.Upper)
 	}
-	// Note: s1 was taken mid-run, so s2's run boundaries differ from a
-	// clean batch build — but containment still holds (checked above).
+
+	// Summary selects the partial run where it is buffered, so it reorders
+	// keys that ingestion keeps adding to. Each Summary, taken while a
+	// shuffled partial run holds at least one sub-run and again after
+	// several more runs, must save the bytes of BuildFromSlice over the
+	// keys added so far.
+	cfg = Config{RunLen: 256, SampleSize: 32}
+	r := rand.New(rand.NewSource(17))
+	n := 6*cfg.RunLen + 77
+	ints, floats, strs := make([]int64, n), make([]float64, n), make([]string, n)
+	for i := range n {
+		ints[i] = r.Int63n(1000) - 500
+		floats[i] = signedZeroFloat(r)
+		strs[i] = fmt.Sprintf("k%04d", r.Intn(3000))
+	}
+	t.Run("int64", func(t *testing.T) { checkSummaryMidRun(t, cfg, ints, runio.Int64Codec{}) })
+	t.Run("float64", func(t *testing.T) { checkSummaryMidRun(t, cfg, floats, runio.Float64Codec{}) })
+	t.Run("string", func(t *testing.T) { checkSummaryMidRun(t, cfg, strs, nil) })
+}
+
+// checkSummaryMidRun adds keys to a StreamBuilder in batches that end
+// inside a run, at least one sub-run into it, and several runs apart,
+// the last at the last key, taking Summary twice after each batch. Every
+// summary must match BuildFromSlice over the keys added so far, part by
+// part and bit for bit, and save the same bytes when codec is not nil.
+func checkSummaryMidRun[T cmp.Ordered](t *testing.T, cfg Config, keys []T, codec runio.Codec[T]) {
+	sb, err := NewStreamBuilder[T](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cfg.RunLen
+	added := 0
+	for _, cut := range []int{m + 100, 3*m + cfg.Step(), 5*m + m - 1, len(keys)} {
+		if err := sb.AddBatch(keys[added:cut]); err != nil {
+			t.Fatal(err)
+		}
+		added = cut
+		built, err := BuildFromSlice(keys[:cut], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			got, err := sb.Summary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := summaryDiff(got, built); d != "" {
+				t.Fatalf("Summary after %d keys differs from BuildFromSlice: %s", cut, d)
+			}
+			if codec == nil {
+				continue
+			}
+			var a, b bytes.Buffer
+			if err := SaveSummary(&a, got, codec); err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveSummary(&b, built, codec); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("Summary after %d keys saves different bytes than BuildFromSlice", cut)
+			}
+		}
+	}
 }
 
 // Property: streaming and batch construction agree for arbitrary lengths,

@@ -267,7 +267,7 @@ func Merge[T cmp.Ordered](a, b *Summary[T]) (*Summary[T], error) {
 			ErrIncompatible, a.step, b.step)
 	}
 	return &Summary[T]{
-		samples:  merge.Two(getSamples[T](len(a.samples)+len(b.samples)), a.samples, b.samples),
+		samples:  merge.Two(make([]T, 0, len(a.samples)+len(b.samples)), a.samples, b.samples),
 		step:     a.step,
 		runs:     a.runs + b.runs,
 		n:        a.n + b.n,

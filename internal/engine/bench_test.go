@@ -185,8 +185,8 @@ func BenchmarkEngineSnapshotUnderIngest(b *testing.B) {
 				}
 			}
 			// One warm-up cycle performs the cold prefix merge (two-level)
-			// and warms the buffer pools, so the loop measures the steady
-			// state in both modes.
+			// and borrows the stripe's run buffer, so the loop measures the
+			// steady state in both modes.
 			if err := e.Ingest(rng.Int63n(1 << 48)); err != nil {
 				b.Fatal(err)
 			}
@@ -215,14 +215,14 @@ func BenchmarkEngineSnapshotUnderIngest(b *testing.B) {
 	}
 }
 
-// TestTwoLevelServeAllocs extends the pooled-rebuild assertion to the
+// TestTwoLevelServeAllocs extends the rebuild allocation bound to the
 // two-level snapshot path: on a deep UNcompacted ring, the steady-state
 // ingest+query loop must stay within the same allocation budget as the
-// compacted loop (the tail fold reuses pooled merge buffers and the
-// cached frozen prefix), and — the regression this test exists to catch —
-// the frozen prefix must NOT be silently re-merged per query: every
-// rebuild in the loop is a prefix HIT, and the rebuild counter stays
-// flat.
+// compacted loop (the tail fold allocates a fixed number of lists against
+// the cached frozen prefix), and — the regression this test exists to
+// catch — the frozen prefix must NOT be silently re-merged per query:
+// every rebuild in the loop is a prefix HIT, and the rebuild counter
+// stays flat.
 func TestTwoLevelServeAllocs(t *testing.T) {
 	const runLen = 256
 	e, err := New[int64](Options{
@@ -266,7 +266,7 @@ func TestTwoLevelServeAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 64 {
-		t.Fatalf("two-level serve loop: %.1f allocs/op, want ≤ 64 (tail merge no longer pooled, or prefix re-merged per query?)", allocs)
+		t.Fatalf("two-level serve loop: %.1f allocs/op, want ≤ 64 (allocating per epoch or per sample, or prefix re-merged per query?)", allocs)
 	}
 	after := e.Stats()
 	if after.PrefixRebuilds != before.PrefixRebuilds {
@@ -283,11 +283,11 @@ func TestTwoLevelServeAllocs(t *testing.T) {
 
 // TestCompactedServeAllocs pins the allocation count of the compacted
 // serving loop — one ingest plus one snapshot-rebuilding query — so a
-// regression that re-introduces per-merge buffer allocations (the pooled
-// buffers of core.MergeAll / StreamBuilder.Summary) fails loudly rather
+// regression that allocates per epoch or per sample fails loudly rather
 // than showing up only in benchmark output. The measured steady state is
-// ~32 allocs/op (snapshot + histogram construction, which are per-rebuild
-// by design); the threshold leaves ~2× headroom for toolchain drift.
+// 17 allocs/op (the merged lists, snapshot and histogram, which are
+// per-rebuild by design); the threshold leaves headroom for toolchain
+// drift.
 func TestCompactedServeAllocs(t *testing.T) {
 	const runLen = 256
 	e, err := New[int64](Options{
@@ -311,7 +311,7 @@ func TestCompactedServeAllocs(t *testing.T) {
 			t.Fatalf("epoch %d: sealed=%v err=%v", ep, sealed, err)
 		}
 	}
-	// Warm the pools: the first rebuilds populate the per-type free lists.
+	// Warm up: the first rebuilds borrow the stripe's run buffer.
 	for i := 0; i < 8; i++ {
 		if err := e.Ingest(rng.Int63n(1 << 48)); err != nil {
 			t.Fatal(err)
@@ -329,7 +329,7 @@ func TestCompactedServeAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 64 {
-		t.Fatalf("compacted serve loop: %.1f allocs/op, want ≤ 64 (merge buffers no longer pooled?)", allocs)
+		t.Fatalf("compacted serve loop: %.1f allocs/op, want ≤ 64 (allocating per epoch or per sample?)", allocs)
 	}
 }
 
@@ -399,6 +399,59 @@ func BenchmarkEngineIngestRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := e.IngestBatch(batch); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineReadAfterWrite measures a read that follows a write on
+// a keep-all engine with the end-to-end fleet's run shape (int64 keys,
+// m = 65,536, s = 1,024, 2 stripes): uniform keys are preloaded one run
+// per batch, then each iteration ingests 512 keys and asks for the
+// median, so every read rebuilds the snapshot. With no seal trigger, the
+// product default, every preloaded run stays in its stripe and each
+// rebuild re-merges them all; one Rotate after the preload seals them
+// into the frozen prefix instead. Either way each rebuild also selects
+// the stripes' partial runs, which grow by 512 keys per iteration.
+func BenchmarkEngineReadAfterWrite(b *testing.B) {
+	const runLen = 1 << 16
+	for _, preload := range []int{1 << 20, 8 << 20} {
+		for _, seal := range []bool{false, true} {
+			name := fmt.Sprintf("keys=%dMi/seal=none", preload>>20)
+			if seal {
+				name = fmt.Sprintf("keys=%dMi/seal=once", preload>>20)
+			}
+			b.Run(name, func(b *testing.B) {
+				e, err := New[int64](Options{
+					Config:  core.Config{RunLen: runLen, SampleSize: 1 << 10},
+					Stripes: 2,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(11))
+				for range preload / runLen {
+					if err := e.IngestBatch(benchBatch(rng, runLen)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if seal {
+					if sealed, err := e.Rotate(); err != nil || !sealed {
+						b.Fatalf("sealed=%v err=%v", sealed, err)
+					}
+				}
+				keys := benchBatch(rng, runLen)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					at := i * 512 % runLen
+					if err := e.IngestBatch(keys[at : at+512]); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := e.Quantile(0.5); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -555,6 +555,73 @@ func TestCompactionRingDepthLogBound(t *testing.T) {
 	}
 }
 
+// TestCompactionMinEpochsFloor pins CompactionPolicy.MinEpochs, the
+// floor `opaq serve -compact-min` sets: automatic compaction, after seals
+// and on snapshot rebuilds, leaves a ring of at most MinEpochs entries
+// alone, compacts once a seal takes the ring past the floor, and an
+// explicit Compact ignores the floor. Every answer and checkpoint byte
+// stays identical to an uncompacted shadow's throughout.
+func TestCompactionMinEpochsFloor(t *testing.T) {
+	const floor = 6
+	opts := equivOptions(true)
+	opts.Stripes = 1 // run-aligned batches seal one epoch of one run each
+	opts.Compaction.MinEpochs = floor
+	comp, err := New[int64](opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadOpts := equivOptions(false)
+	shadOpts.Stripes = 1
+	shad, err := New[int64](shadOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	batch := make([]int64, opts.Config.RunLen)
+	seal := func() {
+		t.Helper()
+		for i := range batch {
+			batch[i] = rng.Int63n(1 << 40)
+		}
+		for _, e := range []*Engine[int64]{comp, shad} {
+			if err := e.IngestBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			if sealed, err := e.Rotate(); err != nil || !sealed {
+				t.Fatalf("sealed=%v err=%v", sealed, err)
+			}
+		}
+	}
+	for s := 1; s <= floor; s++ {
+		seal()
+		compareEngines(t, comp, shad, rng)
+		if st := comp.Stats(); st.Epochs != s || st.Compactions != 0 {
+			t.Fatalf("after %d seals under a floor of %d: ring depth %d after %d compactions, want %d and none",
+				s, floor, st.Epochs, st.Compactions, s)
+		}
+	}
+	// Seven one-run epochs pass the floor and buddy-merge to 4 + 2 + 1.
+	seal()
+	compareEngines(t, comp, shad, rng)
+	if st := comp.Stats(); st.Epochs != 3 || st.Compactions == 0 {
+		t.Fatalf("past the floor: ring depth %d after %d compactions, want 3 after at least one", st.Epochs, st.Compactions)
+	}
+	// One more seal leaves four entries, under the floor again, so they
+	// stay until an explicit Compact merges them into one of 8 runs.
+	seal()
+	compareEngines(t, comp, shad, rng)
+	if depth := comp.Stats().Epochs; depth != 4 {
+		t.Fatalf("back under the floor: ring depth %d, want 4", depth)
+	}
+	if changed, err := comp.Compact(); err != nil || !changed {
+		t.Fatalf("explicit Compact under the floor: changed=%v err=%v", changed, err)
+	}
+	if depth := comp.Stats().Epochs; depth != 1 {
+		t.Fatalf("explicit Compact: ring depth %d, want 1", depth)
+	}
+	compareEngines(t, comp, shad, rng)
+}
+
 // TestCompactionRetentionGate pins the over-retention bound: merged
 // spans are capped at half the retention window, so a windowed engine
 // with compaction retains at most 1.5× what the policy promises.

@@ -111,7 +111,7 @@ func postBinary(t *testing.T, url, tenant string, batch []int64) (uint32, int64,
 // the same element stream, in the same batch boundaries, ingested via
 // JSON HTTP and binary HTTP yields byte-identical checkpoints. Concurrent
 // queriers run against every engine during ingest so -race exercises the
-// pooled buffers on the snapshot path.
+// snapshot path, which selects each stripe's partial run in place.
 func TestCrossFormatEquivalence(t *testing.T) {
 	batches := wireBatches(20_000, 1500) // ragged tail batch on purpose
 
@@ -121,7 +121,7 @@ func TestCrossFormatEquivalence(t *testing.T) {
 	}
 
 	// Concurrent queriers: they must not perturb ingest state (snapshots
-	// are read-only), and -race watches them against the pooled rebuilds.
+	// are read-only), and -race watches them against the rebuilds.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, e := range engines {

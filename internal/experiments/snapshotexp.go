@@ -118,7 +118,7 @@ func snapshotWindow(cfg core.Config, xs []int64, epochs, cycles int, full bool) 
 	}
 	live := xs[epochs*runLen:]
 	// One warm-up cycle performs the cold prefix merge (two-level) and
-	// warms the merge-buffer pools, so the loop measures steady state.
+	// borrows the stripe's run buffer, so the loop measures steady state.
 	if err := e.Ingest(live[0]); err != nil {
 		return snapshotRun{}, err
 	}

@@ -110,7 +110,8 @@ func Sort[T cmp.Ordered](inPath, outPath string, codec runio.Codec[T], opts Opti
 	}
 
 	// Pass 2: scatter into bucket files, with the next run prefetched while
-	// the current one is scattered.
+	// the current one is scattered. Each scattered run goes back to the run
+	// pool for a later run to be read into.
 	k := opts.Buckets
 	tempDir := opts.TempDir
 	if tempDir == "" {
@@ -158,6 +159,9 @@ func Sort[T cmp.Ordered](inPath, outPath string, codec runio.Codec[T], opts Opti
 			batches[b] = append(batches[b], v)
 		}
 		scattered += int64(len(run))
+		if cap(run) == opts.Config.RunLen {
+			runio.PutRun(&run)
+		}
 		for b, batch := range batches {
 			if err := writers[b].Append(batch...); err != nil {
 				return st, err

@@ -99,7 +99,11 @@ type FileDataset[T any] struct {
 }
 
 // OpenFile validates the header of the run file at path and returns a
-// Dataset over it.
+// Dataset over it. A file that holds bytes past the payload its header
+// counts fails with ErrCorrupt: a Writer that never reached Close leaves
+// its placeholder header, which counts no elements, in front of
+// everything it wrote. A file cut short of its payload fails at the read
+// that reaches the cut.
 func OpenFile[T any](path string, codec Codec[T]) (*FileDataset[T], error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -120,6 +124,14 @@ func OpenFile[T any](path string, codec Codec[T]) (*FileDataset[T], error) {
 	}
 	if int(hdr.elemSize) != codec.Size() {
 		return nil, fmt.Errorf("%w: element size %d, codec size %d", ErrCorrupt, hdr.elemSize, codec.Size())
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("runio: stat %s: %w", path, err)
+	}
+	if extra := fi.Size() - headerSize - int64(hdr.count)*int64(hdr.elemSize); extra > 0 {
+		return nil, fmt.Errorf("%w: %s holds %d bytes past the %d elements its header counts (a writer not closed?)",
+			ErrCorrupt, path, extra, hdr.count)
 	}
 	return &FileDataset[T]{path: path, codec: codec, hdr: hdr}, nil
 }
@@ -264,9 +276,11 @@ func (r *fileRunReader[T]) Count() int64 { return r.count }
 func (r *fileRunReader[T]) RunLen() int { return r.m }
 
 // ReadAll loads an entire dataset into memory; intended for oracles and
-// tests, not for the one-pass algorithm itself.
+// tests, not for the one-pass algorithm itself. It gives each run back to
+// the run pool once copied, so it allocates its result and about one run.
 func ReadAll[T any](d Dataset[T]) ([]T, error) {
-	rr, err := d.Runs(1 << 16)
+	const m = 1 << 16
+	rr, err := d.Runs(m)
 	if err != nil {
 		return nil, err
 	}
@@ -281,5 +295,8 @@ func ReadAll[T any](d Dataset[T]) ([]T, error) {
 			return nil, err
 		}
 		out = append(out, run...)
+		if cap(run) == m {
+			PutRun(&run)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package runio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -189,6 +190,56 @@ func TestFileRunReaderTruncatedPaths(t *testing.T) {
 		}
 		if msgs[0] != msgs[1] {
 			t.Fatalf("keep=%d: direct path says %q, decode path %q", keep, msgs[0], msgs[1])
+		}
+	}
+}
+
+// TestOpenFileRejectsTrailingBytes opens files that hold bytes past the
+// payload their header counts: one whose Writer flushed chunks but never
+// reached Close, so its header still counts no elements, and closed files
+// with trailing bytes appended, a whole element's worth and less. Each
+// must fail to open with ErrCorrupt instead of reading as fewer keys.
+func TestOpenFileRejectsTrailingBytes(t *testing.T) {
+	dir := t.TempDir()
+	unclosed := filepath.Join(dir, "unclosed.run")
+	w, err := NewWriter(unclosed, Int64Codec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]int64, 300_000)
+	for i := range xs {
+		xs[i] = int64(i)
+	}
+	if err := w.Append(xs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.f.Close(); err != nil { // the descriptor only, as a crash would
+		t.Fatal(err)
+	}
+	paths := []string{unclosed}
+	for _, extra := range []int{8, 3} {
+		path := filepath.Join(dir, fmt.Sprintf("extra%d.run", extra))
+		if err := WriteFile(path, Int64Codec{}, xs[:1000]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenFile(path, Int64Codec{}); err != nil {
+			t.Fatalf("clean file: %v", err)
+		}
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(make([]byte, extra)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	for _, path := range paths {
+		if _, err := OpenFile(path, Int64Codec{}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: OpenFile error %v, want ErrCorrupt", filepath.Base(path), err)
 		}
 	}
 }
