@@ -190,8 +190,10 @@ func BuildFromSlice[T cmp.Ordered](xs []T, cfg Config) (*Summary[T], error) {
 // ExactQuantile performs the paper's Section 4 extension: one extra pass
 // over the data turns the [e_l, e_u] enclosure into the exact quantile
 // value. The pass counts the elements below e_l and retains only those
-// inside the enclosure — at most 2n/s + slack values by Lemma 3 — which are
-// then sorted (via selection, O(window)) to extract the exact rank. Each
+// inside the enclosure — fewer than 2·ErrorBound() values when keys are
+// distinct, by Lemma 3 — which are then sorted (via selection, O(window))
+// to extract the exact rank. The window is allocated at that size, capped
+// at N, so it grows only when copies of e_l or e_u overfill it. Each
 // scanned run goes back to the run pool, as in Build, so the pass
 // allocates about one run besides the window.
 func ExactQuantile[T cmp.Ordered](ds runio.Dataset[T], s *Summary[T], phi float64) (T, error) {
@@ -207,7 +209,7 @@ func ExactQuantile[T cmp.Ordered](ds runio.Dataset[T], s *Summary[T], phi float6
 	}
 	defer rr.Close()
 	var below int64 // elements strictly below e_l
-	window := make([]T, 0, 2*(s.n/max(int64(len(s.samples)), 1))+16)
+	window := make([]T, 0, min(2*s.ErrorBound(), s.n))
 	for {
 		run, err := rr.NextRun()
 		if err == io.EOF {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -436,6 +437,43 @@ func TestExactQuantileWithHeavyDuplicates(t *testing.T) {
 		}
 		if want := trueQuantile(sorted, phi); got != want {
 			t.Errorf("phi=%g: got %d, want %d", phi, got, want)
+		}
+	}
+}
+
+// TestExactQuantileAllocatesWindowOnce pins what an exact pass allocates:
+// its window, made once at twice the summary's ErrorBound, which Lemma 3
+// says distinct keys never overfill, and about 30 KiB besides: the RNG,
+// the reader, and a slice header for each run given back to the pool. A
+// window that starts small and grows by appends allocates twice its final
+// size or more. The runs come from the run pool, warm after the first
+// pass. The bound is skipped under the race detector, under which
+// sync.Pool drops a random share of Puts.
+func TestExactQuantileAllocatesWindowOnce(t *testing.T) {
+	cfg := Config{RunLen: 1 << 14, SampleSize: 256}
+	xs := datagen.Generate(datagen.NewUniform(41, 1<<40), 64*cfg.RunLen)
+	ds := runio.NewMemoryDataset(xs, 8)
+	s, err := BuildFromDataset[int64](ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := 8 * uint64(2*s.ErrorBound())
+	const slack = 48 << 10
+	for _, phi := range []float64{0.01, 0.5, 0.99} {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := ExactQuantile[int64](ds, s, phi); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("phi=%g: one pass allocated %.1f KiB, window of 2·ErrorBound %.1f KiB", phi, float64(least)/1024, float64(window)/1024)
+		if least > window+slack && !raceEnabled {
+			t.Errorf("phi=%g: one pass allocated %d KiB, want at most %d KiB (a window of 2·ErrorBound = %d keys and %d KiB)",
+				phi, least>>10, (window+slack)>>10, 2*s.ErrorBound(), slack>>10)
 		}
 	}
 }

@@ -21,9 +21,9 @@ import (
 // selection.SampleRun, and a string run i seeds its RNG from the same
 // run-index derivation Build uses — so Summary() is bit-identical to
 // running Build over the same element sequence at any Config.Workers
-// setting (but see Summary for named float types). Summary() folds the
-// buffered partial run in as a ragged run of its own, selecting it where
-// it is buffered. NaN keys are rejected with ErrNaN.
+// setting. Summary() folds the buffered partial run in as a ragged run of
+// its own, selecting it where it is buffered. NaN keys are rejected with
+// ErrNaN.
 //
 // A partial run costs the keys it holds. A builder borrows a buffer when
 // the first key of a run arrives, sized to the keys at hand (the next
@@ -290,11 +290,9 @@ func (b *StreamBuilder[T]) seal(workers int) *Summary[T] {
 // The partial run is selected where it is buffered, with no copy, so
 // Summary reorders the buffered keys. A run's samples and extrema are its
 // order statistics, which no reordering changes, so the flush that later
-// completes the run selects the same samples. One exception: for a key
-// type that SampleRun multi-selects rather than radix-selects, such as a
-// named float type, which of equal −0 and +0 keys lands at a sample rank
-// depends on the order of the run, so after a Summary that cut into a run
-// the run may yield −0 where Build yields +0, or the reverse.
+// completes the run selects the same samples; float keys, named types
+// included, are radix-selected by bit pattern, so even which of equal −0
+// and +0 keys lands at a sample rank does not depend on the run's order.
 func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
 	// Fold the tail into a copy of the state and seal the copy, so
 	// ingestion can continue. The copy's list slice is clipped, so the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"unsafe"
 )
 
@@ -17,23 +18,29 @@ import (
 // element before a sample's rank is larger than the sample, and none after
 // it is smaller. The run is not sorted.
 //
-// Runs of int32, uint32, int64, uint64, float32 and float64 are
-// radix-selected (see radixSelect): an MSD radix sort that only descends
-// into buckets holding a sample rank, which costs a few passes over the
-// run instead of MultiSelect's ⌈log₂ s⌉+1 partition levels; a bucket that
-// one key dominates, as a skewed run's popular keys do, is finished with
-// a single three-way split around that key (see splitDominant). With a nil
-// scratch, or one shorter than run, the selection runs in place. With a
-// scratch at least as long as run, which the caller must be able to
+// Runs whose key type is, by kind, a 4- or 8-byte integer or a float —
+// int32, int64, int, uint32, uint64, uint, uintptr, float32 and float64,
+// and named types over them — are radix-selected (see radixSelect): an
+// MSD radix sort that only descends into buckets holding a sample rank,
+// which costs a few passes over the run instead of MultiSelect's
+// ⌈log₂ s⌉+1 partition levels; a bucket that one key dominates, as a
+// skewed run's popular keys do, is finished with a single three-way split
+// around that key (see splitDominant). Integer keys are selected as they
+// are, a signed run's top level laying its buckets out as if every sign
+// bit were flipped; float keys are mapped to words in key order and back
+// (see selectKeys). With a
+// nil scratch, or one shorter than run, the selection runs in place. With
+// a scratch at least as long as run, which the caller must be able to
 // spare, its first two levels scatter out of place through the scratch
 // instead (see radixScatter), which is faster; the scratch's contents are
 // left unspecified. Such runs are ordered by their keys' bit patterns, so
 // among equal floats −0 comes before +0, and each sample is the very
 // element a full sort would put at its rank, on either path; such runs
-// must not contain NaN. Every other key type, strings included, ignores
-// the scratch and is multi-selected with an RNG seeded from seed, which
-// only changes how the run is reordered: the samples are exact order
-// statistics either way. Nothing is allocated but the sample list.
+// must not contain NaN. Every other key type, strings and 1- and 2-byte
+// integers included, ignores the scratch and is multi-selected with an
+// RNG seeded from seed, which only changes how the run is reordered: the
+// samples are exact order statistics either way. Nothing is allocated but
+// the sample list.
 func SampleRun[T cmp.Ordered](run, scratch []T, step int, seed int64) ([]T, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("selection: SampleRun requires step > 0, got %d", step)
@@ -67,25 +74,25 @@ const (
 
 // radixSelectNumeric radix-selects the sample ranks of run, through
 // scratch when it is at least as long as run and in place otherwise, when
-// T is one of the six fixed-width numeric key types and reports whether it
-// did. Other types, including named types over the same kinds, report
-// false and are left untouched, as is scratch.
+// T's kind is a 4- or 8-byte integer or a float, named types included, and
+// reports whether it did. Other types, 1- and 2-byte integers among them,
+// report false and are left untouched, as is scratch.
 func radixSelectNumeric[T cmp.Ordered](run, scratch []T, step int) bool {
-	switch any(run).(type) {
-	case []int32:
-		selectKeys(keysOf[uint32](run), keysOf[uint32](scratch), signedOrder, step)
-	case []uint32:
-		selectKeys(keysOf[uint32](run), keysOf[uint32](scratch), unsignedOrder, step)
-	case []float32:
-		selectKeys(keysOf[uint32](run), keysOf[uint32](scratch), floatOrder, step)
-	case []int64:
-		selectKeys(keysOf[uint64](run), keysOf[uint64](scratch), signedOrder, step)
-	case []uint64:
-		selectKeys(keysOf[uint64](run), keysOf[uint64](scratch), unsignedOrder, step)
-	case []float64:
-		selectKeys(keysOf[uint64](run), keysOf[uint64](scratch), floatOrder, step)
+	var order keyOrder
+	switch reflect.TypeFor[T]().Kind() {
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		order = signedOrder
+	case reflect.Uint, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		order = unsignedOrder
+	case reflect.Float32, reflect.Float64:
+		order = floatOrder
 	default:
 		return false
+	}
+	if unsafe.Sizeof(*new(T)) == 4 {
+		selectKeys(keysOf[uint32](run), keysOf[uint32](scratch), order, step)
+	} else {
+		selectKeys(keysOf[uint64](run), keysOf[uint64](scratch), order, step)
 	}
 	return true
 }
@@ -99,34 +106,33 @@ func keysOf[K radixKey, T any](xs []T) []K {
 	return unsafe.Slice((*K)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))
 }
 
-// selectKeys maps keys in place to unsigned words whose order is the keys'
-// order, radix-selects the words at ranks k·step−1 — through scratch if it
-// is at least as long as keys — and maps them back. Both maps are
-// bijections on bit patterns, so the run ends up holding its own values.
+// selectKeys radix-selects keys at ranks k·step−1, through scratch if it
+// is at least as long as keys. Integer keys are selected as they are: for
+// signed keys the top level lays its buckets out as if every sign bit were
+// flipped, negative keys first (see topFlip), and the levels below read
+// raw words, since keys that share a top digit share a sign and a sign's
+// raw words are in key order. Float keys are mapped in place to unsigned
+// words whose order is the keys' order, and mapped back afterwards. The
+// map and its inverse are bijections on bit patterns, so the run ends up
+// holding its own values.
 func selectKeys[K radixKey](keys, scratch []K, order keyOrder, step int) {
 	top := uint(bits.Len64(uint64(^K(0)))) - 1
 	sign := K(1) << top
+	var flip byte
 	switch order {
 	case signedOrder:
-		for i := range keys {
-			keys[i] ^= sign
-		}
+		flip = 0x80
 	case floatOrder:
 		for i, k := range keys {
 			keys[i] = k ^ (-(k >> top) | sign)
 		}
 	}
 	if len(scratch) >= len(keys) {
-		radixScatter(keys, scratch[:len(keys)], step)
+		radixScatter(keys, scratch[:len(keys)], step, flip)
 	} else {
-		radixSelect(keys, 0, step)
+		radixSelect(keys, 0, step, flip)
 	}
-	switch order {
-	case signedOrder:
-		for i := range keys {
-			keys[i] ^= sign
-		}
-	case floatOrder:
+	if order == floatOrder {
 		for i, k := range keys {
 			keys[i] = k ^ (-(^k >> top) | sign)
 		}
@@ -148,20 +154,24 @@ const radixCutoff = 48
 // left them, already on the right side of every wanted rank. Each call
 // starts at the top digit some key differs in (see topDigit), so it
 // recurses at most once per byte of K, with at most one split pass per
-// level.
-func radixSelect[K radixKey](keys []K, off, step int) {
+// level. Words are ordered with flip XORed into their top byte: the top
+// level lays its buckets out by digit XORed with flip (see flipLayout),
+// and calls below it pass 0.
+func radixSelect[K radixKey](keys []K, off, step int, flip byte) {
 	if len(keys) <= radixCutoff {
-		insertionSort(keys)
+		sortFlipped(keys, flip)
 		return
 	}
 	shift, ok := topDigit(keys)
 	if !ok {
 		return
 	}
+	flip = topFlip[K](shift, flip)
 	// next[d] is where the next key with digit d goes; end[d] closes
 	// bucket d.
 	var next, end [256]int
 	countDigits(keys, shift, &next, &end)
+	flipLayout(flip, &next, &end)
 	// Cycle leader: carry each misplaced key to the next free slot of its
 	// bucket, pick up the key found there, and go on until one belongs in
 	// the slot the cycle started from.
@@ -178,6 +188,7 @@ func radixSelect[K radixKey](keys []K, off, step int) {
 		}
 	}
 	if shift > 0 {
+		inLayoutOrder(flip, &end)
 		descend(keys, &end, off, step)
 	}
 }
@@ -190,19 +201,23 @@ func radixSelect[K radixKey](keys []K, off, step int) {
 // it is. A scatter writes each key straight to the next free slot of its
 // bucket, so no write waits on the one before it as in the in-place cycle
 // leader. Below level 2, buckets holding a wanted rank are selected in
-// place, as radixSelect does.
-func radixScatter[K radixKey](keys, scratch []K, step int) {
+// place, as radixSelect does. Level 1 lays its buckets out by digit XORed
+// with flip if its digit is the top byte (see flipLayout).
+func radixScatter[K radixKey](keys, scratch []K, step int, flip byte) {
 	if len(keys) <= radixCutoff {
-		insertionSort(keys)
+		sortFlipped(keys, flip)
 		return
 	}
 	shift, ok := topDigit(keys)
 	if !ok {
 		return
 	}
+	flip = topFlip[K](shift, flip)
 	var next, end [256]int
 	countDigits(keys, shift, &next, &end)
+	flipLayout(flip, &next, &end)
 	scatter(scratch, keys, shift, &next)
+	inLayoutOrder(flip, &end)
 	r := step - 1 // the first wanted rank at or after lo
 	lo := 0
 	for _, hi := range end {
@@ -245,18 +260,47 @@ func scatterBack[K radixKey](dst, src []K, off, step int) {
 // topDigit returns the shift of the most significant 8-bit digit in which
 // some key differs from keys[0], or false if every key is equal. It ORs
 // together every key's XOR with the first one, which both detects an
-// all-equal bucket and skips the leading digits no key differs in.
+// all-equal bucket and skips the leading digits no key differs in. The
+// shift is a multiple of 8 below 64, and the mask says so, which spares
+// each shift of a 64-bit word by it the guard for counts past its width.
 func topDigit[K radixKey](keys []K) (uint, bool) {
 	var diff K
 	for _, k := range keys[1:] {
 		diff |= k ^ keys[0]
 	}
-	return uint(bits.Len64(uint64(diff))-1) &^ 7, diff != 0
+	return uint(bits.Len64(uint64(diff))-1) & 0x38, diff != 0
+}
+
+// topFlip returns flip for a level whose digit at shift is the top byte
+// of K, and 0 for any lower digit. A signed key's order is its word's with
+// the sign bit flipped, so with flip 0x80 the top level lays out the
+// buckets of digits 0x80–0xff, the negative keys, before those of
+// 0x00–0x7f. Keys that differ first below the top byte share it, sign bit
+// included, so their raw words are in key order.
+func topFlip[K radixKey](shift uint, flip byte) byte {
+	if shift+8 < uint(unsafe.Sizeof(K(0)))*8 {
+		return 0
+	}
+	return flip
+}
+
+// sortFlipped insertion-sorts keys by their words with flip XORed into
+// the top byte.
+func sortFlipped[K radixKey](keys []K, flip byte) {
+	mask := K(flip) << (unsafe.Sizeof(K(0))*8 - 8)
+	for i := 1; i < len(keys); i++ {
+		v, j := keys[i], i
+		for ; j > 0 && v^mask < keys[j-1]^mask; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = v
+	}
 }
 
 // countDigits sets end[d] to where the bucket of keys whose digit at shift
 // is d ends, and next[d] to where it starts.
 func countDigits[K radixKey](keys []K, shift uint, next, end *[256]int) {
+	shift &= 0x38 // see topDigit
 	for _, k := range keys {
 		end[byte(k>>shift)]++
 	}
@@ -268,12 +312,65 @@ func countDigits[K radixKey](keys []K, shift uint, next, end *[256]int) {
 	}
 }
 
+// flipLayout lays the buckets next and end bound out again, still indexed
+// by digit, in the order of their digits XORed with flip: with flip 0x80,
+// the buckets of digits 0x80–0xff come first. It costs one pass over the
+// 256 buckets and none over the keys, and with flip 0, below the top
+// level, it does nothing, so the levels that run most often, on the
+// smallest buckets, pay nothing for signed keys.
+func flipLayout(flip byte, next, end *[256]int) {
+	if flip == 0 {
+		return
+	}
+	sum := 0
+	for b := range end {
+		d := byte(b) ^ flip
+		c := end[d] - next[d]
+		next[d] = sum
+		sum += c
+		end[d] = sum
+	}
+}
+
+// inLayoutOrder reorders end, the bucket ends indexed by digit, into the
+// order the buckets lie in, by digit XORed with flip, as descend and
+// radixScatter walk them. With flip 0 it does nothing.
+func inLayoutOrder(flip byte, end *[256]int) {
+	if flip == 0 {
+		return
+	}
+	for b := range end {
+		if d := byte(b) ^ flip; byte(b) < d {
+			end[b], end[d] = end[d], end[b]
+		}
+	}
+}
+
 // scatter copies src into dst, each key to the next free slot next holds
-// for its digit at shift.
+// for its digit at shift, keeping the order of a digit's keys. It moves
+// two keys a step: both digits, then both slots, then both stores, with
+// the second slot one further when the digits are equal, so a run of
+// equal digits takes one counter update per two keys instead of a chain
+// of one per key.
 func scatter[K radixKey](dst, src []K, shift uint, next *[256]int) {
-	for _, k := range src {
-		d := byte(k >> shift)
-		dst[next[d]] = k
+	dst = dst[:len(src)]
+	shift &= 0x38 // see topDigit
+	i := 0
+	for ; i+1 < len(src); i += 2 {
+		k0, k1 := src[i], src[i+1]
+		d0, d1 := byte(k0>>shift), byte(k1>>shift)
+		j0, j1 := next[d0], next[d1]
+		if d0 == d1 {
+			j1++
+		}
+		next[d0] = j0 + 1
+		next[d1] = j1 + 1
+		dst[j0] = k0
+		dst[j1] = k1
+	}
+	if i < len(src) {
+		d := byte(src[i] >> shift)
+		dst[next[d]] = src[i]
 		next[d]++
 	}
 }
@@ -292,7 +389,7 @@ func descend[K radixKey](keys []K, end *[256]int, off, step int) {
 		if r < hi {
 			if n := hi - lo; n > radixCutoff {
 				if !splitDominant(keys[lo:hi], off+lo, step) {
-					radixSelect(keys[lo:hi], off+lo, step)
+					radixSelect(keys[lo:hi], off+lo, step, 0)
 				}
 			} else if n > 1 {
 				insertionSort(keys[lo:hi])
@@ -316,8 +413,9 @@ func descend[K radixKey](keys []K, end *[256]int, off, step int) {
 // most popular keys fill buckets that would otherwise pay one more radix
 // level and an all-equal check; a false positive, such as three equal
 // probes among otherwise distinct keys, costs the one partition pass.
-// The words are compared after the key-order map, so −0 and +0 never
-// share a block.
+// Float words are compared after the key-order map, so −0 and +0 never
+// share a block; signed words are compared raw, since a bucket below the
+// top level holds keys of one sign.
 func splitDominant[K radixKey](keys []K, off, step int) bool {
 	mid, last := len(keys)/2, len(keys)-1
 	var p int
@@ -331,10 +429,10 @@ func splitDominant[K radixKey](keys []K, off, step int) bool {
 	}
 	lt, gt := partition3(keys, 0, len(keys), p)
 	if holdsRank(off, lt, step) {
-		radixSelect(keys[:lt], off, step)
+		radixSelect(keys[:lt], off, step, 0)
 	}
 	if holdsRank(off+gt, len(keys)-gt, step) {
-		radixSelect(keys[gt:], off+gt, step)
+		radixSelect(keys[gt:], off+gt, step, 0)
 	}
 	return true
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -134,6 +135,12 @@ var (
 		fromSmall: func(i int) int64 { return int64(i) },
 		bits:      func(v int64) uint64 { return uint64(v) },
 		extremes:  []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64},
+	}
+	intKeys = keyType[int]{
+		fromBits:  func(u uint64) int { return int(u) },
+		fromSmall: func(i int) int { return i },
+		bits:      func(v int) uint64 { return uint64(v) },
+		extremes:  []int{math.MinInt, math.MinInt + 1, -1, 0, 1, math.MaxInt - 1, math.MaxInt},
 	}
 	uint64Keys = keyType[uint64]{
 		fromBits:  func(u uint64) uint64 { return u },
@@ -306,6 +313,137 @@ func checkSampleRunExtremes[T cmp.Ordered](t *testing.T, kt keyType[T]) {
 	}
 }
 
+// TestSampleRunTopDigitOrder covers every place where a signed key's top
+// digit decides its order: integer keys are selected as they are, and only
+// the top level reads the top digit with the sign bit flipped, on both
+// kernel paths. Keys of both signs over the whole domain need the flip;
+// all-negative and all-positive keys that share their top byte start
+// below it, where no flip may apply; runs of 2 to radixCutoff keys of
+// both signs are insertion-sorted by flipped word; keys that differ only
+// in the low byte, all-equal runs and Zipf-heavy runs over the whole
+// domain cover the remaining levels. uint64 and float64 keys, which never
+// take the flip, run the same inputs as controls.
+func TestSampleRunTopDigitOrder(t *testing.T) {
+	t.Run("int32", func(t *testing.T) { checkTopDigitCases(t, int32Keys) })
+	t.Run("int64", func(t *testing.T) { checkTopDigitCases(t, int64Keys) })
+	t.Run("int", func(t *testing.T) { checkTopDigitCases(t, intKeys) })
+	t.Run("uint64", func(t *testing.T) { checkTopDigitCases(t, uint64Keys) })
+	t.Run("float64", func(t *testing.T) { checkTopDigitCases(t, float64Keys) })
+}
+
+func checkTopDigitCases[T cmp.Ordered](t *testing.T, kt keyType[T]) {
+	rng := testRNG()
+	width := 8 * int(unsafe.Sizeof(*new(T)))
+	sign := uint64(1) << (width - 1)
+	below := uint64(1)<<(width-8) - 1 // the bits below the top byte
+	words := func(n int, word func() uint64) []T {
+		xs := make([]T, n)
+		for i := range xs {
+			xs[i] = kt.fromBits(word())
+		}
+		return xs
+	}
+	topByte := func(b uint64) func() uint64 {
+		return func() uint64 { return b<<(width-8) | rng.Uint64()&below }
+	}
+	lowByte := func(base uint64) func() uint64 {
+		return func() uint64 { return base&^0xff | rng.Uint64()&0xff }
+	}
+	z := rand.NewZipf(rng, 1.1, 1, 1<<20-1)
+	neg, pos := sign|rng.Uint64(), rng.Uint64()&^sign
+	cases := map[string][]T{
+		"both-signs":     words(5000, rng.Uint64),
+		"negative-top":   words(5000, topByte(0xc5)),
+		"positive-top":   words(5000, topByte(0x3a)),
+		"low-byte-neg":   words(5000, lowByte(neg)),
+		"low-byte-pos":   words(5000, lowByte(pos)),
+		"all-equal-neg":  words(3000, func() uint64 { return neg }),
+		"all-equal-pos":  words(3000, func() uint64 { return pos }),
+		"zipf-both-sign": words(5000, func() uint64 { return (z.Uint64() + 1) * 0x9e3779b97f4a7c15 }),
+	}
+	for n := 2; n <= radixCutoff; n++ {
+		xs := words(n, rng.Uint64)
+		xs[0], xs[n-1] = kt.fromBits(sign|rng.Uint64()), kt.fromBits(rng.Uint64()&^sign)
+		cases[fmt.Sprintf("len%d", n)] = xs
+	}
+	for name, run := range cases {
+		for _, step := range []int{1, 3, 64} {
+			checkSampleRun(t, fmt.Sprintf("%s/step=%d", name, step), run, step, kt.bits)
+		}
+	}
+}
+
+// TestSampleRunByKind pins that SampleRun picks its kernel by the key
+// type's kind and width, not its name: over the same keys, int and a named
+// int64 type must leave the run exactly as int64 does, sample for sample
+// and element for element, on both kernel paths, as must uint and uintptr
+// against uint64 and a named float64 type, whose runs hold −0 and +0,
+// against float64. A type that took another kernel would leave the run in
+// another order.
+func TestSampleRunByKind(t *testing.T) {
+	type ticks int64
+	type celsius float64
+	ints := benchKeys(5000, "signed")
+	uints := make([]uint64, len(ints))
+	floats := make([]float64, len(ints))
+	for i, k := range ints {
+		uints[i] = uint64(k)
+		floats[i] = float64(k%8) / 2
+		if k%8 == 0 && k < 0 {
+			floats[i] = math.Copysign(0, -1)
+		}
+	}
+	checkSameKernel(t, "int", ints, func(k int64) int { return int(k) })
+	checkSameKernel(t, "ticks", ints, func(k int64) ticks { return ticks(k) })
+	checkSameKernel(t, "uint", uints, func(k uint64) uint { return uint(k) })
+	checkSameKernel(t, "uintptr", uints, func(k uint64) uintptr { return uintptr(k) })
+	checkSameKernel(t, "celsius", floats, func(k float64) celsius { return celsius(k) })
+}
+
+// checkSameKernel samples base, and base converted to T, with the same step
+// on both kernel paths, and checks that the two leave equal samples and
+// runs, bit for bit.
+func checkSameKernel[B, T cmp.Ordered](t *testing.T, name string, base []B, conv func(B) T) {
+	t.Helper()
+	const step = 64
+	same := func(a, b T) bool {
+		if va := reflect.ValueOf(a); va.CanFloat() {
+			return math.Float64bits(va.Float()) == math.Float64bits(reflect.ValueOf(b).Float())
+		}
+		return a == b
+	}
+	for _, scratch := range []bool{false, true} {
+		want := slices.Clone(base)
+		got := make([]T, len(base))
+		for i, k := range base {
+			got[i] = conv(k)
+		}
+		var bs []B
+		var ts []T
+		if scratch {
+			bs, ts = make([]B, len(base)), make([]T, len(base))
+		}
+		wantSamples, err := SampleRun(want, bs, step, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSamples, err := SampleRun(got, ts, step, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range wantSamples {
+			if !same(gotSamples[k], conv(v)) {
+				t.Fatalf("%s, scratch %t: sample %d = %v, want %v", name, scratch, k, gotSamples[k], v)
+			}
+		}
+		for i, v := range want {
+			if !same(got[i], conv(v)) {
+				t.Fatalf("%s, scratch %t: element %d of the run = %v, want %v as its base type leaves it", name, scratch, i, got[i], v)
+			}
+		}
+	}
+}
+
 // TestSplitDominant drives the bucket step directly. A bucket whose first,
 // middle and last keys are equal while every other key is distinct is
 // split all the same, and each rank k·step−1 it covers must then hold the
@@ -376,10 +514,10 @@ func TestSampleRunArgs(t *testing.T) {
 // place and ends exactly as with no scratch, and a string run is
 // multi-selected as before whatever scratch it is given.
 func TestSampleRunScratchFallback(t *testing.T) {
-	keys := benchKeys(5000, true)
+	keys := benchKeys(5000, "zipf")
 	checkScratchUnused(t, "int64", keys, len(keys)-1, -1)
 	strs := make([]string, 5000)
-	for i, k := range benchKeys(len(strs), false) {
+	for i, k := range benchKeys(len(strs), "uniform") {
 		strs[i] = fmt.Sprintf("%016x", k)
 	}
 	checkScratchUnused(t, "string", strs, len(strs), "scratch")
@@ -416,7 +554,7 @@ func checkScratchUnused[T cmp.Ordered](t *testing.T, name string, run []T, n int
 // TestSampleRunAllocs pins SampleRun's allocations to one, the sample
 // list, on both kernel paths.
 func TestSampleRunAllocs(t *testing.T) {
-	keys := benchKeys(1<<14, true)
+	keys := benchKeys(1<<14, "zipf")
 	floats := make([]float64, len(keys))
 	for i, k := range keys {
 		floats[i] = float64(k) / (1 << 61)
@@ -443,11 +581,14 @@ func checkSampleRunAllocs[T cmp.Ordered](t *testing.T, name string, src []T) {
 
 // FuzzSampleRun turns arbitrary bytes into NaN-free int64 and float64
 // runs — 2-byte words when narrow, so duplicates are common, 8-byte words
-// otherwise — and checks SampleRun against RegularSample and its
-// partition postcondition on both kernel paths, in place and through a
-// run-sized scratch. A non-zero hot overwrites a share of about hot/256
-// of the keys, chosen by an RNG seeded with hot, with the run's first
-// key, so one key dominates the run.
+// otherwise — and reads the same bytes as uint64 words and as int32 words
+// (2-byte when narrow, 4-byte otherwise), and checks SampleRun against
+// RegularSample and its partition postcondition on both kernel paths, in
+// place and through a run-sized scratch. The signed runs order their top
+// digit with the sign bit flipped, the unsigned ones read the same words
+// raw. A non-zero hot overwrites a share of about hot/256 of the keys,
+// chosen by an RNG seeded with hot, with the run's first key, so one key
+// dominates the run.
 func FuzzSampleRun(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(1), false, uint8(0))
 	f.Add(make([]byte, 512), uint8(3), true, uint8(0))
@@ -455,47 +596,83 @@ func FuzzSampleRun(f *testing.F) {
 	hotRaw := make([]byte, 8*600)
 	rand.New(rand.NewSource(5)).Read(hotRaw)
 	f.Add(hotRaw, uint8(2), false, uint8(200))
+	// Negative words that share their top byte, so the first level sits
+	// below it.
+	negRaw := slices.Clone(hotRaw)
+	for i := 7; i < len(negRaw); i += 8 {
+		negRaw[i] = 0xc5
+	}
+	f.Add(negRaw, uint8(4), false, uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, stepRaw uint8, narrow bool, hot uint8) {
-		width := 8
+		width, width32 := 8, 4
 		if narrow {
-			width = 2
+			width, width32 = 2, 2
 		}
 		ints := make([]int64, 0, len(raw)/width)
+		uints := make([]uint64, 0, len(raw)/width)
 		floats := make([]float64, 0, len(raw)/width)
 		for i := 0; i+width <= len(raw); i += width {
 			var v int64
+			var u uint64
 			if narrow {
-				v = int64(int16(binary.LittleEndian.Uint16(raw[i:])))
+				u = uint64(binary.LittleEndian.Uint16(raw[i:]))
+				v = int64(int16(u))
 			} else {
-				v = int64(binary.LittleEndian.Uint64(raw[i:]))
+				u = binary.LittleEndian.Uint64(raw[i:])
+				v = int64(u)
 			}
 			ints = append(ints, v)
+			uints = append(uints, u)
 			floats = append(floats, float64Keys.fromBits(uint64(v)))
 		}
-		if hot > 0 {
-			r := rand.New(rand.NewSource(int64(hot)))
-			for i := range ints {
-				if r.Intn(256) < int(hot) {
-					ints[i], floats[i] = ints[0], floats[0]
-				}
+		ints32 := make([]int32, 0, len(raw)/width32)
+		for i := 0; i+width32 <= len(raw); i += width32 {
+			if narrow {
+				ints32 = append(ints32, int32(int16(binary.LittleEndian.Uint16(raw[i:]))))
+			} else {
+				ints32 = append(ints32, int32(binary.LittleEndian.Uint32(raw[i:])))
 			}
+		}
+		if hot > 0 {
+			overwriteHot(ints, hot)
+			overwriteHot(uints, hot)
+			overwriteHot(floats, hot)
+			overwriteHot(ints32, hot)
 		}
 		step := 1 + int(stepRaw%16)
 		checkSampleRun(t, "int64", ints, step, int64Keys.bits)
+		checkSampleRun(t, "uint64", uints, step, uint64Keys.bits)
 		checkSampleRun(t, "float64", floats, step, float64Keys.bits)
+		checkSampleRun(t, "int32", ints32, step, int32Keys.bits)
 	})
 }
 
-// benchKeys returns n int64 keys: uniform over [0, 2⁶²), or Zipf(1.1)
-// popularity ranks over 2²⁰ distinct keys scattered across that range.
-func benchKeys(n int, zipf bool) []int64 {
+// overwriteHot overwrites a share of about hot/256 of xs, chosen by an RNG
+// seeded with hot, with xs[0].
+func overwriteHot[T any](xs []T, hot uint8) {
+	r := rand.New(rand.NewSource(int64(hot)))
+	for i := range xs {
+		if r.Intn(256) < int(hot) {
+			xs[i] = xs[0]
+		}
+	}
+}
+
+// benchKeys returns n int64 keys of one distribution: "uniform" over
+// [0, 2⁶²); "zipf", Zipf(1.1) popularity ranks over 2²⁰ distinct keys
+// scattered across that range; or "signed", uniform over the whole int64
+// range, so about half the keys are negative.
+func benchKeys(n int, dist string) []int64 {
 	r := rand.New(rand.NewSource(7))
 	z := rand.NewZipf(r, 1.1, 1, 1<<20-1)
 	xs := make([]int64, n)
 	for i := range xs {
-		if zipf {
+		switch dist {
+		case "zipf":
 			xs[i] = int64((z.Uint64()+1)*0x61c8864680b583eb) & (1<<62 - 1)
-		} else {
+		case "signed":
+			xs[i] = int64(r.Uint64())
+		default:
 			xs[i] = r.Int63n(1 << 62)
 		}
 	}
@@ -506,11 +683,13 @@ func benchKeys(n int, zipf bool) []int64 {
 // SampleRun, in place and through a run-sized scratch (SampleRunScratch),
 // and MultiSelect with a fresh per-run RNG as the sample phase ran before
 // SampleRun. Every iteration first copies the pristine run, since every
-// kernel reorders it. Strings take MultiSelect in all three.
+// kernel reorders it. Strings take MultiSelect in all three. The signed
+// set is the only one with negative keys, whose top digit the kernel
+// reads with the sign bit flipped.
 func BenchmarkSampleRun(b *testing.B) {
 	for _, size := range []struct{ m, s int }{{65536, 1024}, {2048, 32}} {
-		for _, dist := range []string{"uniform", "zipf"} {
-			keys := benchKeys(size.m, dist == "zipf")
+		for _, dist := range []string{"uniform", "zipf", "signed"} {
+			keys := benchKeys(size.m, dist)
 			floats := make([]float64, len(keys))
 			strs := make([]string, len(keys))
 			for i, k := range keys {
