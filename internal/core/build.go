@@ -111,7 +111,7 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch *[]T // lent at the worker's first run
+			var scratch []T // lent at the worker's first run
 			defer func() { runio.PutRun(scratch) }()
 			for {
 				run, idx, ok := take()
@@ -119,14 +119,14 @@ func Build[T cmp.Ordered](rr runio.RunReader[T], cfg Config) (*Summary[T], error
 					return
 				}
 				if scratch == nil {
-					scratch = runio.GetRun[T](cfg.RunLen, cfg.RunLen)
+					scratch = runio.GetRun[T](cfg.RunLen, cfg.RunLen)[:cfg.RunLen]
 				}
-				if err := b.addRun(run, idx, (*scratch)[:cfg.RunLen]); err != nil {
+				if err := b.addRun(run, idx, scratch); err != nil {
 					stop(err)
 					return
 				}
 				if cap(run) == cfg.RunLen {
-					runio.PutRun(&run)
+					runio.PutRun(run)
 				}
 				if len(b.lists) > len(scans[w]) {
 					scans[w] = append(scans[w], idx)
@@ -227,7 +227,7 @@ func ExactQuantile[T cmp.Ordered](ds runio.Dataset[T], s *Summary[T], phi float6
 			}
 		}
 		if cap(run) == m {
-			runio.PutRun(&run)
+			runio.PutRun(run)
 		}
 	}
 	idx := b.Rank - below - 1 // 0-based rank within the window

@@ -337,8 +337,12 @@ func TestBuildConcurrentStopsAtEOF(t *testing.T) {
 // the readers read later runs into it, whatever wraps them. An
 // ExactQuantile pass and a ReadAll over the file give their runs back
 // too, and keep to the same bound, ReadAll on top of the slice it
-// returns. The bound is skipped under the race detector, under which
-// sync.Pool drops a random share of Puts.
+// returns. Giving a run back allocates nothing, so a pass's allocation
+// count shows any allocation made per run: a build makes one sample list
+// for each of its 64 runs and fewer than 96 allocations besides, the exact
+// pass reads 1,024 runs of 1,024 keys in fewer than 48, and ReadAll reads
+// 16 runs of 65,536 keys in fewer than 12. The bounds are skipped under
+// the race detector, under which sync.Pool drops a random share of Puts.
 func TestBuildRecyclesRuns(t *testing.T) {
 	cfg := Config{RunLen: 1 << 14, SampleSize: 256, Workers: 2}
 	xs := datagen.Generate(datagen.NewUniform(41, 1<<40), 64*cfg.RunLen)
@@ -367,20 +371,21 @@ func TestBuildRecyclesRuns(t *testing.T) {
 		name   string
 		pass   func() error
 		result uint64 // bytes of what the pass returns, allowed on top
+		allocs uint64 // allocations allowed, a build's sample lists included
 	}{
-		{"file", build(file), 0},
-		{"wrapped", build(wrappedDataset{file}), 0},
-		{"memory", build(runio.NewMemoryDataset(xs, 8)), 0},
+		{"file", build(file), 0, 64 + 96},
+		{"wrapped", build(wrappedDataset{file}), 0, 64 + 96},
+		{"memory", build(runio.NewMemoryDataset(xs, 8)), 0, 64 + 96},
 		{"ExactQuantile", func() error {
 			_, err := ExactQuantile(file, sum, 0.5)
 			return err
-		}, 0},
+		}, 0, 48},
 		{"ReadAll", func() error {
 			_, err := runio.ReadAll(file)
 			return err
-		}, 8 * uint64(len(xs))},
+		}, 8 * uint64(len(xs)), 12},
 	} {
-		least := uint64(math.MaxUint64)
+		least, fewest := uint64(math.MaxUint64), uint64(math.MaxUint64)
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -389,12 +394,17 @@ func TestBuildRecyclesRuns(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
 		}
-		t.Logf("%s: one pass allocated %.1f runs of %d KiB besides its result",
-			c.name, (float64(least)-float64(c.result))/runBytes, runBytes>>10)
+		t.Logf("%s: one pass allocated %.1f runs of %d KiB besides its result, in %d allocations",
+			c.name, (float64(least)-float64(c.result))/runBytes, runBytes>>10, fewest)
 		if least > limit+c.result && !raceEnabled {
 			t.Errorf("%s: one pass allocated %d KiB, want at most %d KiB (7 runs of %d KiB and 4× the %d KiB of samples, plus %d KiB of result)",
 				c.name, least>>10, (limit+c.result)>>10, runBytes>>10, samples>>10, c.result>>10)
+		}
+		if fewest > c.allocs && !raceEnabled {
+			t.Errorf("%s: one pass made %d allocations, want at most %d: does giving a run back allocate?",
+				c.name, fewest, c.allocs)
 		}
 	}
 }

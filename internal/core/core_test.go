@@ -443,12 +443,13 @@ func TestExactQuantileWithHeavyDuplicates(t *testing.T) {
 
 // TestExactQuantileAllocatesWindowOnce pins what an exact pass allocates:
 // its window, made once at twice the summary's ErrorBound, which Lemma 3
-// says distinct keys never overfill, and about 30 KiB besides: the RNG,
-// the reader, and a slice header for each run given back to the pool. A
-// window that starts small and grows by appends allocates twice its final
-// size or more. The runs come from the run pool, warm after the first
-// pass. The bound is skipped under the race detector, under which
-// sync.Pool drops a random share of Puts.
+// says distinct keys never overfill, and about 6 KiB besides: the RNG and
+// the reader. A window that starts small and grows by appends allocates
+// twice its final size or more, and an allocation of one slice header per
+// run given back to the pool would add 24 KiB over the pass's 1,024 runs.
+// The runs come from the run pool, warm after the first pass. The bound
+// is skipped under the race detector, under which sync.Pool drops a
+// random share of Puts.
 func TestExactQuantileAllocatesWindowOnce(t *testing.T) {
 	cfg := Config{RunLen: 1 << 14, SampleSize: 256}
 	xs := datagen.Generate(datagen.NewUniform(41, 1<<40), 64*cfg.RunLen)
@@ -458,7 +459,7 @@ func TestExactQuantileAllocatesWindowOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	window := 8 * uint64(2*s.ErrorBound())
-	const slack = 48 << 10
+	const slack = 16 << 10
 	for _, phi := range []float64{0.01, 0.5, 0.99} {
 		least := uint64(math.MaxUint64)
 		for range 3 {

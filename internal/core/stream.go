@@ -25,6 +25,13 @@ import (
 // its own, selecting it where it is buffered. NaN keys are rejected with
 // ErrNaN.
 //
+// A run that fills is not sampled by the call that fills it. It stays
+// buffered, whole, until Settle, the next Add or AddBatch, Seal or
+// Summary samples it, so a caller can return once the keys are buffered
+// and sample the run off its own path: the engine settles a stripe after
+// the ingest that filled it has returned. A batch that spans runs samples
+// every run but its last as it goes. N counts a waiting run.
+//
 // A partial run costs the keys it holds. A builder borrows a buffer when
 // the first key of a run arrives, sized to the keys at hand (the next
 // power of two at or above them, at least 64, at most RunLen), and
@@ -54,9 +61,10 @@ import (
 // byte-identical to never having sealed at all.
 type StreamBuilder[T cmp.Ordered] struct {
 	cfg Config
-	// run is the buffered partial run while it holds at least one element
-	// and nil otherwise; its capacity grows toward RunLen (see reserve).
-	run *[]T
+	// run is the buffered run while it holds at least one element and nil
+	// otherwise; its capacity grows toward RunLen (see reserve). It holds
+	// RunLen elements only while a filled run waits for Settle.
+	run []T
 
 	// State of the runs folded in since the last Seal.
 	lists    [][]T // per-run sorted sample lists
@@ -81,63 +89,70 @@ func NewStreamBuilder[T cmp.Ordered](cfg Config) (*StreamBuilder[T], error) {
 }
 
 // Add observes one element. Amortized cost is one run's sampling cost
-// divided by RunLen. A NaN is rejected with ErrNaN and not observed.
+// divided by RunLen, paid by the call after the one that fills a run (see
+// Settle). A NaN is rejected with ErrNaN and not observed.
 func (b *StreamBuilder[T]) Add(v T) error {
 	if v != v {
 		return ErrNaN
 	}
-	if b.run == nil || len(*b.run) == cap(*b.run) {
+	if err := b.Settle(); err != nil {
+		return err
+	}
+	if b.run == nil || len(b.run) == cap(b.run) {
 		b.reserve(1)
 	}
-	*b.run = append(*b.run, v)
-	if len(*b.run) == b.cfg.RunLen {
-		return b.flush()
-	}
+	b.run = append(b.run, v)
 	return nil
 }
 
 // AddBatch observes a batch of elements. It is equivalent to calling Add
 // per element but copies run-sized chunks into the buffer wholesale, so
 // the per-element cost is the memmove — on the wire-speed ingest path the
-// per-call overhead of Add is measurable. A batch holding a NaN is
-// rejected whole with ErrNaN: the check runs before anything is
-// buffered, so N() does not move.
+// per-call overhead of Add is measurable. Every run the batch fills is
+// sampled before the next chunk is copied, except the last, which waits
+// for Settle. A batch holding a NaN is rejected whole with ErrNaN: the
+// check runs before anything is buffered, so N() does not move.
 func (b *StreamBuilder[T]) AddBatch(vs []T) error {
 	if i := IndexNaN(vs); i >= 0 {
 		return fmt.Errorf("%w: element %d of the batch", ErrNaN, i)
 	}
 	for len(vs) > 0 {
-		take := min(b.cfg.RunLen-b.Buffered(), len(vs))
-		b.reserve(take)
-		*b.run = append(*b.run, vs[:take]...)
-		vs = vs[take:]
-		if len(*b.run) == b.cfg.RunLen {
-			if err := b.flush(); err != nil {
-				return err
-			}
+		if err := b.Settle(); err != nil {
+			return err
 		}
+		take := min(b.cfg.RunLen-len(b.run), len(vs))
+		b.reserve(take)
+		b.run = append(b.run, vs[:take]...)
+		vs = vs[take:]
 	}
 	return nil
 }
 
-// N returns the number of elements the builder currently holds: whole runs
-// not yet detached by Seal, plus the buffered partial run. Before any Seal
-// this is everything observed since creation.
-func (b *StreamBuilder[T]) N() int64 { return b.runN + int64(b.Buffered()) }
-
-// Buffered returns the size of the in-progress partial run — the elements
-// a Seal would leave behind for the next epoch.
-func (b *StreamBuilder[T]) Buffered() int { return len(b.partial()) }
-
-// partial returns the buffered partial run, nil when there is none.
-func (b *StreamBuilder[T]) partial() []T {
-	if b.run == nil {
+// Settle samples a run that filled and waits, if there is one: it folds
+// the run in as the builder's next run and gives its buffer back to the
+// pool. It is how a caller that returned once a run's keys were buffered
+// pays for the run later, off its own path; Add, AddBatch, Seal and
+// Summary settle first, so a caller that never calls Settle gets the same
+// summaries.
+func (b *StreamBuilder[T]) Settle() error {
+	if len(b.run) < b.cfg.RunLen {
 		return nil
 	}
-	return *b.run
+	return b.flush()
 }
 
-// reserve makes room in the partial run for n more keys, n ≤ RunLen −
+// N returns the number of elements the builder currently holds: whole runs
+// not yet detached by Seal, plus the buffered run. Before any Seal this is
+// everything observed since creation.
+func (b *StreamBuilder[T]) N() int64 { return b.runN + int64(len(b.run)) }
+
+// Buffered returns the number of elements buffered and not yet sampled:
+// the in-progress partial run, or a whole run that waits for Settle. A
+// Seal samples a waiting run and leaves a partial one behind for the
+// next epoch.
+func (b *StreamBuilder[T]) Buffered() int { return len(b.run) }
+
+// reserve makes room in the buffered run for n more keys, n ≤ RunLen −
 // Buffered(): it borrows the run's first buffer (see runio.GetRun), or
 // moves the keys to one of at least twice the capacity when they do not
 // fit.
@@ -146,21 +161,19 @@ func (b *StreamBuilder[T]) reserve(n int) {
 		b.run = runio.GetRun[T](b.cfg.RunLen, n)
 		return
 	}
-	if need := len(*b.run) + n; need > cap(*b.run) {
-		grown := runio.GetRun[T](b.cfg.RunLen, max(need, 2*cap(*b.run)))
-		*grown = append(*grown, *b.run...)
-		b.run = grown
+	if need := len(b.run) + n; need > cap(b.run) {
+		b.run = append(runio.GetRun[T](b.cfg.RunLen, max(need, 2*cap(b.run))), b.run...)
 	}
 }
 
 // flush folds the full run buffer in as the builder's next run, sampling
 // it through a scratch run lent for the call, and gives both buffers back
 // to the pool: the sample list is a fresh slice, so neither holds
-// anything live.
+// anything live. On an error the run stays buffered.
 func (b *StreamBuilder[T]) flush() error {
 	scratch := runio.GetRun[T](b.cfg.RunLen, b.cfg.RunLen)
 	defer runio.PutRun(scratch)
-	if err := b.fold(*b.run, runSeed(b.seq), (*scratch)[:b.cfg.RunLen]); err != nil {
+	if err := b.fold(b.run, runSeed(b.seq), scratch[:b.cfg.RunLen]); err != nil {
 		return err
 	}
 	b.seq++
@@ -250,8 +263,11 @@ func (b *StreamBuilder[T]) count(runs, n, leftover int64, lo, hi T) {
 }
 
 // Seal detaches the whole runs accumulated since the previous Seal as an
-// immutable Summary and resets the builder's run state. The buffered
-// partial run is NOT included — it stays in the builder, keeps filling
+// immutable Summary and resets the builder's run state. A whole run that
+// waits for Settle is sampled first and sealed with the rest; were its
+// sampling to fail, it would stay buffered, and the next call that
+// settles would report the error. The buffered partial run is NOT
+// included — it stays in the builder, keeps filling
 // toward RunLen, and belongs to whatever summary is cut next — so sealing
 // never splits a run and the concatenation of sealed summaries plus a
 // final Summary() covers exactly the observed sequence with exactly the
@@ -259,7 +275,10 @@ func (b *StreamBuilder[T]) count(runs, n, leftover int64, lo, hi T) {
 //
 // When no whole run has completed since the last Seal, the canonical empty
 // summary is returned (N() == 0) and the builder is unchanged.
-func (b *StreamBuilder[T]) Seal() *Summary[T] { return b.seal(1) }
+func (b *StreamBuilder[T]) Seal() *Summary[T] {
+	_ = b.Settle() // a failed sample leaves the run buffered; see above
+	return b.seal(1)
+}
 
 // seal is Seal with the sample lists merged across workers (see
 // mergeLists); the merge, and so the Summary, is the same at every count.
@@ -283,9 +302,9 @@ func (b *StreamBuilder[T]) seal(workers int) *Summary[T] {
 }
 
 // Summary returns the summary over everything the builder currently holds
-// (see N). The builder remains usable afterwards; the buffered partial run
-// is consumed as a (ragged) run of its own, exactly as Build treats a
-// short final run.
+// (see N). It settles a waiting whole run first (see Settle). The builder
+// remains usable afterwards; the buffered partial run is consumed as a
+// (ragged) run of its own, exactly as Build treats a short final run.
 //
 // The partial run is selected where it is buffered, with no copy, so
 // Summary reorders the buffered keys. A run's samples and extrema are its
@@ -294,16 +313,19 @@ func (b *StreamBuilder[T]) seal(workers int) *Summary[T] {
 // included, are radix-selected by bit pattern, so even which of equal −0
 // and +0 keys lands at a sample rank does not depend on the run's order.
 func (b *StreamBuilder[T]) Summary() (*Summary[T], error) {
+	if err := b.Settle(); err != nil {
+		return nil, err
+	}
 	// Fold the tail into a copy of the state and seal the copy, so
 	// ingestion can continue. The copy's list slice is clipped, so the
 	// fold's append reallocates instead of writing the tail's samples into
 	// the builder's spare capacity.
 	c := *b
 	c.lists = b.lists[:len(b.lists):len(b.lists)]
-	if buf := b.partial(); len(buf) > 0 {
-		if err := c.fold(buf, runSeed(b.seq), nil); err != nil {
+	if len(b.run) > 0 {
+		if err := c.fold(b.run, runSeed(b.seq), nil); err != nil {
 			return nil, err
 		}
 	}
-	return c.Seal(), nil
+	return c.seal(1), nil
 }

@@ -17,12 +17,13 @@ import (
 var raceEnabled bool
 
 // TestStreamBuilderHoldsRunOnlyWhilePartial pins the run-buffer loan: a
-// builder holds no buffer until a run's first key arrives, gives it back
-// when the run's flush empties it, and holds one buffer while it buffers
-// a partial run, across Summary and Seal. That buffer is a spare whole
-// run when the pool had one idle; otherwise its capacity is bound by the
-// keys it holds — at most twice them, and at least 64 — as it grows
-// toward RunLen, key by key or batch by batch.
+// builder holds no buffer until a run's first key arrives, holds the
+// whole run when a call ends on a run boundary, gives it back when Settle
+// samples it, and holds one buffer while it buffers a partial run, across
+// Summary and Seal. That buffer is a spare whole run when the pool had
+// one idle; otherwise its capacity is bound by the keys it holds — at
+// most twice them, and at least 64 — as it grows toward RunLen, key by
+// key or batch by batch.
 func TestStreamBuilderHoldsRunOnlyWhilePartial(t *testing.T) {
 	cfg := Config{RunLen: 1536, SampleSize: 8}
 	b, err := NewStreamBuilder[int64](cfg)
@@ -35,18 +36,28 @@ func TestStreamBuilderHoldsRunOnlyWhilePartial(t *testing.T) {
 		t.Helper()
 		switch {
 		case want == 0 && b.run != nil:
-			t.Fatalf("%s: holds a buffer of %d keys, want none", when, len(*b.run))
+			t.Fatalf("%s: holds a buffer of %d keys, want none", when, len(b.run))
 		case want == 0:
 		case b.run == nil:
 			t.Fatalf("%s: holds no buffer, want one of %d keys", when, want)
-		case len(*b.run) != want:
-			t.Fatalf("%s: buffer holds %d keys, want %d", when, len(*b.run), want)
-		case spare && !raceEnabled && cap(*b.run) != cfg.RunLen:
-			t.Fatalf("%s: buffer cap %d, want the spare whole run of %d", when, cap(*b.run), cfg.RunLen)
-		case !spare && cap(*b.run) > min(cfg.RunLen, max(64, 2*want)):
+		case len(b.run) != want:
+			t.Fatalf("%s: buffer holds %d keys, want %d", when, len(b.run), want)
+		case spare && !raceEnabled && cap(b.run) != cfg.RunLen:
+			t.Fatalf("%s: buffer cap %d, want the spare whole run of %d", when, cap(b.run), cfg.RunLen)
+		case !spare && cap(b.run) > min(cfg.RunLen, max(64, 2*want)):
 			t.Fatalf("%s: buffer cap %d for %d keys, want ≤ %d",
-				when, cap(*b.run), want, min(cfg.RunLen, max(64, 2*want)))
+				when, cap(b.run), want, min(cfg.RunLen, max(64, 2*want)))
 		}
+	}
+	// settles checks that a call that ended on a run boundary left the
+	// whole run buffered, and that Settle gives it back.
+	settles := func(when string) {
+		t.Helper()
+		holds(when, cfg.RunLen, false)
+		if err := b.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		holds(when+", settled", 0, false)
 	}
 	keys := make([]int64, 3*cfg.RunLen+5)
 	for i := range keys {
@@ -56,13 +67,13 @@ func TestStreamBuilderHoldsRunOnlyWhilePartial(t *testing.T) {
 	if err := b.AddBatch(keys[:3*cfg.RunLen]); err != nil {
 		t.Fatal(err)
 	}
-	holds("after three whole runs in one batch", 0, false)
+	settles("after three whole runs in one batch")
 	for _, v := range keys[:cfg.RunLen] {
 		if err := b.Add(v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	holds("after a whole run of Adds", 0, false)
+	settles("after a whole run of Adds")
 	if err := b.AddBatch(keys); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +88,7 @@ func TestStreamBuilderHoldsRunOnlyWhilePartial(t *testing.T) {
 	if err := b.AddBatch(keys[:cfg.RunLen-5]); err != nil {
 		t.Fatal(err)
 	}
-	holds("after the partial run completes", 0, false)
+	settles("after the partial run completes")
 	if b.N() != int64(cfg.RunLen) || b.Buffered() != 0 {
 		t.Fatalf("N %d, Buffered %d after the run that completed past the seal, want %d and 0",
 			b.N(), b.Buffered(), cfg.RunLen)
@@ -103,7 +114,7 @@ func TestStreamBuilderHoldsRunOnlyWhilePartial(t *testing.T) {
 	if err := b.Add(keys[cfg.RunLen-1]); err != nil {
 		t.Fatal(err)
 	}
-	holds("after the grown run completes", 0, false)
+	settles("after the grown run completes")
 
 	// And batch by batch.
 	runtime.GC()

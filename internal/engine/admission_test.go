@@ -157,12 +157,12 @@ func TestEngineMaxPendingValidation(t *testing.T) {
 	}
 }
 
-// TestEngineAdmissionSelfHealsWithTrigger pins the wedge fix: the ingest
-// that crosses the seal threshold heals via maybeRotate, but its TryLock
-// can lose to a concurrent ring reader — and rejected ingests never used
-// to reach maybeRotate, so one missed TryLock wedged a policy-driven
-// engine in ErrBacklogged forever. admit() now retries the trigger
-// before rejecting.
+// TestEngineAdmissionSelfHealsWithTrigger pins the wedge fix: the seal
+// the ingest that crosses the seal threshold makes due is cut by
+// maybeRotate, but its TryLock can lose to a concurrent ring reader — and
+// rejected ingests never used to reach maybeRotate, so one missed TryLock
+// wedged a policy-driven engine in ErrBacklogged forever. admit() now
+// retries the trigger before rejecting.
 func TestEngineAdmissionSelfHealsWithTrigger(t *testing.T) {
 	const runLen = 64
 	e, err := New[int64](Options{
@@ -179,15 +179,17 @@ func TestEngineAdmissionSelfHealsWithTrigger(t *testing.T) {
 		batch[i] = int64(i)
 	}
 	// Simulate the lost TryLock: hold epochMu across the crossing ingest
-	// so its maybeRotate is skipped and pending lands exactly at the
+	// and the seal it leaves in flight, which PendingBytes waits for, so
+	// its maybeRotate is skipped and pending lands exactly at the
 	// admission bound.
 	e.epochMu.Lock()
 	err = e.IngestBatch(batch)
+	pb := e.PendingBytes()
 	e.epochMu.Unlock()
 	if err != nil {
 		t.Fatalf("crossing ingest: %v", err)
 	}
-	if pb := e.PendingBytes(); pb < e.MaxPending() {
+	if pb < e.MaxPending() {
 		t.Fatalf("setup failed: pending %d below bound %d", pb, e.MaxPending())
 	}
 	// Without admit's retry this ingest — and every one after it — would

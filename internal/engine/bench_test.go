@@ -384,23 +384,56 @@ func TestIngestRunBorrowsRunMemory(t *testing.T) {
 
 // BenchmarkEngineIngestRun measures one IngestBatch of a 65 536-key
 // uniform run on the `ingest` tenant's options: the run lands in one
-// stripe, fills its buffer and is flushed, sampled and folded in, and
-// every fourth call seals an epoch. B/op shows the run memory is
-// borrowed, not allocated.
+// stripe and fills its buffer, and every fourth call makes an epoch seal
+// due. "return" times the call alone, which is what a caller waits for:
+// it returns once the run is buffered and counted, and the run's
+// sampling and the seal run after it, overlapping the next iterations.
+// "settled" ends each iteration by waiting for that work (settleAll), so
+// it times the whole per-run cost: the copy, the run's flush, sampling
+// and fold, and every fourth iteration's seal and compaction. B/op shows
+// the run memory is borrowed, not allocated.
 func BenchmarkEngineIngestRun(b *testing.B) {
-	e, err := New[int64](ingestRunOptions)
-	if err != nil {
-		b.Fatal(err)
+	for _, settled := range []bool{false, true} {
+		name := "return"
+		if settled {
+			name = "settled"
+		}
+		b.Run(name, func(b *testing.B) {
+			e, err := New[int64](ingestRunOptions)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runLen := ingestRunOptions.Config.RunLen
+			batch := benchBatch(rand.New(rand.NewSource(10)), runLen)
+			b.ReportAllocs()
+			b.SetBytes(int64(runLen * 8))
+			for i := 0; i < b.N; i++ {
+				if err := e.IngestBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+				if settled {
+					if err := settleAll(e); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
-	runLen := ingestRunOptions.Config.RunLen
-	batch := benchBatch(rand.New(rand.NewSource(10)), runLen)
-	b.ReportAllocs()
-	b.SetBytes(int64(runLen * 8))
-	for i := 0; i < b.N; i++ {
-		if err := e.IngestBatch(batch); err != nil {
-			b.Fatal(err)
+}
+
+// settleAll waits for the work the engine's ingests left for after their
+// return: it settles every stripe, waiting for a settle in flight, and
+// then for a seal in flight.
+func settleAll(e *Engine[int64]) error {
+	for _, st := range e.stripes {
+		st.mu.Lock()
+		err := st.sb.Settle()
+		st.mu.Unlock()
+		if err != nil {
+			return err
 		}
 	}
+	return e.waitSealErr()
 }
 
 // BenchmarkEngineReadAfterWrite measures a read that follows a write on

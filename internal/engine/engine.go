@@ -12,6 +12,20 @@
 // round-robin across stripes, so concurrent writers rarely contend on the
 // same lock.
 //
+// An ingest returns once its elements are buffered and counted. The run
+// it fills is sampled after it returns, by a goroutine it starts that
+// settles the stripe (core.StreamBuilder.Settle); a stripe has at most
+// one such goroutine started at a time, and the next ingest to the
+// stripe settles a run still waiting itself. The seal an EpochPolicy
+// count or bytes trigger makes due is cut, and compacted, by the same
+// goroutine. The next ingest, Rotate, Stats, Epochs, PendingElems and
+// PendingBytes wait for that seal, and a snapshot rebuild settles the
+// stripes and cuts a due seal itself, so every call after an ingest sees
+// what it would had the ingest done that work before returning. The
+// sample phase thus overlaps whatever the caller does between ingests —
+// for a served ingest, the ack's trip back — as the paper's Section 4
+// overlaps I/O with computation.
+//
 // Summaries move through an epoch lifecycle (epoch.go): a rotation —
 // triggered by element count, encoded bytes, a wall-clock tick
 // (EpochPolicy), or an explicit Rotate — seals every stripe's completed
@@ -211,6 +225,15 @@ type Engine[T cmp.Ordered] struct {
 	count   atomic.Int64  // lifetime elements absorbed
 	pending atomic.Int64  // elements not yet sealed into an epoch
 
+	// sealing is held from an ingest that makes a count/bytes seal due
+	// until the goroutine it starts has cut that seal and compacted (see
+	// settle). The next ingest, Rotate, Stats, Epochs, PendingElems and
+	// PendingBytes wait for it, so a seal covers exactly the ingests
+	// before it. sealErr, guarded by sealing, holds the error that
+	// goroutine met until an ingest or Rotate returns it.
+	sealing sync.Mutex
+	sealErr error
+
 	epochMu         sync.Mutex                  // guards ring mutation (seal, absorb, evict, compact)
 	ring            atomic.Pointer[[]*Epoch[T]] // immutable retained epochs, oldest first
 	nextEpoch       atomic.Uint64
@@ -247,11 +270,20 @@ type Engine[T cmp.Ordered] struct {
 	// IngestBatch right after the stripe unlock, where a descheduled
 	// ingester's elements are already visible to a snapshot.
 	afterIngestUnlock func()
+	// goSettle, set only by tests, starts the goroutine afterIngest runs
+	// settle in, in place of a go statement, so a test can hold the work
+	// of each ingest back.
+	goSettle func(settle func())
 }
 
 type stripe[T cmp.Ordered] struct {
 	mu sync.Mutex
 	sb *core.StreamBuilder[T]
+	// settling says a goroutine that settles the stripe is started and
+	// has not yet taken mu, so an ingest that fills a run starts no
+	// other: that one settles whatever run waits when it gets the lock.
+	// Guarded by mu.
+	settling bool
 }
 
 // prefixCache pairs a merged frozen-prefix summary with the exact ring
@@ -408,9 +440,9 @@ func (e *Engine[T]) rotationTimer(interval time.Duration) {
 var ErrBacklogged = errors.New("engine: ingest backlogged: unsealed bytes over MaxPending")
 
 // admit applies bounded admission at call entry (see Options.MaxPending).
-// Before rejecting, it retries the EpochPolicy triggers: the ingest that
-// crossed the seal threshold may have lost maybeRotate's TryLock to a
-// concurrent ring reader, and rejected ingests never reach maybeRotate on
+// Before rejecting, it retries the EpochPolicy triggers: the seal the
+// crossing ingest made due may have lost maybeRotate's TryLock to a
+// concurrent ring reader, and rejected ingests never start a seal on
 // their own — without this retry one missed TryLock could wedge a
 // policy-driven engine in ErrBacklogged forever. Engines without a
 // count/bytes trigger are untouched (overThreshold is false): they
@@ -434,19 +466,26 @@ func (e *Engine[T]) admit() error {
 // element is resident in its stripe, so a Snapshot taken after Ingest
 // returns is guaranteed to include it (read-your-writes). With
 // Options.MaxPending set, a backlogged engine rejects the element with
-// ErrBacklogged instead of buffering it.
+// ErrBacklogged instead of buffering it. As IngestBatch, it returns once
+// the element is buffered, and the run it fills and the seal it makes due
+// are settled after it returns.
 func (e *Engine[T]) Ingest(v T) error {
+	if err := e.waitSealErr(); err != nil {
+		return err
+	}
 	if err := e.admit(); err != nil {
 		return err
 	}
 	st := e.stripes[e.next.Add(1)%uint64(len(e.stripes))]
 	st.mu.Lock()
 	err := st.sb.Add(v)
+	settle := false
 	if err == nil {
 		// Counted inside the stripe's critical section: a snapshot or seal
 		// that sees the element also sees it in N and PendingElems.
 		e.count.Add(1)
 		e.pending.Add(1)
+		settle = st.claimSettle(e.cfg.RunLen)
 	}
 	st.mu.Unlock()
 	if e.afterIngestUnlock != nil {
@@ -456,16 +495,32 @@ func (e *Engine[T]) Ingest(v T) error {
 		return err
 	}
 	e.version.Add(1)
-	return e.maybeRotate()
+	e.afterIngest(st, settle)
+	return nil
 }
 
 // IngestBatch observes a batch of elements. The whole batch lands on one
 // stripe (keeping its run composition contiguous) and bumps the ingest
 // version once, so a batch triggers at most one snapshot rebuild. A batch
 // holding a NaN is rejected whole with core.ErrNaN.
+//
+// It returns once the batch is buffered and counted: a snapshot taken
+// after it covers the batch. The stripe samples every run the batch
+// fills but the last before the call returns. The last, and the seal an
+// EpochPolicy count or bytes trigger makes due, are left to a goroutine
+// the call starts, which settles the stripe (core.StreamBuilder.Settle)
+// and then cuts the seal and compacts. The next Ingest or IngestBatch,
+// Rotate, Stats, Epochs, PendingElems and PendingBytes wait for that
+// seal, and a snapshot settles and seals what is due itself, so every
+// call after this one sees the state it would had the work been done
+// before the return. An error the seal meets is returned by the next
+// Ingest, IngestBatch or Rotate.
 func (e *Engine[T]) IngestBatch(vs []T) error {
 	if len(vs) == 0 {
 		return nil
+	}
+	if err := e.waitSealErr(); err != nil {
+		return err
 	}
 	if err := e.admit(); err != nil {
 		return err
@@ -473,11 +528,13 @@ func (e *Engine[T]) IngestBatch(vs []T) error {
 	st := e.stripes[e.next.Add(1)%uint64(len(e.stripes))]
 	st.mu.Lock()
 	err := st.sb.AddBatch(vs)
+	settle := false
 	if err == nil {
 		// As in Ingest: counted before the batch becomes visible to a
 		// snapshot or seal.
 		e.count.Add(int64(len(vs)))
 		e.pending.Add(int64(len(vs)))
+		settle = st.claimSettle(e.cfg.RunLen)
 	}
 	st.mu.Unlock()
 	if e.afterIngestUnlock != nil {
@@ -487,7 +544,79 @@ func (e *Engine[T]) IngestBatch(vs []T) error {
 		return err
 	}
 	e.version.Add(1)
-	return e.maybeRotate()
+	e.afterIngest(st, settle)
+	return nil
+}
+
+// claimSettle reports whether the stripe's builder holds a whole run of
+// runLen keys that waits to be settled while no settling goroutine is
+// started yet, and if so marks one started. Caller holds st.mu.
+func (st *stripe[T]) claimSettle(runLen int) bool {
+	if st.settling || st.sb.Buffered() < runLen {
+		return false
+	}
+	st.settling = true
+	return true
+}
+
+// afterIngest starts the work an ingest leaves for after its return: the
+// settle of st when settle is set (see claimSettle), and the seal an
+// EpochPolicy count or bytes trigger makes due, unless one is in flight
+// already.
+func (e *Engine[T]) afterIngest(st *stripe[T], settle bool) {
+	seal := e.overThreshold() && e.sealing.TryLock()
+	if !settle {
+		st = nil
+	}
+	if st == nil && !seal {
+		return
+	}
+	if e.goSettle != nil {
+		e.goSettle(func() { e.settle(st, seal) })
+		return
+	}
+	go e.settle(st, seal)
+}
+
+// settle is the goroutine afterIngest starts. It samples the run that
+// waits in st, when st is not nil. When seal is set it holds sealing,
+// which afterIngest took for it: it cuts the due seal and compacts, then
+// records what error that met and releases sealing. A failed sampling
+// leaves the run buffered, and the next call that settles the stripe
+// reports it.
+func (e *Engine[T]) settle(st *stripe[T], seal bool) {
+	var err error
+	if st != nil {
+		st.mu.Lock()
+		st.settling = false
+		err = st.sb.Settle()
+		st.mu.Unlock()
+	}
+	if !seal {
+		return
+	}
+	if err == nil {
+		err = e.maybeRotate()
+	}
+	e.sealErr = err
+	e.sealing.Unlock()
+}
+
+// waitSealErr waits for a seal an ingest left in flight and returns the
+// error it met, once.
+func (e *Engine[T]) waitSealErr() error {
+	e.sealing.Lock()
+	err := e.sealErr
+	e.sealErr = nil
+	e.sealing.Unlock()
+	return err
+}
+
+// waitSeal waits for a seal an ingest left in flight, for a reader that
+// must see its ring and counters.
+func (e *Engine[T]) waitSeal() {
+	e.sealing.Lock()
+	e.sealing.Unlock()
 }
 
 // N returns the total number of elements absorbed over the engine's
@@ -571,12 +700,17 @@ func (e *Engine[T]) publishRingLocked(ring *[]*Epoch[T]) {
 // frozenPrefix for how the prefix is then rebuilt.
 func (e *Engine[T]) rebuildLocked(version uint64) (*Snapshot[T], error) {
 	e.epochMu.Lock()
-	// An ingest whose count/bytes trigger lost maybeRotate's TryLock to a
-	// rebuild seals here, so a steady stream of reads cannot postpone the
-	// policy's seal indefinitely. Reading the version again before the
-	// stripes keeps the label a lower bound on what the snapshot holds.
+	// A count/bytes seal an ingest made due and has not cut yet — its
+	// goroutine is still on its way, or lost maybeRotate's TryLock to a
+	// rebuild — is cut here, so a read sees the ring it would have seen
+	// had the ingest sealed before returning, and a steady stream of reads
+	// cannot postpone the policy's seal indefinitely. Reading the version
+	// again before the stripes keeps the label a lower bound on what the
+	// snapshot holds.
+	sealed := false
 	if e.overThreshold() {
-		if _, err := e.rotateLocked(time.Now()); err != nil {
+		var err error
+		if sealed, err = e.rotateLocked(time.Now()); err != nil {
 			e.epochMu.Unlock()
 			return nil, err
 		}
@@ -619,6 +753,15 @@ func (e *Engine[T]) rebuildLocked(version uint64) (*Snapshot[T], error) {
 	}
 	e.snap.Store(snap)
 	e.merges.Add(1)
+	if sealed {
+		// The compaction every seal path runs after its seal, so the ring
+		// does not depend on whether this rebuild or the ingest's own
+		// goroutine cut the seal. Answers are unchanged, so snap stays
+		// current.
+		if _, err := e.compactPass(false); err != nil {
+			return nil, err
+		}
+	}
 	return snap, nil
 }
 
@@ -762,6 +905,7 @@ func (e *Engine[T]) EstimateRange(a, b T) (estimate, maxErr float64, err error) 
 // Stats reports engine state without forcing a snapshot rebuild (the
 // snapshot columns describe the cached snapshot, which may trail N).
 func (e *Engine[T]) Stats() Stats {
+	e.waitSeal()
 	// Report the ring a query issued now would serve: under RetainMaxAge,
 	// epochs past their age are excluded (and their elements subtracted
 	// from RetainedN) even if no rotation or rebuild has physically

@@ -72,9 +72,14 @@ type EpochPolicy struct {
 	// MaxElems seals when the number of unsealed elements reaches this
 	// bound (0 = no count trigger). Values below Stripes·RunLen cause
 	// rotation attempts that find no completed run; harmless but wasted.
+	// The ingest that reaches the bound makes the seal due and returns;
+	// a goroutine it starts cuts the seal and compacts, and the next
+	// ingest, Rotate, Stats, Epochs, PendingElems and PendingBytes wait
+	// for it (see Engine.IngestBatch).
 	MaxElems int64
 	// MaxBytes seals when the unsealed elements' encoded size reaches this
-	// bound (0 = no bytes trigger).
+	// bound (0 = no bytes trigger). The seal is cut after the ingest that
+	// reaches the bound returns, as for MaxElems.
 	MaxBytes int64
 	// Interval seals on a wall-clock tick (0 = no timer). An engine with a
 	// timer must be Closed to stop it.
@@ -159,8 +164,12 @@ type EpochStats struct {
 // applies retention. It returns whether an epoch was sealed — false when
 // no stripe had a completed run, in which case only retention ran. Safe
 // for concurrent use; explicit calls compose with the automatic
-// EpochPolicy triggers.
+// EpochPolicy triggers, and wait for a seal an ingest left in flight (see
+// IngestBatch), returning the error it met.
 func (e *Engine[T]) Rotate() (sealed bool, err error) {
+	if err := e.waitSealErr(); err != nil {
+		return false, err
+	}
 	e.epochMu.Lock()
 	sealed, err = e.rotateLocked(time.Now())
 	e.epochMu.Unlock()
@@ -177,7 +186,9 @@ func (e *Engine[T]) Rotate() (sealed bool, err error) {
 	return sealed, nil
 }
 
-// rotateLocked performs a rotation under epochMu.
+// rotateLocked performs a rotation under epochMu. Each stripe's Seal
+// settles a run an ingest filled first, so the run is sealed with the
+// runs before it.
 func (e *Engine[T]) rotateLocked(now time.Time) (bool, error) {
 	parts := make([]*core.Summary[T], 0, len(e.stripes))
 	for _, st := range e.stripes {
@@ -260,7 +271,8 @@ func (e *Engine[T]) applyRetentionLocked(now time.Time) bool {
 }
 
 // maybeRotate applies the EpochPolicy count/bytes triggers after an
-// ingest. When another rotation is already in flight the trigger is
+// ingest, from the goroutine the ingest starts (see IngestBatch) or from
+// admit. When another rotation is already in flight the trigger is
 // skipped — that rotation will observe the same pending state.
 func (e *Engine[T]) maybeRotate() error {
 	if !e.overThreshold() {
@@ -310,8 +322,10 @@ func (e *Engine[T]) expiredCut(ring []*Epoch[T], now time.Time) int {
 
 // Epochs reports the retained ring, oldest first, excluding epochs whose
 // sliding-window age has already expired (see expiredCut) — reporting
-// never shows epochs a query would not serve.
+// never shows epochs a query would not serve. It waits for a seal an
+// ingest left in flight (see IngestBatch).
 func (e *Engine[T]) Epochs() []EpochStats {
+	e.waitSeal()
 	full := *e.ring.Load()
 	ring := full[e.expiredCut(full, time.Now()):]
 	out := make([]EpochStats, len(ring))
@@ -332,12 +346,17 @@ func (e *Engine[T]) Epochs() []EpochStats {
 }
 
 // PendingElems returns the number of elements not yet sealed into an
-// epoch (completed-but-unsealed runs plus partial buffers).
-func (e *Engine[T]) PendingElems() int64 { return e.pending.Load() }
+// epoch (completed-but-unsealed runs plus partial buffers), once a seal
+// an ingest left in flight is cut.
+func (e *Engine[T]) PendingElems() int64 {
+	e.waitSeal()
+	return e.pending.Load()
+}
 
 // PendingBytes returns the encoded size of the unsealed elements — the
-// quantity ingest backpressure bounds.
-func (e *Engine[T]) PendingBytes() int64 { return e.pending.Load() * e.elemSize }
+// quantity ingest backpressure bounds — once a seal an ingest left in
+// flight is cut.
+func (e *Engine[T]) PendingBytes() int64 { return e.PendingElems() * e.elemSize }
 
 // MaxPending returns the engine-side bounded-admission threshold
 // (Options.MaxPending); 0 means admission is unbounded.

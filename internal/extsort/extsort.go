@@ -160,7 +160,7 @@ func Sort[T cmp.Ordered](inPath, outPath string, codec runio.Codec[T], opts Opti
 		}
 		scattered += int64(len(run))
 		if cap(run) == opts.Config.RunLen {
-			runio.PutRun(&run)
+			runio.PutRun(run)
 		}
 		for b, batch := range batches {
 			if err := writers[b].Append(batch...); err != nil {

@@ -62,7 +62,7 @@ func (r *memRunReader[T]) NextRun() ([]T, error) {
 	if end > len(r.d.data) {
 		end = len(r.d.data)
 	}
-	run := append(*GetRun[T](r.m, end-r.pos), r.d.data[r.pos:end]...)
+	run := append(GetRun[T](r.m, end-r.pos), r.d.data[r.pos:end]...)
 	r.d.stats.ReadOps++
 	r.d.stats.BytesRead += int64(len(run) * r.d.elemSize)
 	r.pos = end

@@ -9,7 +9,11 @@ import (
 // runPools holds the run pool, one sync.Pool of whole runs per element
 // type and run length. Package-level generic variables are not a thing,
 // so the per-type pools live behind a map; the lookup is one sync.Map
-// load, and only the runs themselves are pooled.
+// load, and only the runs themselves are pooled. The pool of capacity 0
+// holds spare slice headers: a sync.Pool holds a run by a pointer to its
+// header, so GetRun parks the header of each run it lends there and
+// PutRun takes one back for the run it is given, and neither allocates
+// once the pools are warm.
 var runPools sync.Map // runKey → *sync.Pool
 
 // runKey names the pool of one element type's runs of capacity runLen.
@@ -40,23 +44,29 @@ const minRun = 64
 // otherwise makes a buffer of the next power of two at or above n keys,
 // at least minRun and at most runLen, so a partial run costs the keys it
 // holds and grows toward runLen as they arrive. Give a whole run back
-// with PutRun once its contents are dead; the pool holds pointers, so
-// neither call allocates once it is warm.
-func GetRun[T any](runLen, n int) *[]T {
+// with PutRun once its contents are dead.
+func GetRun[T any](runLen, n int) []T {
 	if v := runPool[T](runLen).Get(); v != nil {
-		return v.(*[]T)
+		h := v.(*[]T)
+		run := *h
+		*h = nil
+		runPool[T](0).Put(h)
+		return run
 	}
-	b := make([]T, 0, min(max(minRun, 1<<bits.Len(uint(n-1))), runLen))
-	return &b
+	return make([]T, 0, min(max(minRun, 1<<bits.Len(uint(n-1))), runLen))
 }
 
 // PutRun gives a whole run back to the pool of runs of its capacity; a
-// nil b is a no-op. The caller must be its exclusive owner: nothing may
-// read *b afterwards.
-func PutRun[T any](b *[]T) {
-	if b == nil {
+// run of capacity 0, nil included, is a no-op. The caller must be its
+// exclusive owner: nothing may read run afterwards.
+func PutRun[T any](run []T) {
+	if cap(run) == 0 {
 		return
 	}
-	*b = (*b)[:0]
-	runPool[T](cap(*b)).Put(b)
+	h, _ := runPool[T](0).Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = run[:0]
+	runPool[T](cap(run)).Put(h)
 }

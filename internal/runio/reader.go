@@ -229,7 +229,7 @@ func (r *fileRunReader[T]) NextRun() ([]T, error) {
 		n = int(r.left)
 	}
 	want := n * r.codec.Size()
-	run := (*GetRun[T](r.m, n))[:n]
+	run := GetRun[T](r.m, n)[:n]
 	var raw []byte
 	if r.ebuf == nil {
 		raw = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(run))), want)
@@ -296,7 +296,7 @@ func ReadAll[T any](d Dataset[T]) ([]T, error) {
 		}
 		out = append(out, run...)
 		if cap(run) == m {
-			PutRun(&run)
+			PutRun(run)
 		}
 	}
 }

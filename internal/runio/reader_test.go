@@ -370,9 +370,9 @@ func TestRunReaderPooledRuns(t *testing.T) {
 				for _, capacity := range []int{m - 1, m + 1} {
 					b := make([]int64, 1, capacity)
 					odd[&b[0]] = true
-					PutRun(&b)
+					PutRun(b)
 				}
-				PutRun(&run)
+				PutRun(run)
 			}
 			if !raceEnabled && len(seen) > 2 {
 				t.Fatalf("the scan's %d runs came in %d arrays, want at most 2", len(want), len(seen))
@@ -441,7 +441,7 @@ func TestPrefetchPooledRuns(t *testing.T) {
 					for j := range run {
 						run[j] = -1
 					}
-					PutRun(&run)
+					PutRun(run)
 				}
 			}()
 		}
