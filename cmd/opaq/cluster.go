@@ -32,7 +32,6 @@ func cmdCoord(args []string) error {
 	workers := fs.String("workers", "", "comma-separated worker base URLs (e.g. http://h1:9001,http://h2:9001); required")
 	spread := fs.Int("spread", 1, "distinct workers per tenant: ingest round-robins across them, queries merge them")
 	vnodes := fs.Int("vnodes", 0, "consistent-hash virtual nodes per worker (0 = 64)")
-	buckets := fs.Int("buckets", 0, "equi-depth buckets for selectivity over merged summaries (0 = engine default)")
 	attempts := fs.Int("attempts", 0, "attempts per worker request before failing over (0 = 3)")
 	backoff := fs.Duration("backoff", 0, "initial retry backoff, doubling per attempt (0 = 50ms)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request worker timeout")
@@ -60,7 +59,6 @@ func cmdCoord(args []string) error {
 		VirtualNodes: *vnodes,
 		Codec:        runio.Int64Codec{},
 		Parse:        engine.Int64Key,
-		Buckets:      *buckets,
 		Client: &cluster.WorkerClient{
 			// The pooled transport keeps worker connections warm across
 			// the scatter-gather fan-out instead of redialing per query.

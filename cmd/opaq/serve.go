@@ -30,7 +30,6 @@ func cmdServe(args []string) error {
 	m := fs.Int("m", 1<<16, "run length (elements per run)")
 	s := fs.Int("s", 1<<10, "samples per run (must divide m)")
 	stripes := fs.Int("stripes", 0, "ingest stripes per tenant (0 = GOMAXPROCS)")
-	buckets := fs.Int("buckets", 16, "equi-depth buckets for selectivity queries")
 	epochElems := fs.Int64("epoch", 0, "seal an epoch when this many unsealed elements accumulate (0 = no count trigger)")
 	epochBytes := fs.Int64("epoch-bytes", 0, "seal an epoch when unsealed bytes reach this bound (0 = no bytes trigger)")
 	epochInterval := fs.Duration("epoch-interval", 0, "seal an epoch on this wall-clock tick (0 = no timer)")
@@ -73,7 +72,6 @@ func cmdServe(args []string) error {
 	defaults := opaq.EngineOptions{
 		Config:  opaq.Config{RunLen: *m, SampleSize: *s},
 		Stripes: *stripes,
-		Buckets: *buckets,
 		Epoch: opaq.EngineEpochPolicy{
 			MaxElems: *epochElems,
 			MaxBytes: *epochBytes,

@@ -61,7 +61,7 @@ type EngineEpochStats = engine.EpochStats
 type EngineStats = engine.Stats
 
 // EngineSnapshot is an immutable consistent view of an engine: the merged
-// summary plus its derived equi-depth histogram; see engine.Snapshot.
+// summary of everything it serves; see engine.Snapshot.
 type EngineSnapshot[T cmp.Ordered] = engine.Snapshot[T]
 
 // NewEngine returns a live quantile service over elements of type T.

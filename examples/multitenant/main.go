@@ -32,7 +32,6 @@ func main() {
 		Defaults: opaq.EngineOptions{
 			Config:  opaq.Config{RunLen: 1 << 10, SampleSize: 1 << 7},
 			Stripes: 2,
-			Buckets: 20,
 		},
 		CheckpointDir: dir,
 		Codec:         opaq.Int64Codec{},
@@ -51,7 +50,6 @@ func main() {
 	windowed := opaq.EngineOptions{
 		Config:    opaq.Config{RunLen: 1 << 10, SampleSize: 1 << 7},
 		Stripes:   2,
-		Buckets:   20,
 		Epoch:     opaq.EngineEpochPolicy{MaxElems: 4096},
 		Retention: opaq.EngineRetention{Kind: opaq.RetainLastK, K: 4},
 	}
@@ -110,7 +108,6 @@ func main() {
 		Defaults: opaq.EngineOptions{
 			Config:  opaq.Config{RunLen: 1 << 10, SampleSize: 1 << 7},
 			Stripes: 2,
-			Buckets: 20,
 		},
 		CheckpointDir: dir,
 		Codec:         opaq.Int64Codec{},

@@ -2,7 +2,7 @@
 // opaq.Engine behind its HTTP/JSON API, concurrent writers streaming keys
 // in while readers query quantiles and range selectivity, and a
 // checkpoint → restore cycle proving the state survives restarts. This is
-// the equi-depth-histogram serving story the paper's introduction
+// the selectivity-estimation serving story the paper's introduction
 // motivates: optimizer statistics that stay fresh while data arrives.
 //
 // Run with: go run ./examples/serve
@@ -24,7 +24,7 @@ import (
 
 func main() {
 	cfg := opaq.Config{RunLen: 1 << 12, SampleSize: 1 << 8}
-	eng, err := opaq.NewEngine[int64](opaq.EngineOptions{Config: cfg, Stripes: 4, Buckets: 20})
+	eng, err := opaq.NewEngine[int64](opaq.EngineOptions{Config: cfg, Stripes: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func main() {
 		MaxAbsError float64 `json:"max_abs_error"`
 	}
 	getJSON(srv.URL+"/selectivity?a=250000&b=749999", &sel)
-	fmt.Printf("selectivity of [250000, 749999]: %.4f (true 0.5, error ceiling ±%.0f elements)\n",
+	fmt.Printf("selectivity of [250000, 749999]: %.4f (true 0.5, count within ±%.0f elements)\n",
 		sel.Selectivity, sel.MaxAbsError)
 
 	// Checkpoint, restore into a fresh engine, and keep serving.
@@ -92,7 +92,7 @@ func main() {
 	if err := eng.CheckpointFile(path, opaq.Int64Codec{}); err != nil {
 		log.Fatal(err)
 	}
-	restored, err := opaq.NewEngine[int64](opaq.EngineOptions{Config: cfg, Stripes: 4, Buckets: 20})
+	restored, err := opaq.NewEngine[int64](opaq.EngineOptions{Config: cfg, Stripes: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

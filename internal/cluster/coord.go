@@ -19,7 +19,6 @@ import (
 
 	"opaq/internal/core"
 	"opaq/internal/engine"
-	"opaq/internal/histogram"
 	"opaq/internal/runio"
 )
 
@@ -58,9 +57,6 @@ type Options[T cmp.Ordered] struct {
 	Codec runio.Codec[T]
 	// Parse converts query-string keys (selectivity bounds); required.
 	Parse engine.ParseKey[T]
-	// Buckets is the equi-depth histogram resolution for selectivity
-	// answers over merged summaries (0 = engine.DefaultBuckets).
-	Buckets int
 	// Client is the worker HTTP client; nil uses defaults (3 attempts,
 	// 50ms doubling backoff, 5s timeout, pooled keep-alive transport).
 	Client *WorkerClient
@@ -101,11 +97,10 @@ const defaultOwnerQuarantine = 2 * time.Second
 // Coordinator scatter-gathers a worker fleet behind the engine's HTTP
 // surface. All methods are safe for concurrent use.
 type Coordinator[T cmp.Ordered] struct {
-	opts    Options[T]
-	ring    *Ring
-	client  *WorkerClient
-	buckets int
-	rr      sync.Map // tenant name -> *atomic.Uint64 ingest cursor
+	opts   Options[T]
+	ring   *Ring
+	client *WorkerClient
+	rr     sync.Map // tenant name -> *atomic.Uint64 ingest cursor
 
 	// ctx is the coordinator's lifetime: every fan-out runs under a
 	// context that dies with it, so Close unblocks retry backoffs against
@@ -162,13 +157,6 @@ func New[T cmp.Ordered](opts Options[T]) (*Coordinator[T], error) {
 	if opts.Spread < 1 {
 		return nil, fmt.Errorf("cluster: Spread must be positive, got %d", opts.Spread)
 	}
-	buckets := opts.Buckets
-	if buckets == 0 {
-		buckets = engine.DefaultBuckets
-	}
-	if buckets < 1 {
-		return nil, fmt.Errorf("cluster: Buckets must be positive, got %d", opts.Buckets)
-	}
 	client := opts.Client
 	if client == nil {
 		client = &WorkerClient{}
@@ -182,7 +170,6 @@ func New[T cmp.Ordered](opts Options[T]) (*Coordinator[T], error) {
 		opts:       opts,
 		ring:       ring,
 		client:     client,
-		buckets:    buckets,
 		ctx:        ctx,
 		cancel:     cancel,
 		flights:    map[string]*flight[T]{},
@@ -683,9 +670,8 @@ func (c *Coordinator[T]) cacheStats() map[string]any {
 }
 
 // view answers the engine's read routes from a scatter-gather: the
-// merged summary with its histogram at Options.Buckets, a strong ETag for
-// complete gathers, the partial flag, and /summary bytes shared through
-// the gather cache.
+// merged summary, a strong ETag for complete gathers, the partial flag,
+// and /summary bytes shared through the gather cache.
 func (c *Coordinator[T]) view(ctx context.Context, tenant string) (engine.View[T], error) {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
@@ -694,11 +680,6 @@ func (c *Coordinator[T]) view(ctx context.Context, tenant string) (engine.View[T
 		return engine.View[T]{}, err
 	}
 	v := engine.View[T]{Summary: g.sum, Partial: g.partial}
-	if g.sum.N() > 0 {
-		if v.Hist, err = histogram.Build(g.sum, c.buckets); err != nil {
-			return engine.View[T]{}, err
-		}
-	}
 	if g.key != "" {
 		// Hash the vector: the joined worker tags are unbounded and leak
 		// fleet internals; 128 bits of SHA-256 keep the strong-tag

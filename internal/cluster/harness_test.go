@@ -151,7 +151,7 @@ func TestClusterEquivalenceHarness(t *testing.T) {
 			}
 		}
 
-		// Identical selectivities (same summary bytes → same histogram).
+		// Identical selectivities (same summary bytes → same count bounds).
 		for _, r := range [][2]int64{{0, 1 << 43}, {1 << 42, 1 << 44}} {
 			status, out := doJSON(t, h, http.MethodGet,
 				fmt.Sprintf("/t/%s/selectivity?a=%d&b=%d", tenant, r[0], r[1]), nil)

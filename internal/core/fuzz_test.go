@@ -13,6 +13,8 @@ import (
 // FuzzBoundsContainment checks Lemmas 1–3 on arbitrary byte-derived
 // datasets and configurations: the true quantile always lies inside
 // [Lower, Upper] and the enclosure never exceeds the computed error bound.
+// RankBounds and CountBounds must enclose the true rank and range count
+// of its probe keys.
 func FuzzBoundsContainment(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(1), uint16(500))
 	f.Add([]byte{255, 0, 255, 0, 255, 0, 255, 0}, uint8(1), uint8(0), uint16(1))
@@ -51,12 +53,31 @@ func FuzzBoundsContainment(f *testing.F) {
 		if gap := int64(hi - lo); gap > 2*sum.ErrorBound() {
 			t.Fatalf("phi=%g: enclosure population %d exceeds 2×bound %d", phi, gap, 2*sum.ErrorBound())
 		}
-		// Rank bounds must enclose the true rank for the probe keys.
-		for _, x := range []int64{xs[0], truth, b.Lower, b.Upper} {
+		// Rank bounds must enclose the true rank for the probe keys, and
+		// count bounds the true count of [a, b] for every ordered pair of
+		// them, a > b included, within ErrorBound of their midpoint.
+		probes := []int64{xs[0], truth, b.Lower, b.Upper}
+		for _, x := range probes {
 			rl, rh := sum.RankBounds(x)
 			trueRank := int64(sort.Search(len(sorted), func(i int) bool { return sorted[i] > x }))
 			if trueRank < rl || trueRank > rh {
 				t.Fatalf("RankBounds(%d) = [%d,%d], true %d", x, rl, rh, trueRank)
+			}
+		}
+		for _, a := range probes {
+			for _, z := range probes {
+				cl, ch := sum.CountBounds(a, z)
+				trueCount := int64(0)
+				if a <= z {
+					trueCount = int64(sort.Search(len(sorted), func(i int) bool { return sorted[i] > z }) -
+						sort.Search(len(sorted), func(i int) bool { return sorted[i] >= a }))
+				}
+				if trueCount < cl || trueCount > ch {
+					t.Fatalf("CountBounds(%d, %d) = [%d,%d], true %d", a, z, cl, ch, trueCount)
+				}
+				if ch-cl > 2*sum.ErrorBound() {
+					t.Fatalf("CountBounds(%d, %d) = [%d,%d]: half width over ErrorBound %d", a, z, cl, ch, sum.ErrorBound())
+				}
 			}
 		}
 	})

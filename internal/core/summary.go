@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"opaq/internal/merge"
 )
@@ -221,12 +222,11 @@ func (s *Summary[T]) RankBounds(x T) (lo, hi int64) {
 	if x >= s.max {
 		return s.n, s.n // exact: everything is ≤ the tracked maximum
 	}
-	// kLE: samples ≤ x; each closes a disjoint sub-run of step elements ≤ it.
-	// Open-coded upper-bound binary search over a pre-hoisted slice, so the
-	// per-probe cost is pure compare-and-halve with no closure indirection;
-	// BenchmarkRankBounds tracks this path against the sort.Search form it
-	// replaced (a few percent on cache-resident lists; the search is
-	// memory-bound beyond that).
+	// kLE: samples ≤ x. Open-coded upper-bound binary search over a
+	// pre-hoisted slice, so the per-probe cost is pure compare-and-halve
+	// with no closure indirection; BenchmarkRankBounds tracks this path
+	// against the sort.Search form it replaced (a few percent on
+	// cache-resident lists; the search is memory-bound beyond that).
 	samples := s.samples
 	lo64, hi64 := 0, len(samples)
 	for lo64 < hi64 {
@@ -237,18 +237,45 @@ func (s *Summary[T]) RankBounds(x T) (lo, hi int64) {
 			hi64 = h
 		}
 	}
-	kLE := int64(lo64)
-	lo = kLE * s.step
-	// Per run, at most step−1 elements of the next partial sub-run are ≤ x
-	// without their closing sample being ≤ x; leftovers are unaccounted.
-	hi = kLE*s.step + s.runs*(s.step-1) + s.leftover
-	if hi > s.n {
-		hi = s.n
+	return s.sideBounds(int64(lo64))
+}
+
+// belowBounds is RankBounds' strict twin: deterministic bounds on the
+// number of data elements < x.
+func (s *Summary[T]) belowBounds(x T) (lo, hi int64) {
+	if s.n == 0 || x <= s.min {
+		return 0, 0 // exact: nothing sorts below the tracked minimum
 	}
-	if lo > hi {
-		lo = hi
+	if x > s.max {
+		return s.n, s.n // exact: everything is < x
 	}
-	return lo, hi
+	kLT, _ := slices.BinarySearch(s.samples, x)
+	return s.sideBounds(int64(kLT))
+}
+
+// sideBounds bounds the number of elements on one side of a probe, given
+// the k samples on that side. Each such sample closes a disjoint sub-run
+// of step elements on the same side. Per run, at most step−1 elements of
+// the next sub-run are on that side without their closing sample being
+// there; leftovers are unaccounted.
+func (s *Summary[T]) sideBounds(k int64) (lo, hi int64) {
+	lo = k * s.step
+	return lo, min(lo+s.runs*(s.step-1)+s.leftover, s.n)
+}
+
+// CountBounds returns deterministic bounds [lo, hi] on the number of data
+// elements in the closed range [a, b]: RankBounds(b) less the same
+// accounting for the elements strictly below a. Its half width,
+// (hi−lo)/2, is at most ErrorBound. A range with a > b, or with a NaN
+// end, holds exactly 0 elements.
+func (s *Summary[T]) CountBounds(a, b T) (lo, hi int64) {
+	// Phrased positively, as in Bounds, so a NaN end is an empty range.
+	if !(a <= b) {
+		return 0, 0
+	}
+	leLo, leHi := s.RankBounds(b)
+	ltLo, ltHi := s.belowBounds(a)
+	return max(leLo-ltHi, 0), leHi - ltLo
 }
 
 // Merge combines two summaries built with the same step into one that

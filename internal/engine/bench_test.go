@@ -285,9 +285,8 @@ func TestTwoLevelServeAllocs(t *testing.T) {
 // serving loop — one ingest plus one snapshot-rebuilding query — so a
 // regression that allocates per epoch or per sample fails loudly rather
 // than showing up only in benchmark output. The measured steady state is
-// 17 allocs/op (the merged lists, snapshot and histogram, which are
-// per-rebuild by design); the threshold leaves headroom for toolchain
-// drift.
+// 11 allocs/op (the merged lists and snapshot, which are per-rebuild by
+// design); the threshold leaves headroom for toolchain drift.
 func TestCompactedServeAllocs(t *testing.T) {
 	const runLen = 256
 	e, err := New[int64](Options{

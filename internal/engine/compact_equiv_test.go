@@ -40,7 +40,6 @@ func equivOptions(withCompaction bool) Options {
 	opts := Options{
 		Config:  core.Config{RunLen: 64, SampleSize: 8},
 		Stripes: 2,
-		Buckets: 8,
 	}
 	if withCompaction {
 		opts.Compaction = CompactionPolicy{Enabled: true}
@@ -114,7 +113,7 @@ func compareEngines(t *testing.T, comp, shad *Engine[int64], rng *rand.Rand) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Identical histograms make these float-for-float identical, not
+		// Identical summaries make these float-for-float identical, not
 		// merely close.
 		if cSel != sSel || cEst != sEst || cErr != sErr {
 			t.Fatalf("RangeEstimate(%d,%d) diverged: compacted (%g,%g,%g), shadow (%g,%g,%g)",
@@ -265,7 +264,6 @@ func prefixEquivOptions(shadow bool) Options {
 	return Options{
 		Config:              core.Config{RunLen: 64, SampleSize: 8},
 		Stripes:             2,
-		Buckets:             8,
 		Retention:           Retention{Kind: RetainLastK, K: 6},
 		DisableFrozenPrefix: shadow,
 	}
@@ -711,7 +709,6 @@ func TestCompactionWithEvictionServesRetainedWindow(t *testing.T) {
 			opts := Options{
 				Config:     core.Config{RunLen: runLen, SampleSize: 8},
 				Stripes:    1, // run-aligned batches seal exactly what was ingested
-				Buckets:    8,
 				Retention:  Retention{Kind: RetainLastK, K: 4},
 				Compaction: CompactionPolicy{Enabled: true},
 			}

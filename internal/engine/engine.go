@@ -2,8 +2,8 @@
 // service: a concurrent component that ingests a stream, answers
 // quantile / rank / selectivity queries while data keeps arriving, and
 // checkpoints its state — the serving substrate for query-optimizer
-// statistics that must stay fresh (the equi-depth histogram application
-// the paper's introduction motivates).
+// statistics that must stay fresh (the selectivity estimation the paper's
+// introduction motivates, answered from the summary's own rank bounds).
 //
 // # Architecture
 //
@@ -86,14 +86,9 @@ import (
 	"time"
 
 	"opaq/internal/core"
-	"opaq/internal/histogram"
 	"opaq/internal/parallel"
 	"opaq/internal/runio"
 )
-
-// DefaultBuckets is the equi-depth bucket count of snapshot histograms
-// when Options.Buckets is zero.
-const DefaultBuckets = 16
 
 // Options configures an Engine.
 type Options struct {
@@ -104,9 +99,6 @@ type Options struct {
 	// Stripes is P, the number of lock-striped ingest shards. 0 means
 	// runtime.GOMAXPROCS(0).
 	Stripes int
-	// Buckets is the equi-depth histogram resolution of snapshots
-	// (selectivity queries). 0 means DefaultBuckets.
-	Buckets int
 	// Epoch controls automatic sealing of live stripes into epochs. The
 	// zero value never seals automatically (Rotate still works).
 	Epoch EpochPolicy
@@ -140,14 +132,11 @@ type Options struct {
 
 // Snapshot is an immutable, internally consistent view of everything the
 // engine was serving when the snapshot was cut: the retained epochs plus
-// the live stripes. Both fields are safe for concurrent use and never
-// mutated afterwards.
+// the live stripes. It is safe for concurrent use and never mutated
+// afterwards.
 type Snapshot[T cmp.Ordered] struct {
 	// Summary is the merged summary over the snapshot's merge set.
 	Summary *core.Summary[T]
-	// Hist is the equi-depth histogram derived from Summary; nil when the
-	// snapshot is empty.
-	Hist *histogram.EquiDepth[T]
 	// Version is the ingest version the snapshot is known to reflect;
 	// concurrent ingests may already have advanced past it.
 	Version uint64
@@ -210,7 +199,6 @@ type Stats struct {
 // type T. All methods are safe for concurrent use.
 type Engine[T cmp.Ordered] struct {
 	cfg           core.Config
-	buckets       int
 	policy        EpochPolicy
 	retain        Retention
 	compaction    CompactionPolicy
@@ -375,16 +363,8 @@ func New[T cmp.Ordered](opts Options) (*Engine[T], error) {
 			}
 		}
 	}
-	buckets := opts.Buckets
-	if buckets == 0 {
-		buckets = DefaultBuckets
-	}
-	if buckets < 1 {
-		return nil, fmt.Errorf("%w: Buckets must be non-negative, got %d", core.ErrConfig, opts.Buckets)
-	}
 	e := &Engine[T]{
 		cfg:           opts.Config,
-		buckets:       buckets,
 		policy:        opts.Epoch,
 		retain:        opts.Retention,
 		compaction:    opts.Compaction,
@@ -744,13 +724,6 @@ func (e *Engine[T]) rebuildLocked(version uint64) (*Snapshot[T], error) {
 		return nil, err
 	}
 	snap := &Snapshot[T]{Summary: acc, Version: version}
-	if acc.N() > 0 {
-		h, err := histogram.Build(acc, e.buckets)
-		if err != nil {
-			return nil, err
-		}
-		snap.Hist = h
-	}
 	e.snap.Store(snap)
 	e.merges.Add(1)
 	if sealed {
@@ -870,36 +843,38 @@ func (e *Engine[T]) RankBounds(x T) (lo, hi int64, err error) {
 	return lo, hi, nil
 }
 
-// RangeEstimate answers a range predicate from one snapshot: the
-// selectivity (fraction of retained elements in [a, b]), the raw element
-// estimate it is derived from, and the histogram's deterministic absolute
-// error ceiling — mutually consistent even while ingestion advances.
-// Empty engines report core.ErrEmpty.
+// RangeEstimate answers a range predicate from one snapshot's count
+// bounds (core.Summary.CountBounds): estimate is their midpoint and
+// maxErr their half width, so estimate ± maxErr encloses the exact
+// number of retained elements in [a, b], and maxErr is at most the
+// snapshot's ErrorBound. sel is estimate as a fraction of the retained
+// elements. The three are mutually consistent even while ingestion
+// advances. Empty engines report core.ErrEmpty.
 func (e *Engine[T]) RangeEstimate(a, b T) (sel, estimate, maxErr float64, err error) {
 	s, err := e.Snapshot()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if s.Hist == nil {
-		return 0, 0, 0, core.ErrEmpty
-	}
 	e.queries.Add(1)
-	estimate = s.Hist.EstimateRange(a, b)
-	return estimate / float64(s.Hist.N()), estimate, s.Hist.MaxRangeError(), nil
+	return rangeEstimate(s.Summary, a, b)
 }
 
-// Selectivity estimates the fraction of retained elements in [a, b] from
-// the snapshot's equi-depth histogram. Empty engines report core.ErrEmpty.
+// rangeEstimate is RangeEstimate over one summary; the /selectivity
+// route answers with it too.
+func rangeEstimate[T cmp.Ordered](s *core.Summary[T], a, b T) (sel, estimate, maxErr float64, err error) {
+	if s.N() == 0 {
+		return 0, 0, 0, core.ErrEmpty
+	}
+	lo, hi := s.CountBounds(a, b)
+	estimate = float64(lo+hi) / 2
+	return estimate / float64(s.N()), estimate, float64(hi-lo) / 2, nil
+}
+
+// Selectivity estimates the fraction of retained elements in [a, b] (see
+// RangeEstimate). Empty engines report core.ErrEmpty.
 func (e *Engine[T]) Selectivity(a, b T) (float64, error) {
 	sel, _, _, err := e.RangeEstimate(a, b)
 	return sel, err
-}
-
-// EstimateRange estimates the number of retained elements in [a, b], with
-// the histogram's deterministic error ceiling as the second result.
-func (e *Engine[T]) EstimateRange(a, b T) (estimate, maxErr float64, err error) {
-	_, estimate, maxErr, err = e.RangeEstimate(a, b)
-	return estimate, maxErr, err
 }
 
 // Stats reports engine state without forcing a snapshot rebuild (the

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,7 +21,6 @@ func newTestEngine(t *testing.T, stripes int) *Engine[int64] {
 	e, err := New[int64](Options{
 		Config:  core.Config{RunLen: 512, SampleSize: 64},
 		Stripes: stripes,
-		Buckets: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,8 +372,29 @@ func TestEngineBulkLoad(t *testing.T) {
 		}
 		assertEnclosure(t, o, b, phi)
 	}
-	if snap.Hist == nil {
-		t.Fatal("non-empty snapshot must carry a histogram")
+}
+
+// TestRangeEstimateEmptyRanges: a range with a NaN end, or with a > b,
+// holds no key, and RangeEstimate answers it exactly, 0 ± 0.
+func TestRangeEstimateEmptyRanges(t *testing.T) {
+	e, err := New[float64](Options{Config: core.Config{RunLen: 512, SampleSize: 64}, Stripes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]float64, 10_000)
+	for i := range keys {
+		keys[i] = rng.NormFloat64()
+	}
+	if err := e.IngestBatch(keys); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range [][2]float64{{nan, inf}, {-inf, nan}, {nan, nan}, {1, -1}, {inf, -inf}} {
+		sel, est, maxErr, err := e.RangeEstimate(r[0], r[1])
+		if err != nil || sel != 0 || est != 0 || maxErr != 0 {
+			t.Errorf("RangeEstimate(%g, %g) = (%g, %g ± %g, %v), want (0, 0 ± 0, nil)", r[0], r[1], sel, est, maxErr, err)
+		}
 	}
 }
 
@@ -387,15 +408,15 @@ func TestEngineEmpty(t *testing.T) {
 	if _, err := e.Selectivity(1, 2); !errors.Is(err, core.ErrEmpty) {
 		t.Errorf("Selectivity on empty engine = %v, want ErrEmpty", err)
 	}
-	if _, _, err := e.EstimateRange(1, 2); !errors.Is(err, core.ErrEmpty) {
-		t.Errorf("EstimateRange on empty engine = %v, want ErrEmpty", err)
+	if _, _, _, err := e.RangeEstimate(1, 2); !errors.Is(err, core.ErrEmpty) {
+		t.Errorf("RangeEstimate on empty engine = %v, want ErrEmpty", err)
 	}
 	snap, err := e.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Summary.N() != 0 || snap.Hist != nil {
-		t.Errorf("empty snapshot: N=%d hist=%v", snap.Summary.N(), snap.Hist)
+	if snap.Summary.N() != 0 {
+		t.Errorf("empty snapshot: N=%d", snap.Summary.N())
 	}
 	if st := e.Stats(); st.N != 0 || st.Stripes != 2 {
 		t.Errorf("empty stats: %+v", st)
@@ -417,8 +438,5 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 	if _, err := New[int64](Options{Config: core.Config{RunLen: 8, SampleSize: 2}, Stripes: -1}); err == nil {
 		t.Error("negative stripes should fail")
-	}
-	if _, err := New[int64](Options{Config: core.Config{RunLen: 8, SampleSize: 2}, Buckets: -3}); err == nil {
-		t.Error("negative buckets should fail")
 	}
 }

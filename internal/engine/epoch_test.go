@@ -23,7 +23,6 @@ func TestEngineKeepAllByteIdenticalAcrossRotation(t *testing.T) {
 	opts := Options{
 		Config:  core.Config{RunLen: 128, SampleSize: 16},
 		Stripes: 3,
-		Buckets: 16,
 	}
 	plain, err := New[int64](opts)
 	if err != nil {
@@ -84,7 +83,6 @@ func TestEngineWindowedTortureConcurrent(t *testing.T) {
 	e, err := New[int64](Options{
 		Config:    core.Config{RunLen: runLen, SampleSize: 64},
 		Stripes:   2,
-		Buckets:   32,
 		Retention: Retention{Kind: RetainLastK, K: keepK},
 	})
 	if err != nil {

@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"opaq/internal/core"
-	"opaq/internal/histogram"
 	"opaq/internal/runio"
 )
 
@@ -210,7 +209,7 @@ func (h *handler[T]) view(_ context.Context, tenant string) (View[T], error) {
 		return View[T]{}, err
 	}
 	eng.queries.Add(1)
-	return View[T]{Summary: s.Summary, Hist: s.Hist, ETag: eng.SummaryETag(s)}, nil
+	return View[T]{Summary: s.Summary, ETag: eng.SummaryETag(s)}, nil
 }
 
 // WithTenant resolves the request's {tenant} path value before f runs:
@@ -389,9 +388,6 @@ func (h *handler[T]) shed429(eng *Engine[T], w http.ResponseWriter, bound int64)
 // coordinator's is the merge of the tenant's owner summaries.
 type View[T cmp.Ordered] struct {
 	Summary *core.Summary[T]
-	// Hist is the equi-depth histogram selectivity answers from; nil when
-	// Summary is empty.
-	Hist *histogram.EquiDepth[T]
 	// ETag is the strong entity tag of the /summary bytes; empty when the
 	// answer must not be revalidated (no ETag header, no 304).
 	ETag string
@@ -416,7 +412,7 @@ const maxQuantiles = 4096
 //
 //	GET /quantile     ?phi=0.5     → the deterministic enclosure
 //	GET /quantiles    ?q=10        → q−1 equally spaced enclosures
-//	GET /selectivity  ?a=10&b=20   → histogram range estimate
+//	GET /selectivity  ?a=10&b=20   → count estimate ± an error that encloses it
 //	GET /summary                   → SaveSummary bytes (ETag, 304)
 //
 // JSON answers carry "partial", /summary the X-Opaq-Partial header.
@@ -525,17 +521,17 @@ func (rt *reads[T]) selectivity(tenant string, w http.ResponseWriter, r *http.Re
 		WriteError(w, err)
 		return
 	}
-	if v.Hist == nil {
-		WriteError(w, core.ErrEmpty)
+	sel, est, maxErr, err := rangeEstimate(v.Summary, a, b)
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
-	est := v.Hist.EstimateRange(a, b)
 	WriteJSON(w, http.StatusOK, map[string]any{
 		"a":             fmt.Sprint(a),
 		"b":             fmt.Sprint(b),
-		"selectivity":   est / float64(v.Hist.N()),
+		"selectivity":   sel,
 		"estimate":      est,
-		"max_abs_error": v.Hist.MaxRangeError(),
+		"max_abs_error": maxErr,
 		"partial":       v.Partial,
 	})
 }
@@ -670,7 +666,6 @@ type tenantConfigJSON struct {
 	RunLen          int    `json:"m"`
 	SampleSize      int    `json:"s"`
 	Stripes         int    `json:"stripes"`
-	Buckets         int    `json:"buckets"`
 	EpochMaxElems   int64  `json:"epoch_max_elems"`
 	EpochMaxBytes   int64  `json:"epoch_max_bytes"`
 	EpochIntervalMS int64  `json:"epoch_interval_ms"`
@@ -690,9 +685,6 @@ func (c tenantConfigJSON) options(defaults Options) (Options, error) {
 	}
 	if c.Stripes > 0 {
 		o.Stripes = c.Stripes
-	}
-	if c.Buckets > 0 {
-		o.Buckets = c.Buckets
 	}
 	if c.EpochMaxElems > 0 {
 		o.Epoch.MaxElems = c.EpochMaxElems
@@ -718,11 +710,9 @@ func (c tenantConfigJSON) options(defaults Options) (Options, error) {
 }
 
 // Admin-create limits. A stripe's run buffer grows toward RunLen elements
-// while it buffers a partial run, and every snapshot rebuild builds a
-// histogram of Buckets boundaries, so a tenant created over HTTP may ask
-// for no more than maxCreateStripes stripes, maxCreateRunBytes of run
-// buffers in all, and maxQuantiles buckets, the resolution /quantiles is
-// capped at. An idle tenant holds no run buffer; the run-buffer limit
+// while it buffers a partial run, so a tenant created over HTTP may ask
+// for no more than maxCreateStripes stripes and maxCreateRunBytes of run
+// buffers in all. An idle tenant holds no run buffer; the run-buffer limit
 // bounds the worst case, in which every stripe holds a nearly whole run.
 const (
 	maxCreateStripes  = 1024
@@ -741,9 +731,6 @@ func checkCreateLimits[T cmp.Ordered](o Options) error {
 	if o.Config.RunLen > maxCreateRunBytes/perStripe {
 		return fmt.Errorf("%w: %d stripes × RunLen %d × %d-byte keys exceed %d bytes of run buffers",
 			core.ErrConfig, stripes, o.Config.RunLen, runio.ElemSize[T](), maxCreateRunBytes)
-	}
-	if o.Buckets > maxQuantiles {
-		return fmt.Errorf("%w: %d histogram buckets, at most %d", core.ErrConfig, o.Buckets, maxQuantiles)
 	}
 	return nil
 }

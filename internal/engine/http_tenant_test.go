@@ -21,7 +21,6 @@ func newRegistryServer(t *testing.T, hopts HandlerOptions) (*Registry[int64], *h
 		Defaults: Options{
 			Config:  core.Config{RunLen: 256, SampleSize: 32},
 			Stripes: 2,
-			Buckets: 16,
 		},
 		CheckpointDir: t.TempDir(),
 		Codec:         runio.Int64Codec{},
@@ -354,17 +353,17 @@ func TestHTTPAdminCreateRejectsUndrainableTenant(t *testing.T) {
 
 // TestHTTPAdminCreateSizeLimits: admin create answers 400 for a tenant
 // past any size limit (more than 1,024 stripes, run buffers above
-// 256 MiB, more than 4,096 histogram buckets) and leaves neither a
-// tenant nor an options sidecar behind; a tenant at the stripe and bucket
-// limits is created. The run-buffer limit is checked at its edge directly,
-// since a tenant there allocates 256 MiB.
+// 256 MiB) and leaves neither a tenant nor an options sidecar behind; a
+// tenant at the stripe limit is created, and so is one whose body carries
+// a bucket count, a field tenants no longer take and the decoder ignores.
+// The run-buffer limit is checked at its edge directly, since a tenant
+// there allocates 256 MiB.
 func TestHTTPAdminCreateSizeLimits(t *testing.T) {
 	reg, srv := newRegistryServer(t, HandlerOptions{})
 	probes := map[string]string{
 		"stripes": `{"name":"stripes","stripes":1025,"m":64,"s":32}`,
 		"runs":    `{"name":"runs","stripes":2,"m":16777280,"s":64}`, // 2 × (16 Mi + 64) × 8 bytes
 		"huge":    `{"name":"huge","m":1099511627776,"s":1}`,         // 8 TiB per stripe
-		"buckets": `{"name":"buckets","buckets":4097}`,
 	}
 	for name, body := range probes {
 		resp := postJSON(t, srv.URL+"/admin/tenants", body)
@@ -376,14 +375,19 @@ func TestHTTPAdminCreateSizeLimits(t *testing.T) {
 			t.Errorf("rejected tenant %q left an options sidecar (stat: %v)", name, err)
 		}
 	}
-	resp := postJSON(t, srv.URL+"/admin/tenants", `{"name":"edge","stripes":1024,"m":64,"s":32,"buckets":4096}`)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create at the limits: status %d, want 201", resp.StatusCode)
+	for _, body := range []string{
+		`{"name":"buckets","buckets":4097}`,
+		`{"name":"edge","stripes":1024,"m":64,"s":32,"buckets":4096}`,
+	} {
+		resp := postJSON(t, srv.URL+"/admin/tenants", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: status %d, want 201", body, resp.StatusCode)
+		}
 	}
 	list := getJSON(t, srv.URL+"/admin/tenants", http.StatusOK)["tenants"].([]any)
-	if len(list) != 1 || list[0].(map[string]any)["name"] != "edge" {
-		t.Fatalf("tenants after creates: %v, want only edge", list)
+	if len(list) != 2 || list[0].(map[string]any)["name"] != "buckets" || list[1].(map[string]any)["name"] != "edge" {
+		t.Fatalf("tenants after creates: %v, want buckets and edge", list)
 	}
 
 	edge := Options{Config: core.Config{RunLen: 32768, SampleSize: 64}, Stripes: 1024}

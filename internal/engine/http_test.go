@@ -18,7 +18,6 @@ func newTestServer(t *testing.T) (*Engine[int64], *httptest.Server) {
 	e, err := New[int64](Options{
 		Config:  core.Config{RunLen: 256, SampleSize: 32},
 		Stripes: 2,
-		Buckets: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ func testRegistryOptions(dir string) RegistryOptions[int64] {
 		Defaults: Options{
 			Config:  core.Config{RunLen: 512, SampleSize: 64},
 			Stripes: 2,
-			Buckets: 16,
 		},
 		CheckpointDir: dir,
 		Codec:         runio.Int64Codec{},
@@ -284,7 +283,6 @@ func TestRegistryOptionsPersistence(t *testing.T) {
 	custom := Options{
 		Config:    core.Config{RunLen: 256, SampleSize: 16},
 		Stripes:   5,
-		Buckets:   32,
 		Epoch:     EpochPolicy{MaxElems: 4096},
 		Retention: Retention{Kind: RetainLastK, K: 3},
 	}
@@ -314,8 +312,9 @@ func TestRegistryOptionsPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
-	// Sidecars written while core.Config still had a Seed field carry it;
-	// they must keep restoring, with the field ignored.
+	// Sidecars written while core.Config still had a Seed field, and
+	// Options a Buckets field, carry them; they must keep restoring, with
+	// the fields ignored.
 	legacy := `{
   "Config": {
     "RunLen": 256,

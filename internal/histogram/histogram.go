@@ -19,7 +19,7 @@ import (
 	"opaq/internal/core"
 )
 
-// EquiDepth is an equi-depth histogram over int64-comparable keys.
+// EquiDepth is an equi-depth histogram over keys of any ordered type.
 type EquiDepth[T cmp.Ordered] struct {
 	// boundaries[i] is the upper boundary of bucket i (inclusive); the last
 	// boundary is the dataset maximum.

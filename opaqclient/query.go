@@ -63,6 +63,10 @@ type QuantileAnswer struct {
 }
 
 // SelectivityAnswer estimates the fraction of elements in a key range.
+// Estimate ± MaxAbsError encloses the exact count of elements in the
+// range, and MaxAbsError is at most the error bound of the summary that
+// answered (on a single server, the snapshot_error_bound its stats
+// report). Selectivity is Estimate over that summary's element count.
 type SelectivityAnswer struct {
 	Selectivity float64 `json:"selectivity"`
 	Estimate    float64 `json:"estimate"`
